@@ -41,11 +41,12 @@ from .harness import (
     make_synthetic_model,
     run_stm_experiment,
 )
-from .spectral import SvdFactors, decompose, project_residual, reconstruct
+from .spectral import SvdFactors, decompose, project_residual, reconstruct, singular_values
 from .stm import (
     AdaptedLayer,
     StmConfig,
     StmPlan,
+    adapt_layer,
     initialize_adapter,
     maintaining_penalty,
     maintaining_penalty_grad,
@@ -72,6 +73,7 @@ __all__ = [
     "SvdFactors",
     "SyntheticModel",
     "TrainConfig",
+    "adapt_layer",
     "compose_sl",
     "compose_ssl",
     "decompose",
@@ -97,6 +99,7 @@ __all__ = [
     "run_stm_experiment",
     "select_directions",
     "select_rank",
+    "singular_values",
     "smooth_loss",
     "ssim",
     "stable_rank",

@@ -27,14 +27,13 @@ from .errors import (
     TrainingDivergedError,
     ValidationError,
 )
-from .spectral import decompose, project_residual
+from .spectral import decompose, project_residual, singular_values
 from .stm import (
     StmConfig,
+    adapt_layer,
     initialize_adapter,
     maintaining_penalty,
     maintaining_penalty_grad,
-    select_directions,
-    select_rank,
 )
 from .tensorio import MatrixBundle, Report, read_bundle, write_bundle
 
@@ -100,7 +99,7 @@ def cmd_spectra(args) -> int:
         if residuals is not None:
             dw = residuals.matrix(name)
             proj = project_residual(factors, dw)
-            res_sigma = decompose(dw).sigma
+            res_sigma = singular_values(dw)
             try:
                 res_ent = entropy_rank(res_sigma, args.gamma)
                 res_st = stable_rank(res_sigma, args.gamma)
@@ -135,11 +134,7 @@ def cmd_stm_init(args) -> int:
     layers = []
     plans = {}
     for name in sorted(weights.names()):
-        w = weights.matrix(name)
-        dw = residuals.matrix(name)
-        r = select_rank(w, cfg)
-        selected = select_directions(decompose(w), dw, r)
-        layer = initialize_adapter(w, selected, cfg)
+        layer = adapt_layer(weights.matrix(name), residuals.matrix(name), cfg)
         layers.append(layer)
         bundle.add(f"{name}.W0", layer.w0)
         bundle.add(f"{name}.B", layer.b)

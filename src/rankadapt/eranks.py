@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, ValidationError
-from .spectral import decompose
+from .spectral import singular_values
 
 
 def _checked_spectrum(sigma, gamma: float) -> np.ndarray:
@@ -62,7 +62,7 @@ class RankReport:
 
 def rank_report(weight: np.ndarray, gamma: float = 1.0) -> RankReport:
     """Both effective ranks of a weight matrix's singular spectrum."""
-    sigma = decompose(weight).sigma
+    sigma = singular_values(weight)
     return RankReport(
         entropy_rank=entropy_rank(sigma, gamma),
         stable_rank=stable_rank(sigma, gamma),

@@ -20,13 +20,11 @@ from .spectral import as_component_indices, decompose
 from .stm import (
     AdaptedLayer,
     StmConfig,
-    StmPlan,
+    adapt_layer,
     initialize_adapter,
     maintaining_penalty_grad,
     make_plan,
-    select_directions,
-    select_rank,
-    _protected_terms,
+    protected_terms,
 )
 from .tensorio import Report
 
@@ -265,19 +263,17 @@ def _kaiming_uniform(rng, rows: int, cols: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(rows, cols))
 
 
-_METHOD_IDS = {"stm": 0, "zero_init_lora": 1, "random_subset_lora": 2}
+_METHOD_IDS = {"zero_init_lora": 1, "random_subset_lora": 2}
 
 
-def _build_adapters(model: SyntheticModel, residuals, ranks, method: str,
-                    stm_cfg: StmConfig, seed: int) -> list[AdaptedLayer]:
+def _baseline_adapters(model: SyntheticModel, stm_layers, method: str,
+                       stm_cfg: StmConfig, seed: int) -> list[AdaptedLayer]:
+    """Baseline adapters with the rank budget and base factors of ``stm_layers``."""
     rng = np.random.default_rng([seed, _METHOD_IDS[method]])
     layers = []
-    for w, dw, r in zip(model.layers, residuals, ranks):
-        factors = decompose(w)
-        if method == "stm":
-            selected = select_directions(factors, dw, r)
-            layers.append(initialize_adapter(w, selected, stm_cfg))
-        elif method == "random_subset_lora":
+    for w, stm_layer in zip(model.layers, stm_layers):
+        r, factors = stm_layer.plan.r, stm_layer.frozen_factors
+        if method == "random_subset_lora":
             selected = tuple(sorted(int(i) + 1 for i in rng.choice(factors.k, size=r, replace=False)))
             layers.append(initialize_adapter(w, selected, stm_cfg))
         else:  # zero_init_lora: B = 0, A random, base left untouched
@@ -339,7 +335,7 @@ def _selection_recall(layers, task) -> float | None:
 def _protected_drift(layers) -> float:
     worst = 0.0
     for layer in layers:
-        terms, _ = _protected_terms(layer)
+        terms, _ = protected_terms(layer)
         if terms.size:
             worst = max(worst, float(np.max(np.abs(terms))))
     return worst
@@ -366,11 +362,12 @@ def run_stm_experiment(model: SyntheticModel, task: ProxyTask, stm_cfg: StmConfi
         raise ValidationError("reg_weight must be non-negative")
     adapter_task = adapter_task if adapter_task is not None else task
     residuals = full_finetune_proxy(model, task, train_cfg)
-    ranks = [select_rank(w, stm_cfg) for w in model.layers]
+    stm_layers = [adapt_layer(w, dw, stm_cfg) for w, dw in zip(model.layers, residuals)]
+    baseline_layers = _baseline_adapters(model, stm_layers, train_cfg.baseline,
+                                         stm_cfg, train_cfg.seed)
 
     records = []
-    for method in ("stm", train_cfg.baseline):
-        layers = _build_adapters(model, residuals, ranks, method, stm_cfg, train_cfg.seed)
+    for method, layers in (("stm", stm_layers), (train_cfg.baseline, baseline_layers)):
         final_loss, steps_hit = _train_adapters(layers, model, adapter_task,
                                                 train_cfg, reg_weight)
         recall = _selection_recall(layers, task) if method == "stm" else None

@@ -49,17 +49,21 @@ def as_component_indices(indices, k: int) -> np.ndarray:
     return idx - 1
 
 
-def decompose(weight: np.ndarray) -> SvdFactors:
-    """Thin SVD of ``weight`` with the sign convention applied."""
-    w = np.asarray(weight, dtype=np.float64)
+def _svd(matrix: np.ndarray, compute_uv: bool):
+    w = np.asarray(matrix, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 1:
         raise ValidationError(f"expected a non-empty 2-D matrix, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
         raise ValidationError("matrix contains non-finite entries")
     try:
-        u, sigma, vt = np.linalg.svd(w, full_matrices=False)
+        return np.linalg.svd(w, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD did not converge: {exc}") from exc
+
+
+def decompose(weight: np.ndarray) -> SvdFactors:
+    """Thin SVD of ``weight`` with the sign convention applied."""
+    u, sigma, vt = _svd(weight, compute_uv=True)
     # Pin signs: largest-|entry| of each left vector positive, right vector
     # flipped jointly so u_i sigma_i v_i^T is unchanged.
     anchor = np.argmax(np.abs(u), axis=0)
@@ -67,6 +71,14 @@ def decompose(weight: np.ndarray) -> SvdFactors:
     u[:, flip] *= -1.0
     vt[flip, :] *= -1.0
     return SvdFactors(u=u, sigma=sigma, vt=vt)
+
+
+def singular_values(matrix: np.ndarray) -> np.ndarray:
+    """Descending singular values of ``matrix``, without computing vectors.
+
+    Validates and maps convergence failures exactly like :func:`decompose`.
+    """
+    return _svd(matrix, compute_uv=False)
 
 
 def reconstruct(factors: SvdFactors, indices=None) -> np.ndarray:
@@ -90,5 +102,8 @@ def project_residual(factors: SvdFactors, residual: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"residual shape {r.shape} does not match factors ({factors.m}, {factors.n})"
         )
-    # d_i is the i-th diagonal entry of U^T residual V
-    return np.abs(np.einsum("mi,mn,in->i", factors.u, r, factors.vt))
+    if not np.all(np.isfinite(r)):
+        raise ValidationError("residual contains non-finite entries")
+    # d_i is the i-th diagonal entry of U^T residual V: one GEMM for
+    # residual V, then a column-wise dot product with U
+    return np.abs(np.einsum("mi,mi->i", factors.u, r @ factors.vt.T))

@@ -6,6 +6,8 @@ singular directions of ``W`` on which ``dW`` projects most strongly, splits
 those directions out of the frozen base into an exactly-initialized adapter
 ``W = W0 + B @ A``, and scores a penalty that keeps training away from the
 leading (stable-rank protected) directions that were not selected.
+:func:`adapt_layer` runs that whole per-layer chain from one decomposition
+of ``W``; the step-by-step public functions each decompose ``W`` themselves.
 
 Component indices are 1-based, consistent with :mod:`rankadapt.spectral`.
 """
@@ -101,12 +103,15 @@ class AdaptedLayer:
     frozen_factors: SvdFactors
 
 
-def select_rank(weight: np.ndarray, cfg: StmConfig) -> int:
-    """Entropy-rank-proportional rank budget, rounded and clamped."""
-    sigma = decompose(weight).sigma
+def _rank_of(sigma: np.ndarray, cfg: StmConfig) -> int:
     raw = cfg.alpha * entropy_rank(sigma, cfg.gamma)
     r = _round_half_away(round(raw, 12))
     return max(cfg.min_rank, min(r, cfg.max_rank(sigma.shape[0])))
+
+
+def select_rank(weight: np.ndarray, cfg: StmConfig) -> int:
+    """Entropy-rank-proportional rank budget, rounded and clamped."""
+    return _rank_of(decompose(weight).sigma, cfg)
 
 
 def select_directions(factors: SvdFactors, residual: np.ndarray, r: int) -> tuple[int, ...]:
@@ -127,9 +132,7 @@ def _protection_cutoff(sigma: np.ndarray, cfg: StmConfig) -> int:
     return max(0, min(cutoff, sigma.shape[0]))
 
 
-def make_plan(weight: np.ndarray, selected, cfg: StmConfig) -> StmPlan:
-    """Record selection plus the protected leading directions for ``weight``."""
-    factors = decompose(weight)
+def _plan_of(factors: SvdFactors, selected, cfg: StmConfig) -> StmPlan:
     idx0 = as_component_indices(selected, factors.k)
     sel = tuple(int(i) + 1 for i in idx0)
     cutoff = _protection_cutoff(factors.sigma, cfg)
@@ -144,6 +147,24 @@ def make_plan(weight: np.ndarray, selected, cfg: StmConfig) -> StmPlan:
     )
 
 
+def make_plan(weight: np.ndarray, selected, cfg: StmConfig) -> StmPlan:
+    """Record selection plus the protected leading directions for ``weight``."""
+    return _plan_of(decompose(weight), selected, cfg)
+
+
+def _split(w: np.ndarray, factors: SvdFactors, plan: StmPlan) -> AdaptedLayer:
+    idx0 = as_component_indices(plan.selected, factors.k)
+    if np.any(factors.sigma[idx0] == 0.0):
+        # stacklevel 3: the caller of the public function that called us
+        warnings.warn("selected a direction with zero singular value; its adapter "
+                      "column is initialized to zero", stacklevel=3)
+    sqrt_s = np.sqrt(factors.sigma[idx0])
+    b = factors.u[:, idx0] * sqrt_s
+    a = sqrt_s[:, None] * factors.vt[idx0, :]
+    w0 = w - (factors.u[:, idx0] * factors.sigma[idx0]) @ factors.vt[idx0, :]
+    return AdaptedLayer(w0=w0, b=b, a=a, plan=plan, frozen_factors=factors)
+
+
 def initialize_adapter(weight: np.ndarray, selected, cfg: StmConfig) -> AdaptedLayer:
     """Split the selected components out of ``weight`` into an exact adapter.
 
@@ -154,20 +175,29 @@ def initialize_adapter(weight: np.ndarray, selected, cfg: StmConfig) -> AdaptedL
     """
     w = np.asarray(weight, dtype=np.float64)
     factors = decompose(w)
-    plan = make_plan(w, selected, cfg)
-    idx0 = as_component_indices(plan.selected, factors.k)
-    if np.any(factors.sigma[idx0] == 0.0):
-        warnings.warn("selected a direction with zero singular value; its adapter "
-                      "column is initialized to zero", stacklevel=2)
-    sqrt_s = np.sqrt(factors.sigma[idx0])
-    b = factors.u[:, idx0] * sqrt_s
-    a = sqrt_s[:, None] * factors.vt[idx0, :]
-    w0 = w - (factors.u[:, idx0] * factors.sigma[idx0]) @ factors.vt[idx0, :]
-    return AdaptedLayer(w0=w0, b=b, a=a, plan=plan, frozen_factors=factors)
+    return _split(w, factors, _plan_of(factors, selected, cfg))
 
 
-def _protected_terms(layer: AdaptedLayer) -> tuple[np.ndarray, np.ndarray]:
-    """Signed values sigma_i * u_i^T (B A) v_i over the protected set, plus sigma."""
+def adapt_layer(weight: np.ndarray, residual: np.ndarray, cfg: StmConfig) -> AdaptedLayer:
+    """Analyze, select and initialize one layer from a single decomposition.
+
+    Equal to ``initialize_adapter(weight, select_directions(decompose(weight),
+    residual, select_rank(weight, cfg)), cfg)``, but ``weight`` is decomposed
+    once and those factors feed the rank budget, the direction selection, the
+    plan and the split.
+    """
+    w = np.asarray(weight, dtype=np.float64)
+    factors = decompose(w)
+    selected = select_directions(factors, residual, _rank_of(factors.sigma, cfg))
+    return _split(w, factors, _plan_of(factors, selected, cfg))
+
+
+def protected_terms(layer: AdaptedLayer) -> tuple[np.ndarray, np.ndarray]:
+    """Signed values sigma_i * u_i^T (B A) v_i over the protected set, plus sigma.
+
+    The maintaining penalty sums the magnitudes of the first array; its
+    largest magnitude is the worst drift into a protected direction.
+    """
     idx0 = np.asarray(layer.plan.protected, dtype=int) - 1
     if idx0.size == 0:
         return np.zeros(0), np.zeros(0)
@@ -189,7 +219,7 @@ def maintaining_penalty(layers: list[AdaptedLayer]) -> float:
         raise ValidationError("need at least one adapted layer")
     total = 0.0
     for layer in layers:
-        terms, _ = _protected_terms(layer)
+        terms, _ = protected_terms(layer)
         total += float(np.sum(np.abs(terms)))
     return total / len(layers)
 
@@ -204,7 +234,7 @@ def maintaining_penalty_grad(layer: AdaptedLayer) -> tuple[np.ndarray, np.ndarra
     if idx0.size == 0:
         return np.zeros_like(layer.b), np.zeros_like(layer.a)
     f = layer.frozen_factors
-    terms, sigma = _protected_terms(layer)
+    terms, sigma = protected_terms(layer)
     coeff = sigma * np.sign(terms)  # zero where the term is exactly zero
     u = f.u[:, idx0]                # (m, p)
     v = f.vt[idx0, :]               # (p, n)

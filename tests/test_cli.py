@@ -126,11 +126,60 @@ class TestStmInit:
                     for n in weights)
         assert printed == total
 
+    def test_non_finite_residual_exits_2(self, tmp_path):
+        rng = np.random.default_rng(4)
+        dw = 0.1 * rng.standard_normal((8, 6))
+        dw[5, 2] = np.nan
+        wdir, rdir = write_pair(tmp_path, {"w": rng.standard_normal((8, 6))}, {"w": dw})
+        out = tmp_path / "o"
+        assert main(["stm-init", "--weights", wdir, "--residuals", rdir,
+                     "--alpha", "0.5", "--output", str(out)]) == 2
+        assert not out.exists()
+
     def test_missing_residual_exits_2(self, tmp_path):
         wdir, rdir = write_pair(tmp_path, {"a": np.eye(3), "b": np.eye(3)},
                                 {"a": np.zeros((3, 3))})
         assert main(["stm-init", "--weights", wdir, "--residuals", rdir,
                      "--alpha", "0.5", "--output", str(tmp_path / "o")]) == 2
+
+
+def count_svd_calls(monkeypatch):
+    """Wrap numpy.linalg.svd; return a dict of call counts keyed by compute_uv."""
+    calls = {True: 0, False: 0}
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls[kwargs.get("compute_uv", True)] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
+class TestSvdBudget:
+    """Each layer is decomposed once; a residual spectrum never needs vectors."""
+
+    SHAPES = {"l0": (12, 8), "l1": (8, 12), "l2": (10, 10)}
+
+    def bundles(self, tmp_path):
+        rng = np.random.default_rng(8)
+        weights = {k: rng.standard_normal(s) for k, s in self.SHAPES.items()}
+        residuals = {k: 0.1 * rng.standard_normal(s) for k, s in self.SHAPES.items()}
+        return write_pair(tmp_path, weights, residuals)
+
+    def test_stm_init_one_svd_per_layer(self, tmp_path, monkeypatch):
+        wdir, rdir = self.bundles(tmp_path)
+        calls = count_svd_calls(monkeypatch)
+        assert main(["stm-init", "--weights", wdir, "--residuals", rdir,
+                     "--alpha", "0.5", "--output", str(tmp_path / "o")]) == 0
+        assert calls == {True: len(self.SHAPES), False: 0}
+
+    def test_spectra_residuals_one_svd_each(self, tmp_path, monkeypatch):
+        wdir, rdir = self.bundles(tmp_path)
+        calls = count_svd_calls(monkeypatch)
+        assert main(["spectra", "--weights", wdir, "--residuals", rdir,
+                     "--output", str(tmp_path / "report.csv")]) == 0
+        assert calls == {True: len(self.SHAPES), False: len(self.SHAPES)}
 
 
 class TestVerify:

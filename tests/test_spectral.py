@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from rankadapt.errors import ValidationError
-from rankadapt.spectral import decompose, project_residual, reconstruct
+from rankadapt.errors import NumericError, ValidationError
+from rankadapt.spectral import decompose, project_residual, reconstruct, singular_values
 
 from conftest import rand_matrix
 
@@ -103,3 +103,68 @@ def test_validation_errors():
     f = decompose(np.eye(3))
     with pytest.raises(ValidationError):
         project_residual(f, np.zeros((4, 3)))
+
+
+def _flip(f, i):
+    from dataclasses import replace
+
+    u, vt = f.u.copy(), f.vt.copy()
+    u[:, i] *= -1
+    vt[i, :] *= -1
+    return replace(f, u=u, vt=vt)
+
+
+@pytest.mark.parametrize("case", ["tall", "wide", "square", "sign_flip", "zero"])
+def test_project_residual_matches_three_operand_einsum(case):
+    shape = {"tall": (15, 7), "wide": (7, 15)}.get(case, (9, 9))
+    f = decompose(rand_matrix(37, *shape))
+    residual = np.zeros(shape) if case == "zero" else rand_matrix(38, *shape)
+    if case == "sign_flip":
+        f = _flip(f, 4)
+    reference = np.abs(np.einsum("mi,mn,in->i", f.u, residual, f.vt))
+    d = project_residual(f, residual)
+    assert np.max(np.abs(d - reference)) <= 1e-12 * np.max(reference)
+    if case == "zero":
+        assert np.array_equal(d, np.zeros(f.k))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_project_residual_rejects_non_finite(bad):
+    f = decompose(rand_matrix(2, 6, 4))
+    residual = np.zeros((6, 4))
+    residual[3, 2] = bad
+    with pytest.raises(ValidationError):
+        project_residual(f, residual)
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (16, 8), (8, 16), (40, 24)])
+def test_singular_values_match_decompose(shape):
+    w = rand_matrix(43, *shape)
+    sigma = decompose(w).sigma
+    s = singular_values(w)
+    assert s.shape == sigma.shape
+    assert np.max(np.abs(s - sigma)) <= 1e-12 * sigma[0]
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([[1.0, np.nan], [0.0, 1.0]]),
+    np.array([[np.inf, 0.0]]),
+    np.zeros((0, 3)),
+    np.zeros(4),
+])
+def test_singular_values_validate_like_decompose(bad):
+    with pytest.raises(ValidationError):
+        decompose(bad)
+    with pytest.raises(ValidationError):
+        singular_values(bad)
+
+
+def test_svd_failure_maps_to_numeric_error(monkeypatch):
+    def failing_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    with pytest.raises(NumericError):
+        decompose(np.eye(3))
+    with pytest.raises(NumericError):
+        singular_values(np.eye(3))

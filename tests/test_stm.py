@@ -6,9 +6,11 @@ from rankadapt.harness import finite_difference_check
 from rankadapt.spectral import decompose
 from rankadapt.stm import (
     StmConfig,
+    adapt_layer,
     initialize_adapter,
     maintaining_penalty,
     maintaining_penalty_grad,
+    protected_terms,
     select_directions,
     select_rank,
 )
@@ -126,6 +128,40 @@ class TestInitializeAdapter:
             initialize_adapter(w, {2}, cfg())
 
 
+class TestAdaptLayer:
+    """The single-decomposition path against the public step-by-step chain."""
+
+    SHAPES = {
+        "tall": (14, 9, np.float64),
+        "wide": (9, 14, np.float64),
+        "square": (11, 11, np.float64),
+        "f32": (12, 10, np.float32),
+    }
+    CONFIGS = {
+        "default": dict(alpha=0.5),
+        "floor": dict(alpha=1.3, gamma=0.5, protection_rule="floor"),
+        "round": dict(alpha=0.2, gamma=2.0, protection_rule="round", max_rank_fraction=1.0),
+    }
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_step_by_step_bit_for_bit(self, shape, config):
+        m, n, dtype = self.SHAPES[shape]
+        w = rand_matrix(41, m, n).astype(dtype)
+        dw = (0.1 * rand_matrix(42, m, n)).astype(dtype)
+        c = cfg(**self.CONFIGS[config])
+
+        fast = adapt_layer(w, dw, c)
+        ref = initialize_adapter(w, select_directions(decompose(w), dw, select_rank(w, c)), c)
+
+        assert fast.plan == ref.plan
+        for attr in ("w0", "b", "a"):
+            assert np.array_equal(getattr(fast, attr), getattr(ref, attr)), attr
+        for attr in ("u", "sigma", "vt"):
+            assert np.array_equal(getattr(fast.frozen_factors, attr),
+                                  getattr(ref.frozen_factors, attr)), attr
+
+
 class TestMaintainingPenalty:
     def test_zero_at_init(self):
         for seed_ in range(20):
@@ -185,13 +221,11 @@ class TestMaintainingPenaltyGrad:
             assert finite_difference_check(pen_with_a, layer.a, grad_a, 1e-6) <= 1e-4
 
     def test_homogeneity_in_b(self):
-        from rankadapt.stm import _protected_terms
-
         layer = self._perturbed_layer(3)
-        terms1, _ = _protected_terms(layer)
+        terms1, _ = protected_terms(layer)
         grad_a1 = maintaining_penalty_grad(layer)[1]
         layer.b = 2.0 * layer.b
-        terms2, _ = _protected_terms(layer)
+        terms2, _ = protected_terms(layer)
         grad_a2 = maintaining_penalty_grad(layer)[1]
         assert np.allclose(terms2, 2.0 * terms1, atol=1e-12)
         # signs unchanged, so grad_a scales like B: same direction, doubled
