@@ -53,7 +53,7 @@ from .stm import (
     select_directions,
     select_rank,
 )
-from .tensorio import MatrixBundle, Report, read_bundle, write_bundle
+from .tensorio import MatrixBundle, Report, read_bundle, read_matrix, read_shapes, write_bundle
 
 __version__ = "0.1.0"
 
@@ -95,6 +95,8 @@ __all__ = [
     "pseudo_loss",
     "rank_report",
     "read_bundle",
+    "read_matrix",
+    "read_shapes",
     "reconstruct",
     "run_stm_experiment",
     "select_directions",

@@ -3,7 +3,9 @@
 Subcommands: ``spectra`` (singular spectra, effective ranks, residual
 projections), ``stm-init`` (adapter initialization from weight/residual
 bundles), ``verify`` (seeded property sweeps), ``train-toy`` (synthetic
-adaptation experiment against a baseline).
+adaptation experiment against a baseline). ``spectra`` and ``stm-init``
+analyze the layers in worker processes, one per usable core, each with one
+BLAS thread; their outputs do not depend on the BLAS thread settings.
 
 Exit codes are a stable contract: 0 success, 1 I/O, 2 validation,
 3 property failure, 4 training divergence.
@@ -11,13 +13,14 @@ Exit codes are a stable contract: 0 success, 1 I/O, 2 validation,
 
 import argparse
 import json
+import math
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import harness
-from .adapter import trainable_param_count
 from .eranks import entropy_rank, stable_rank
 from .errors import (
     BundleCorruptionError,
@@ -35,7 +38,7 @@ from .stm import (
     maintaining_penalty,
     maintaining_penalty_grad,
 )
-from .tensorio import MatrixBundle, Report, read_bundle, write_bundle
+from .tensorio import MatrixBundle, Report, read_matrix, read_shapes, write_bundle
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -53,14 +56,74 @@ _TOY_PLANTED = [
 _TOY_SAMPLES = 64
 _TOY_NOISE = 0.01
 
+_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
-def _check_matching_names(weights: MatrixBundle, residuals: MatrixBundle) -> None:
-    missing = sorted(set(weights.names()) - set(residuals.names()))
-    extra = sorted(set(residuals.names()) - set(weights.names()))
-    if missing or extra:
-        raise ValidationError(
-            f"weight/residual name mismatch: missing residuals {missing}, extra {extra}"
-        )
+
+def _layer_shapes(weights_dir, residuals_dir) -> dict[str, tuple[int, int]]:
+    """Shapes of a validated weight bundle's entries, by sorted name.
+
+    A residual bundle, if given, must hold the same names.
+    """
+    shapes = read_shapes(weights_dir)
+    if residuals_dir is not None:
+        residual_names = read_shapes(residuals_dir)
+        missing = sorted(set(shapes) - set(residual_names))
+        extra = sorted(set(residual_names) - set(shapes))
+        if missing or extra:
+            raise ValidationError(
+                f"weight/residual name mismatch: missing residuals {missing}, extra {extra}"
+            )
+    return dict(sorted(shapes.items()))
+
+
+def _map_layers(job, shapes: dict[str, tuple[int, int]], *args) -> list:
+    """``[job(name, *args) for name in shapes]``, one worker process per usable core.
+
+    Workers are spawned with one BLAS thread each, so cores are not
+    oversubscribed and results do not depend on the caller's BLAS thread
+    settings. Layers start largest first, so no worker is left alone with
+    a large layer at the end. Results are read in ``shapes`` order: the
+    first layer in that order to fail raises, with its name prefixed to the
+    message, once pending jobs are cancelled and every worker has exited.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    if not shapes:
+        return []
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on macOS or Windows
+        cores = os.cpu_count() or 1
+    # a thin SVD of an m x n matrix costs about m * n * min(m, n)
+    by_cost = sorted(shapes, key=lambda n: -math.prod(shapes[n]) * min(shapes[n]))
+    pool = ProcessPoolExecutor(min(cores, len(shapes)),
+                               mp_context=multiprocessing.get_context("spawn"))
+    try:
+        saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+        try:
+            # workers start inside submit(), so every one sees the variables
+            futures = {name: pool.submit(job, name, *args) for name in by_cost}
+        finally:
+            for var, value in saved.items():
+                if value is None:
+                    os.environ.pop(var, None)
+                else:
+                    os.environ[var] = value
+        results = []
+        for name in shapes:
+            try:
+                results.append(futures[name].result())
+            except (ValidationError, NumericError, BundleNotFoundError,
+                    BundleCorruptionError) as exc:
+                raise type(exc)(f"{name}: {exc}") from exc
+            except BrokenProcessPool as exc:
+                raise OSError(f"a worker process ended abruptly: {exc}") from exc
+        return results
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _add_stm_flags(p: argparse.ArgumentParser, require_alpha: bool,
@@ -85,68 +148,74 @@ def _stm_config(args) -> StmConfig:
     )
 
 
-def cmd_spectra(args) -> int:
-    weights = read_bundle(args.weights)
-    residuals = read_bundle(args.residuals) if args.residuals else None
-    if residuals is not None:
-        _check_matching_names(weights, residuals)
-
+def spectra_layer(name: str, weights_dir, residuals_dir, gamma: float) -> list[dict]:
+    """The ``spectra`` report records of layer ``name``, one per component."""
+    factors = decompose(read_matrix(weights_dir, name))
+    ent = entropy_rank(factors.sigma, gamma)
+    st = stable_rank(factors.sigma, gamma)
+    if residuals_dir is not None:
+        dw = read_matrix(residuals_dir, name)
+        proj = project_residual(factors, dw)
+        res_sigma = singular_values(dw)
+        try:
+            res_ent = entropy_rank(res_sigma, gamma)
+            res_st = stable_rank(res_sigma, gamma)
+        except DegenerateSpectrumError:
+            res_ent = res_st = "na"  # zero residual is legitimate data
     records = []
-    for name in sorted(weights.names()):
-        factors = decompose(weights.matrix(name))
-        ent = entropy_rank(factors.sigma, args.gamma)
-        st = stable_rank(factors.sigma, args.gamma)
-        if residuals is not None:
-            dw = residuals.matrix(name)
-            proj = project_residual(factors, dw)
-            res_sigma = singular_values(dw)
-            try:
-                res_ent = entropy_rank(res_sigma, args.gamma)
-                res_st = stable_rank(res_sigma, args.gamma)
-            except DegenerateSpectrumError:
-                res_ent = res_st = "na"  # zero residual is legitimate data
-        for i in range(factors.k):
-            rec = {
-                "name": name,
-                "component": i + 1,
-                "sigma": float(factors.sigma[i]),
-                "entropy_rank": ent,
-                "stable_rank": st,
-            }
-            if residuals is not None:
-                rec["residual_sigma"] = float(res_sigma[i])
-                rec["projection"] = float(proj[i])
-                rec["residual_entropy_rank"] = res_ent
-                rec["residual_stable_rank"] = res_st
-            records.append(rec)
+    for i in range(factors.k):
+        rec = {
+            "name": name,
+            "component": i + 1,
+            "sigma": float(factors.sigma[i]),
+            "entropy_rank": ent,
+            "stable_rank": st,
+        }
+        if residuals_dir is not None:
+            rec["residual_sigma"] = float(res_sigma[i])
+            rec["projection"] = float(proj[i])
+            rec["residual_entropy_rank"] = res_ent
+            rec["residual_stable_rank"] = res_st
+        records.append(rec)
+    return records
+
+
+def cmd_spectra(args) -> int:
+    shapes = _layer_shapes(args.weights, args.residuals)
+    per_layer = _map_layers(spectra_layer, shapes, args.weights, args.residuals, args.gamma)
+    records = [rec for layer_records in per_layer for rec in layer_records]
     Report(kind="spectra", records=records).write(args.output, args.format)
     return EXIT_OK
 
 
+def stm_init_layer(name: str, weights_dir, residuals_dir, cfg: StmConfig):
+    """Adapter matrices ``(W0, B, A)`` and the plan of layer ``name``."""
+    layer = adapt_layer(read_matrix(weights_dir, name), read_matrix(residuals_dir, name), cfg)
+    return layer.w0, layer.b, layer.a, layer.plan
+
+
 def cmd_stm_init(args) -> int:
-    weights = read_bundle(args.weights)
-    residuals = read_bundle(args.residuals)
-    _check_matching_names(weights, residuals)
+    shapes = _layer_shapes(args.weights, args.residuals)
     cfg = _stm_config(args)
+    layers = _map_layers(stm_init_layer, shapes, args.weights, args.residuals, cfg)
 
     out = Path(args.output)
     bundle = MatrixBundle()
-    layers = []
     plans = {}
-    for name in sorted(weights.names()):
-        layer = adapt_layer(weights.matrix(name), residuals.matrix(name), cfg)
-        layers.append(layer)
-        bundle.add(f"{name}.W0", layer.w0)
-        bundle.add(f"{name}.B", layer.b)
-        bundle.add(f"{name}.A", layer.a)
+    trainable = 0
+    for name, (w0, b, a, plan) in zip(shapes, layers):
+        bundle.add(f"{name}.W0", w0)
+        bundle.add(f"{name}.B", b)
+        bundle.add(f"{name}.A", a)
+        trainable += plan.r * sum(w0.shape)
         plans[name] = {
             "name": name,
-            "r": layer.plan.r,
-            "selected": list(layer.plan.selected),
-            "protected": list(layer.plan.protected),
-            "protect_cutoff": layer.plan.protect_cutoff,
-            "entropy_rank": layer.plan.entropy_rank,
-            "stable_rank": layer.plan.stable_rank,
+            "r": plan.r,
+            "selected": list(plan.selected),
+            "protected": list(plan.protected),
+            "protect_cutoff": plan.protect_cutoff,
+            "entropy_rank": plan.entropy_rank,
+            "stable_rank": plan.stable_rank,
             "config": {
                 "alpha": cfg.alpha,
                 "gamma": cfg.gamma,
@@ -160,7 +229,7 @@ def cmd_stm_init(args) -> int:
         with open(out / f"{name}.plan.json", "w", encoding="utf-8") as fh:
             json.dump(plan, fh, indent=2)
             fh.write("\n")
-    print(f"trainable parameters: {trainable_param_count(layers)}")
+    print(f"trainable parameters: {trainable}")
     return EXIT_OK
 
 

@@ -1,12 +1,17 @@
 import csv
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rankadapt.cli import main
+from rankadapt.cli import _map_layers, main, spectra_layer, stm_init_layer
 from rankadapt.harness import make_synthetic_model
+from rankadapt.stm import StmConfig
 from rankadapt.tensorio import MatrixBundle, read_bundle, write_bundle
 
 
@@ -71,6 +76,17 @@ class TestSpectra:
     def test_missing_bundle_exits_1(self, tmp_path):
         assert main(["spectra", "--weights", str(tmp_path / "nope"),
                      "--output", str(tmp_path / "x.csv")]) == 1
+
+    def test_manifest_path_outside_bundle_exits_1(self, tmp_path):
+        (tmp_path / "secret.bin").write_bytes(np.zeros(4).tobytes())
+        wdir = tmp_path / "w"
+        wdir.mkdir()
+        manifest = [{"name": "w", "rows": 2, "cols": 2, "dtype": "f64",
+                     "data": "../secret.bin"}]
+        (wdir / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["spectra", "--weights", str(wdir),
+                     "--output", str(tmp_path / "x.csv")]) == 1
+        assert not (tmp_path / "x.csv").exists()
 
     def test_json_format(self, tmp_path):
         wdir, _ = write_pair(tmp_path, {"eye": np.eye(2)})
@@ -157,7 +173,11 @@ def count_svd_calls(monkeypatch):
 
 
 class TestSvdBudget:
-    """Each layer is decomposed once; a residual spectrum never needs vectors."""
+    """Each layer is decomposed once; a residual spectrum never needs vectors.
+
+    The CLI runs its per-layer jobs in worker processes, out of reach of the
+    counter, so the jobs are called here in-process for every layer.
+    """
 
     SHAPES = {"l0": (12, 8), "l1": (8, 12), "l2": (10, 10)}
 
@@ -169,17 +189,106 @@ class TestSvdBudget:
 
     def test_stm_init_one_svd_per_layer(self, tmp_path, monkeypatch):
         wdir, rdir = self.bundles(tmp_path)
-        calls = count_svd_calls(monkeypatch)
+        out = tmp_path / "o"
         assert main(["stm-init", "--weights", wdir, "--residuals", rdir,
-                     "--alpha", "0.5", "--output", str(tmp_path / "o")]) == 0
+                     "--alpha", "0.5", "--output", str(out)]) == 0
+        written = read_bundle(out)
+        calls = count_svd_calls(monkeypatch)
+        for name in self.SHAPES:
+            _, b, a, _ = stm_init_layer(name, wdir, rdir, StmConfig(alpha=0.5))
+            assert np.allclose(b @ a, written.matrix(f"{name}.B") @ written.matrix(f"{name}.A"))
         assert calls == {True: len(self.SHAPES), False: 0}
 
     def test_spectra_residuals_one_svd_each(self, tmp_path, monkeypatch):
         wdir, rdir = self.bundles(tmp_path)
-        calls = count_svd_calls(monkeypatch)
+        out = tmp_path / "report.csv"
         assert main(["spectra", "--weights", wdir, "--residuals", rdir,
-                     "--output", str(tmp_path / "report.csv")]) == 0
+                     "--output", str(out)]) == 0
+        calls = count_svd_calls(monkeypatch)
+        records = [rec for name in sorted(self.SHAPES)
+                   for rec in spectra_layer(name, wdir, rdir, 1.0)]
+        assert [r["name"] for r in records] == [row["name"] for row in read_csv(out)]
         assert calls == {True: len(self.SHAPES), False: len(self.SHAPES)}
+
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def cli_env() -> dict:
+    """The environment for a child process that imports rankadapt like this one."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+
+class TestLayerWorkers:
+    """Layers run in worker processes; outputs and errors follow layer-name order."""
+
+    @pytest.mark.parametrize("command", [
+        ["stm-init", "--alpha", "0.5", "--output"],
+        ["spectra", "--output"],
+    ])
+    def test_first_failing_layer_decides(self, tmp_path, capsys, command):
+        rng = np.random.default_rng(5)
+        names = ("block1.mlp", "block2.mlp", "block3.mlp")
+        weights = {n: rng.standard_normal((8, 6)) for n in names}
+        residuals = {n: 0.1 * rng.standard_normal((8, 6)) for n in weights}
+        residuals["block2.mlp"][1, 1] = np.nan
+        residuals["block3.mlp"][0, 0] = np.inf
+        wdir, rdir = write_pair(tmp_path, weights, residuals)
+        out = tmp_path / "out"
+        assert main([command[0], "--weights", wdir, "--residuals", rdir,
+                     *command[1:], str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: block2.mlp: residual contains non-finite entries\n"
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_worker_death_is_an_os_error(self):
+        # os._exit(3) ends the worker that runs it before it sends a result
+        with pytest.raises(OSError, match="worker process ended abruptly"):
+            _map_layers(os._exit, {3: (1, 1)})
+        assert multiprocessing.active_children() == []
+
+    def test_more_layers_than_open_file_limit(self, tmp_path):
+        names = [f"layer{i:03d}" for i in range(80)]
+        wdir, rdir = write_pair(tmp_path, {n: np.eye(3) for n in names},
+                                {n: np.ones((3, 3)) for n in names})
+        script = ("import resource, sys; from rankadapt.cli import main; "
+                  "resource.setrlimit(resource.RLIMIT_NOFILE, (64, 64)); "
+                  "sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "spectra", "--weights", wdir, "--residuals", rdir,
+             "--output", str(tmp_path / "report.csv")],
+            env=cli_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert len(read_csv(tmp_path / "report.csv")) == 3 * len(names)
+
+    def test_output_independent_of_blas_threads(self, tmp_path):
+        # large enough for multithreaded BLAS to change the last bits of an
+        # SVD computed in the calling process
+        rng = np.random.default_rng(13)
+        shapes = {"a": (300, 200), "b": (200, 300)}
+        wdir, rdir = write_pair(
+            tmp_path,
+            {k: rng.standard_normal(s) for k, s in shapes.items()},
+            {k: 0.1 * rng.standard_normal(s) for k, s in shapes.items()})
+        base = {k: v for k, v in cli_env().items() if k not in THREAD_VARS}
+        outputs = []
+        for threads in (None, "1", "2"):
+            env = dict(base)
+            if threads is not None:
+                env.update(dict.fromkeys(THREAD_VARS, threads))
+            run = tmp_path / f"threads-{threads}"
+            for argv in (["stm-init", "--alpha", "0.5", "--output", str(run / "adapters")],
+                         ["spectra", "--output", str(run / "spectra.csv")]):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "rankadapt.cli", argv[0], "--weights", wdir,
+                     "--residuals", rdir, *argv[1:]],
+                    env=env, capture_output=True, timeout=120, check=True)
+                (run / f"{argv[0]}.stdout").write_bytes(proc.stdout)
+            outputs.append({str(p.relative_to(run)): p.read_bytes()
+                            for p in sorted(run.rglob("*")) if p.is_file()})
+        assert len(outputs[0]) == 2 + 1 + 3 * 2 + 2 + 1  # stdouts, manifest, bins, plans, csv
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestVerify:

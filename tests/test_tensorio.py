@@ -10,7 +10,14 @@ from rankadapt.errors import (
     UnsupportedFormatError,
     ValidationError,
 )
-from rankadapt.tensorio import MatrixBundle, Report, read_bundle, write_bundle
+from rankadapt.tensorio import (
+    MatrixBundle,
+    Report,
+    read_bundle,
+    read_matrix,
+    read_shapes,
+    write_bundle,
+)
 
 
 def test_zero_matrix_layout(tmp_path):
@@ -76,12 +83,83 @@ def test_size_mismatch_is_corruption(tmp_path):
         read_bundle(tmp_path)
 
 
+@pytest.mark.parametrize("entry", [
+    {"name": "w", "rows": "abc", "cols": 1, "dtype": "f64", "data": "w.bin"},
+    {"name": "w", "rows": 1, "dtype": "f64", "data": "w.bin"},
+    {"name": "w", "rows": 1, "cols": 1, "dtype": "f64", "data": 7},
+    "w.bin",
+])
+def test_malformed_manifest_entry_is_corruption(tmp_path, entry):
+    (tmp_path / "manifest.json").write_text(json.dumps([entry]))
+    (tmp_path / "w.bin").write_bytes(np.zeros(1).tobytes())
+    with pytest.raises(BundleCorruptionError):
+        read_bundle(tmp_path)
+
+
 def test_unknown_dtype_rejected(tmp_path):
     manifest = [{"name": "w", "rows": 1, "cols": 1, "dtype": "f16", "data": "w.bin"}]
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     (tmp_path / "w.bin").write_bytes(b"\x00\x00")
     with pytest.raises(UnsupportedFormatError):
         read_bundle(tmp_path)
+
+
+@pytest.mark.parametrize("data", ["../secret.bin", "sub/../../secret.bin", "ABSOLUTE"])
+def test_data_path_outside_bundle_is_corruption(tmp_path, data):
+    secret = tmp_path / "secret.bin"
+    secret.write_bytes(np.zeros(4).tobytes())
+    root = tmp_path / "bundle"
+    (root / "sub").mkdir(parents=True)
+    data = str(secret) if data == "ABSOLUTE" else data
+    manifest = [{"name": "w", "rows": 2, "cols": 2, "dtype": "f64", "data": data}]
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    for read in (read_bundle, read_shapes, lambda path: read_matrix(path, "w")):
+        with pytest.raises(BundleCorruptionError, match="outside"):
+            read(root)
+
+
+def test_duplicate_manifest_name_rejected(tmp_path):
+    (tmp_path / "w.bin").write_bytes(np.zeros(1).tobytes())
+    entry = {"name": "w", "rows": 1, "cols": 1, "dtype": "f64", "data": "w.bin"}
+    (tmp_path / "manifest.json").write_text(json.dumps([entry, entry]))
+    for read in (read_bundle, read_shapes):
+        with pytest.raises(ValidationError, match="duplicate"):
+            read(tmp_path)
+
+
+def test_rewrite_leaves_open_bundle_unchanged(tmp_path):
+    old_values = {"a": np.arange(12.0).reshape(3, 4), "b": np.ones((2, 2), dtype=np.float32)}
+    bundle = MatrixBundle()
+    for name, value in old_values.items():
+        bundle.add(name, value)
+    write_bundle(tmp_path, bundle)
+    old = read_bundle(tmp_path)
+
+    rewrite = MatrixBundle()
+    for name, value in old_values.items():
+        rewrite.add(name, -2.0 * value)
+    write_bundle(tmp_path, rewrite)
+
+    for name, value in old_values.items():
+        assert np.array_equal(old.matrix(name), value)
+        assert np.array_equal(read_bundle(tmp_path).matrix(name), -2.0 * value)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin", "b.bin", "manifest.json"]
+
+
+def test_read_matrix_maps_one_entry(tmp_path):
+    bundle = MatrixBundle()
+    bundle.add("keep", np.arange(6, dtype=np.float32).reshape(2, 3))
+    bundle.add("gone", np.ones((2, 2)))
+    write_bundle(tmp_path, bundle)
+    assert read_shapes(tmp_path) == {"keep": (2, 3), "gone": (2, 2)}
+    (tmp_path / "gone.bin").unlink()
+    got = read_matrix(tmp_path, "keep")
+    assert got.dtype == np.float64
+    assert np.array_equal(got, np.arange(6.0).reshape(2, 3))
+    with pytest.raises(BundleNotFoundError):
+        read_matrix(tmp_path, "gone")
+    with pytest.raises(KeyError):
+        read_matrix(tmp_path, "absent")
 
 
 def test_report_csv_json_same_numbers(tmp_path):
