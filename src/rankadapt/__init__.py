@@ -53,7 +53,16 @@ from .stm import (
     select_directions,
     select_rank,
 )
-from .tensorio import MatrixBundle, Report, read_bundle, read_matrix, read_shapes, write_bundle
+from .tensorio import (
+    MatrixBundle,
+    Report,
+    read_bundle,
+    read_matrix,
+    read_shapes,
+    write_bundle,
+    write_entry,
+    write_manifest,
+)
 
 __version__ = "0.1.0"
 
@@ -110,4 +119,6 @@ __all__ = [
     "unpack_image",
     "warp",
     "write_bundle",
+    "write_entry",
+    "write_manifest",
 ]

@@ -5,7 +5,12 @@ projections), ``stm-init`` (adapter initialization from weight/residual
 bundles), ``verify`` (seeded property sweeps), ``train-toy`` (synthetic
 adaptation experiment against a baseline). ``spectra`` and ``stm-init``
 analyze the layers in worker processes, one per usable core, each with one
-BLAS thread; their outputs do not depend on the BLAS thread settings.
+BLAS thread; their outputs do not depend on the BLAS thread settings. A
+worker maps only its own layer and, for ``stm-init``, writes that layer's
+adapter payloads itself into a private staging directory next to the
+output, so no process holds more than one layer. The CLI process then moves
+the payloads into the output directory and writes the manifest last; the
+output directory is only created once every layer has succeeded.
 
 Exit codes are a stable contract: 0 success, 1 I/O, 2 validation,
 3 property failure, 4 training divergence.
@@ -15,7 +20,9 @@ import argparse
 import json
 import math
 import os
+import shutil
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -33,12 +40,20 @@ from .errors import (
 from .spectral import decompose, project_residual, singular_values
 from .stm import (
     StmConfig,
+    StmPlan,
     adapt_layer,
     initialize_adapter,
     maintaining_penalty,
     maintaining_penalty_grad,
 )
-from .tensorio import MatrixBundle, Report, read_matrix, read_shapes, write_bundle
+from .tensorio import (
+    MANIFEST_NAME,
+    Report,
+    read_matrix,
+    read_shapes,
+    write_entry,
+    write_manifest,
+)
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -148,13 +163,24 @@ def _stm_config(args) -> StmConfig:
     )
 
 
+def _read_weight(weights_dir, name: str) -> np.ndarray:
+    """Layer ``name`` of a weight bundle, widened to float64.
+
+    Widening here rather than inside the SVD lets an ``f32`` entry's memory
+    map close before the decomposition, the job's peak, so its pages are not
+    resident on top of the SVD's own buffers.
+    """
+    return np.asarray(read_matrix(weights_dir, name), dtype=np.float64)
+
+
 def spectra_layer(name: str, weights_dir, residuals_dir, gamma: float) -> list[dict]:
     """The ``spectra`` report records of layer ``name``, one per component."""
-    factors = decompose(read_matrix(weights_dir, name))
+    factors = decompose(_read_weight(weights_dir, name))
     ent = entropy_rank(factors.sigma, gamma)
     st = stable_rank(factors.sigma, gamma)
     if residuals_dir is not None:
-        dw = read_matrix(residuals_dir, name)
+        # widened once here, since both the projection and the spectrum use it
+        dw = np.asarray(read_matrix(residuals_dir, name), dtype=np.float64)
         proj = project_residual(factors, dw)
         res_sigma = singular_values(dw)
         try:
@@ -188,47 +214,48 @@ def cmd_spectra(args) -> int:
     return EXIT_OK
 
 
-def stm_init_layer(name: str, weights_dir, residuals_dir, cfg: StmConfig):
-    """Adapter matrices ``(W0, B, A)`` and the plan of layer ``name``."""
-    layer = adapt_layer(read_matrix(weights_dir, name), read_matrix(residuals_dir, name), cfg)
-    return layer.w0, layer.b, layer.a, layer.plan
+def stm_init_layer(name: str, weights_dir, residuals_dir, cfg: StmConfig,
+                   out_dir) -> tuple[list[dict], StmPlan]:
+    """Write the adapter matrices of layer ``name`` into directory ``out_dir``.
+
+    The payloads of ``name.W0``, ``name.B`` and ``name.A`` are written with
+    :func:`write_entry`; their manifest records and the layer's plan are
+    returned, and no matrix is.
+    """
+    # the residual stays as stored until the projection, after the SVD
+    layer = adapt_layer(_read_weight(weights_dir, name), read_matrix(residuals_dir, name), cfg)
+    records = [write_entry(out_dir, f"{name}.{part}", matrix)
+               for part, matrix in (("W0", layer.w0), ("B", layer.b), ("A", layer.a))]
+    return records, layer.plan
 
 
 def cmd_stm_init(args) -> int:
     shapes = _layer_shapes(args.weights, args.residuals)
     cfg = _stm_config(args)
-    layers = _map_layers(stm_init_layer, shapes, args.weights, args.residuals, cfg)
-
-    out = Path(args.output)
-    bundle = MatrixBundle()
-    plans = {}
-    trainable = 0
-    for name, (w0, b, a, plan) in zip(shapes, layers):
-        bundle.add(f"{name}.W0", w0)
-        bundle.add(f"{name}.B", b)
-        bundle.add(f"{name}.A", a)
-        trainable += plan.r * sum(w0.shape)
-        plans[name] = {
-            "name": name,
-            "r": plan.r,
-            "selected": list(plan.selected),
-            "protected": list(plan.protected),
-            "protect_cutoff": plan.protect_cutoff,
-            "entropy_rank": plan.entropy_rank,
-            "stable_rank": plan.stable_rank,
-            "config": {
-                "alpha": cfg.alpha,
-                "gamma": cfg.gamma,
-                "protection_rule": cfg.protection_rule,
-                "min_rank": cfg.min_rank,
-                "max_rank_fraction": cfg.max_rank_fraction,
-            },
-        }
-    write_bundle(out, bundle)
-    for name, plan in plans.items():
-        with open(out / f"{name}.plan.json", "w", encoding="utf-8") as fh:
-            json.dump(plan, fh, indent=2)
-            fh.write("\n")
+    out = Path(args.output).resolve()
+    # a sibling of the output, so payloads move in by rename on one filesystem
+    staging = out.with_name(f".{out.name}.staging-{os.getpid()}")
+    staging.mkdir(parents=True)
+    try:
+        layers = _map_layers(stm_init_layer, shapes, args.weights, args.residuals, cfg,
+                             staging)
+        out.mkdir(exist_ok=True)
+        # no manifest while payloads change, so a failed commit leaves no bundle
+        (out / MANIFEST_NAME).unlink(missing_ok=True)
+        manifest = []
+        for records, _ in layers:
+            for record in records:
+                os.replace(staging / record["data"], out / record["data"])
+            manifest.extend(records)
+        config = asdict(cfg)
+        for name, (_, plan) in zip(shapes, layers):
+            with open(out / f"{name}.plan.json", "w", encoding="utf-8") as fh:
+                json.dump({"name": name, **plan.to_dict(), "config": config}, fh, indent=2)
+                fh.write("\n")
+        write_manifest(out, manifest)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    trainable = sum(plan.r * sum(shapes[name]) for name, (_, plan) in zip(shapes, layers))
     print(f"trainable parameters: {trainable}")
     return EXIT_OK
 

@@ -14,7 +14,7 @@ Component indices are 1-based, consistent with :mod:`rankadapt.spectral`.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -86,6 +86,30 @@ class StmPlan:
     protect_cutoff: int
     entropy_rank: float
     stable_rank: float
+
+    def to_dict(self) -> dict:
+        """The plan as JSON-ready fields, in declaration order, index sets as lists."""
+        return {**asdict(self),
+                "selected": list(self.selected), "protected": list(self.protected)}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "StmPlan":
+        """The plan recorded by :meth:`to_dict`.
+
+        Keys that are not plan fields, such as the ``name`` and ``config`` of
+        a ``*.plan.json`` file, are ignored.
+        """
+        try:
+            return cls(
+                r=int(data["r"]),
+                selected=tuple(int(i) for i in data["selected"]),
+                protected=tuple(int(i) for i in data["protected"]),
+                protect_cutoff=int(data["protect_cutoff"]),
+                entropy_rank=float(data["entropy_rank"]),
+                stable_rank=float(data["stable_rank"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed plan record: {exc!r}") from exc
 
 
 @dataclass

@@ -5,9 +5,19 @@ listing one entry per matrix (name, rows, cols, dtype, relative data file)
 and one raw binary file per matrix. Payloads are row-major little-endian
 with no embedded shape metadata; the manifest is the single source of
 truth. Supported dtypes are ``f32`` and ``f64``. Round trips are bit-exact,
-including the stored dtype; widening of ``f32`` payloads to the library's
-``float64`` compute precision happens in :meth:`MatrixBundle.matrix` and
-:func:`read_matrix`.
+including the stored dtype. :func:`read_bundle` and :func:`read_matrix`
+return entries as stored; widening of ``f32`` payloads to the library's
+``float64`` compute precision happens in :meth:`MatrixBundle.matrix` and in
+the numerical functions that receive a matrix, so a caller that reads an
+entry decides when its widened copy exists.
+
+A bundle is written in two steps: :func:`write_entry` writes one payload
+and returns its manifest record, and :func:`write_manifest` writes the
+manifest that makes those payloads a readable bundle. :func:`write_bundle`
+chains them; a writer that produces entries elsewhere, such as one worker
+process per layer, calls them itself. Whoever rewrites a bundle removes its
+old manifest first and writes the new one last, so a write that stops
+partway leaves a directory that reads as no bundle at all.
 
 Reports are flat tables of records that serialize to CSV (header row
 mandatory, ``.`` decimal separator) or JSON with identical numeric content.
@@ -50,6 +60,17 @@ def _check_name(name, taken) -> None:
         raise ValidationError(f"duplicate entry name {name!r}")
 
 
+def _as_entry(name, matrix, taken=()) -> np.ndarray:
+    """``matrix`` as a storable entry named ``name``; non-float input becomes float64."""
+    _check_name(name, taken)
+    arr = np.asarray(matrix)
+    if arr.ndim != 2 or arr.size == 0:
+        raise ValidationError(f"entry {name!r} must be a non-empty 2-D matrix")
+    if arr.dtype not in (np.float32, np.float64):
+        arr = arr.astype(np.float64)
+    return arr
+
+
 @dataclass
 class MatrixBundle:
     """Ordered collection of uniquely named 2-D float matrices."""
@@ -58,13 +79,7 @@ class MatrixBundle:
 
     def add(self, name: str, matrix: np.ndarray) -> None:
         """Add a matrix under ``name``. Non-float input is cast to float64."""
-        _check_name(name, self.entries)
-        arr = np.asarray(matrix)
-        if arr.ndim != 2 or arr.size == 0:
-            raise ValidationError(f"entry {name!r} must be a non-empty 2-D matrix")
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float64)
-        self.entries[name] = arr
+        self.entries[name] = _as_entry(name, matrix, self.entries)
 
     def matrix(self, name: str) -> np.ndarray:
         """Return entry ``name`` widened to float64 for computation.
@@ -80,18 +95,42 @@ class MatrixBundle:
         return list(self.entries)
 
 
-def _replace_file(path: Path, payload) -> None:
-    """Write ``payload`` to a temporary sibling, then move it over ``path``.
+def write_entry(path, name: str, matrix: np.ndarray) -> dict:
+    """Write ``matrix`` as the payload of entry ``name`` in directory ``path``.
 
-    A reader that memory-mapped the old file keeps the old data: replacing
-    swaps the directory entry and leaves the mapped file's contents alone,
-    where writing in place would truncate it under the map.
+    Returns the entry's manifest record, for :func:`write_manifest`. The
+    payload is written in place, without a temporary file: an existing
+    payload of that name is unlinked first, so a reader that memory-mapped
+    it keeps the old values. The entry is not readable until a manifest
+    lists it.
     """
-    tmp = path.with_name(f".{path.name}.tmp")
+    arr = _as_entry(name, matrix)
+    code = _dtype_code(arr.dtype)
+    data_name = f"{name}.bin"
+    data_path = Path(path) / data_name
+    data_path.unlink(missing_ok=True)
+    with open(data_path, "xb") as fh:
+        fh.write(np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]))
+    return {
+        "name": name,
+        "rows": int(arr.shape[0]),
+        "cols": int(arr.shape[1]),
+        "dtype": code,
+        "data": data_name,
+    }
+
+
+def write_manifest(path, records: list[dict]) -> None:
+    """Write the manifest of directory ``path``, listing ``records`` in order.
+
+    The manifest goes to a temporary sibling and is renamed into place, so
+    it appears whole or not at all.
+    """
+    root = Path(path)
+    tmp = root / f".{MANIFEST_NAME}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
+        tmp.write_bytes((json.dumps(records, indent=2) + "\n").encode("utf-8"))
+        os.replace(tmp, root / MANIFEST_NAME)
     finally:
         tmp.unlink(missing_ok=True)
 
@@ -99,27 +138,15 @@ def _replace_file(path: Path, payload) -> None:
 def write_bundle(path, bundle: MatrixBundle) -> None:
     """Write ``bundle`` to directory ``path`` (created if absent).
 
-    Each file is written to a temporary sibling and moved into place, the
-    manifest last, so open :func:`read_bundle` results keep their values.
+    The old manifest, if any, is removed first and the new one is written
+    last, so a write that fails partway leaves no bundle that looks valid.
+    Old payloads are unlinked, not overwritten, so open :func:`read_bundle`
+    results keep their values.
     """
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    manifest = []
-    for name, arr in bundle.entries.items():
-        code = _dtype_code(arr.dtype)
-        data_name = f"{name}.bin"
-        _replace_file(root / data_name, np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]))
-        manifest.append(
-            {
-                "name": name,
-                "rows": int(arr.shape[0]),
-                "cols": int(arr.shape[1]),
-                "dtype": code,
-                "data": data_name,
-            }
-        )
-    text = json.dumps(manifest, indent=2) + "\n"
-    _replace_file(root / MANIFEST_NAME, text.encode("utf-8"))
+    (root / MANIFEST_NAME).unlink(missing_ok=True)
+    write_manifest(root, [write_entry(root, name, arr) for name, arr in bundle.entries.items()])
 
 
 def _read_manifest(root: Path) -> list:
@@ -207,19 +234,19 @@ def read_bundle(path) -> MatrixBundle:
     return bundle
 
 
-def read_matrix(path, name: str) -> np.ndarray:
-    """Entry ``name`` of the bundle at ``path``, widened to float64.
+def read_matrix(path, name: str) -> np.memmap:
+    """Entry ``name`` of the bundle at ``path``, as stored, memory-mapped read-only.
 
     Validates and maps only that entry's data file, so the cost of reading
-    one matrix hardly grows with the number of entries. A float64 entry
-    comes back as a read-only view of its memory map.
+    one matrix hardly grows with the number of entries. Nothing is widened
+    or copied here: an ``f32`` entry stays float32 until numerical code
+    widens it.
     """
     root = Path(path)
     for entry in _read_manifest(root):
         if isinstance(entry, dict) and entry.get("name") == name:
             _, data_path, dtype, shape = _check_entry(root, entry)
-            return np.asarray(np.memmap(data_path, dtype=dtype, mode="r", shape=shape),
-                              dtype=np.float64)
+            return np.memmap(data_path, dtype=dtype, mode="r", shape=shape)
     raise KeyError(name)
 
 

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from rankadapt.cli import _map_layers, main, spectra_layer, stm_init_layer
+from rankadapt.errors import BundleNotFoundError
 from rankadapt.harness import make_synthetic_model
-from rankadapt.stm import StmConfig
-from rankadapt.tensorio import MatrixBundle, read_bundle, write_bundle
+from rankadapt.stm import StmConfig, StmPlan
+from rankadapt.tensorio import MatrixBundle, read_bundle, write_bundle, write_manifest
 
 
 def write_pair(tmp_path, names_weights, names_residuals=None):
@@ -152,6 +153,41 @@ class TestStmInit:
                      "--alpha", "0.5", "--output", str(out)]) == 2
         assert not out.exists()
 
+    # 2 layers: os.replace moves 6 payloads, then the manifest
+    @pytest.mark.parametrize("failing_call", [1, 4, 7])
+    def test_failed_commit_leaves_no_bundle(self, tmp_path, monkeypatch, failing_call):
+        rng = np.random.default_rng(9)
+        shapes = {"l0": (10, 8), "l1": (8, 12)}
+        wdir, rdir = write_pair(
+            tmp_path,
+            {k: rng.standard_normal(s) for k, s in shapes.items()},
+            {k: 0.1 * rng.standard_normal(s) for k, s in shapes.items()})
+        args = ["stm-init", "--weights", wdir, "--residuals", rdir, "--alpha", "0.5"]
+        out = tmp_path / "out"
+        # an earlier, valid bundle in the output directory
+        assert main(args + ["--max-rank-fraction", "0.25", "--output", str(out)]) == 0
+        read_bundle(out)
+
+        replace = os.replace
+        calls = []
+
+        def failing_replace(src, dst):
+            calls.append(dst)
+            if len(calls) == failing_call:
+                raise OSError("disk full")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        assert main(args + ["--output", str(out)]) == 1
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(BundleNotFoundError):
+            read_bundle(out)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "r", "w"]
+
+        assert main(args + ["--output", str(out)]) == 0
+        assert main(args + ["--output", str(tmp_path / "fresh")]) == 0
+        assert dir_bytes(out) == dir_bytes(tmp_path / "fresh")
+
     def test_missing_residual_exits_2(self, tmp_path):
         wdir, rdir = write_pair(tmp_path, {"a": np.eye(3), "b": np.eye(3)},
                                 {"a": np.zeros((3, 3))})
@@ -193,11 +229,28 @@ class TestSvdBudget:
         assert main(["stm-init", "--weights", wdir, "--residuals", rdir,
                      "--alpha", "0.5", "--output", str(out)]) == 0
         written = read_bundle(out)
+        job_dir = tmp_path / "job"
+        job_dir.mkdir()
         calls = count_svd_calls(monkeypatch)
+        records = []
         for name in self.SHAPES:
-            _, b, a, _ = stm_init_layer(name, wdir, rdir, StmConfig(alpha=0.5))
-            assert np.allclose(b @ a, written.matrix(f"{name}.B") @ written.matrix(f"{name}.A"))
+            layer_records, _ = stm_init_layer(name, wdir, rdir, StmConfig(alpha=0.5), job_dir)
+            records += layer_records
         assert calls == {True: len(self.SHAPES), False: 0}
+        write_manifest(job_dir, records)
+        job = read_bundle(job_dir)
+        for name in self.SHAPES:
+            b, a = job.matrix(f"{name}.B"), job.matrix(f"{name}.A")
+            assert np.allclose(b @ a, written.matrix(f"{name}.B") @ written.matrix(f"{name}.A"))
+
+    def test_stm_init_job_returns_no_matrix(self, tmp_path):
+        wdir, rdir = self.bundles(tmp_path)
+        records, plan = stm_init_layer("l0", wdir, rdir, StmConfig(alpha=0.5), tmp_path)
+        assert isinstance(plan, StmPlan)
+        assert [r["name"] for r in records] == ["l0.W0", "l0.B", "l0.A"]
+        values = [v for r in records for v in r.values()] + list(vars(plan).values())
+        assert not any(isinstance(v, np.ndarray) for v in values)
+        assert all(type(v) in (str, int, float, tuple) for v in values)
 
     def test_spectra_residuals_one_svd_each(self, tmp_path, monkeypatch):
         wdir, rdir = self.bundles(tmp_path)
@@ -239,7 +292,8 @@ class TestLayerWorkers:
                      *command[1:], str(out)]) == 2
         err = capsys.readouterr().err
         assert err == "error: block2.mlp: residual contains non-finite entries\n"
-        assert not out.exists()
+        # neither the output nor a staging directory is left behind
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r", "w"]
         assert multiprocessing.active_children() == []
 
     def test_worker_death_is_an_os_error(self):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from rankadapt.harness import finite_difference_check
 from rankadapt.spectral import decompose
 from rankadapt.stm import (
     StmConfig,
+    StmPlan,
     adapt_layer,
     initialize_adapter,
     maintaining_penalty,
@@ -160,6 +163,29 @@ class TestAdaptLayer:
         for attr in ("u", "sigma", "vt"):
             assert np.array_equal(getattr(fast.frozen_factors, attr),
                                   getattr(ref.frozen_factors, attr)), attr
+
+
+class TestStmPlanRecord:
+    def test_round_trip_through_json(self):
+        plan = adapt_layer(rand_matrix(43, 12, 9), 0.1 * rand_matrix(44, 12, 9), cfg(0.5)).plan
+        record = plan.to_dict()
+        assert list(record) == ["r", "selected", "protected", "protect_cutoff",
+                                "entropy_rank", "stable_rank"]
+        assert json.loads(json.dumps(record)) == record
+        assert StmPlan.from_dict(json.loads(json.dumps(record))) == plan
+        # a plan file's extra keys are not plan fields
+        assert StmPlan.from_dict({"name": "w", **record, "config": {"alpha": 0.5}}) == plan
+
+    @pytest.mark.parametrize("record", [
+        {"r": 1, "selected": [1]},
+        {"r": 1, "selected": 1, "protected": [], "protect_cutoff": 0,
+         "entropy_rank": 1.0, "stable_rank": 1.0},
+        {"r": "one", "selected": [1], "protected": [], "protect_cutoff": 0,
+         "entropy_rank": 1.0, "stable_rank": 1.0},
+    ])
+    def test_malformed_record_rejected(self, record):
+        with pytest.raises(ValidationError):
+            StmPlan.from_dict(record)
 
 
 class TestMaintainingPenalty:

@@ -146,6 +146,21 @@ def test_rewrite_leaves_open_bundle_unchanged(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin", "b.bin", "manifest.json"]
 
 
+def test_failed_rewrite_leaves_no_bundle(tmp_path):
+    old = MatrixBundle()
+    old.add("a", np.ones((2, 2)))
+    write_bundle(tmp_path, old)
+    # a directory where the second payload goes makes the rewrite fail there
+    (tmp_path / "b.bin").mkdir()
+    new = MatrixBundle()
+    new.add("a", np.zeros((2, 2)))
+    new.add("b", np.zeros((2, 2)))
+    with pytest.raises(OSError):
+        write_bundle(tmp_path, new)
+    with pytest.raises(BundleNotFoundError):
+        read_bundle(tmp_path)
+
+
 def test_read_matrix_maps_one_entry(tmp_path):
     bundle = MatrixBundle()
     bundle.add("keep", np.arange(6, dtype=np.float32).reshape(2, 3))
@@ -154,7 +169,7 @@ def test_read_matrix_maps_one_entry(tmp_path):
     assert read_shapes(tmp_path) == {"keep": (2, 3), "gone": (2, 2)}
     (tmp_path / "gone.bin").unlink()
     got = read_matrix(tmp_path, "keep")
-    assert got.dtype == np.float64
+    assert got.dtype == np.float32  # as stored; numerical code widens it
     assert np.array_equal(got, np.arange(6.0).reshape(2, 3))
     with pytest.raises(BundleNotFoundError):
         read_matrix(tmp_path, "gone")
