@@ -5,7 +5,8 @@ Given a pretrained weight W and the residual dW left behind by a full
 fine-tune, the adapter pipeline (1) sizes a per-layer rank budget from the
 entropy rank, (2) picks the singular directions of W on which dW projects
 most strongly, and (3) splits those directions into a low-rank branch so
-that W0 + B A reproduces W exactly at the start of training.
+that W0 + B A reproduces W exactly at the start of training. All three
+steps consume one decomposition of W.
 """
 
 import numpy as np
@@ -35,7 +36,7 @@ residual = (0.8 * np.outer(factors.u[:, 1], factors.vt[1, :])
             + 0.01 * rng.standard_normal(weight.shape))
 
 cfg = StmConfig(alpha=0.6)
-r = select_rank(weight, cfg)
+r = select_rank(factors.sigma, cfg)
 print(f"entropy-rank-scaled budget: r = {r}")
 
 d = project_residual(factors, residual)
@@ -43,7 +44,7 @@ selected = select_directions(factors, residual, r)
 print("projection magnitudes:", np.array2string(d, precision=3))
 print(f"selected directions (1-based): {selected}")
 
-layer = initialize_adapter(weight, selected, cfg)
+layer = initialize_adapter(weight, factors, selected, cfg)
 exact = np.linalg.norm(merge(layer) - weight) / np.linalg.norm(weight)
 print(f"\n||W0 + BA - W|| / ||W|| = {exact:.2e}  (exact split)")
 print(f"plan: r={layer.plan.r}, protected={layer.plan.protected}, "
@@ -55,4 +56,4 @@ print(f"trainable parameters: {trainable_param_count([layer])} "
 # Zero singular values are legal selections; the adapter just starts those
 # columns at zero. A rank-1 weight makes this visible.
 rank1 = np.outer(rng.standard_normal(6), rng.standard_normal(5))
-print(f"\nrank-1 example budget: r = {select_rank(rank1, StmConfig(alpha=0.3))}")
+print(f"\nrank-1 example budget: r = {select_rank(decompose(rank1).sigma, StmConfig(alpha=0.3))}")

@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
+from .adapter import merge
 from .eranks import entropy_rank, stable_rank
 from .errors import (
     BundleCorruptionError,
@@ -296,12 +297,12 @@ def _sweep_layers(seed: int, count: int):
         w = rng.standard_normal((m, n))
         r = int(rng.integers(1, max(2, k // 2)))
         selected = sorted(int(i) + 1 for i in rng.choice(k, size=r, replace=False))
-        yield t, w, initialize_adapter(w, selected, cfg)
+        yield t, w, initialize_adapter(w, decompose(w), selected, cfg)
 
 
 def _verify_init_exactness(seed: int, count: int):
     for t, w, layer in _sweep_layers(seed, count):
-        err = np.linalg.norm(layer.w0 + layer.b @ layer.a - w) / np.linalg.norm(w)
+        err = np.linalg.norm(merge(layer) - w) / np.linalg.norm(w)
         if err > 1e-10:
             return ("init_exactness", False, f"trial {t} (seed {seed}): residual {err:.3e}")
     return ("init_exactness", True, f"{count} layers")

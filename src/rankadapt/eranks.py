@@ -23,8 +23,8 @@ from .spectral import singular_values
 
 
 def _checked_spectrum(sigma, gamma: float) -> np.ndarray:
-    if gamma <= 0:
-        raise ValidationError(f"gamma must be positive, got {gamma}")
+    if not (np.isfinite(gamma) and gamma > 0):
+        raise ValidationError(f"gamma must be positive and finite, got {gamma}")
     s = np.asarray(sigma, dtype=np.float64).ravel()
     if s.size == 0:
         raise ValidationError("empty spectrum")

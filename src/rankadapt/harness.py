@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .adapter import merge
 from .errors import NumericError, TrainingDivergedError, ValidationError
 from .spectral import as_component_indices, decompose
 from .stm import (
@@ -71,8 +72,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValidationError("steps must be positive")
-        if self.learning_rate <= 0:
-            raise ValidationError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValidationError("learning_rate must be positive and finite")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValidationError("batch_size must be positive when given")
         if self.baseline not in BASELINES:
@@ -275,15 +276,13 @@ def _baseline_adapters(model: SyntheticModel, stm_layers, method: str,
         r, factors = stm_layer.plan.r, stm_layer.frozen_factors
         if method == "random_subset_lora":
             selected = tuple(sorted(int(i) + 1 for i in rng.choice(factors.k, size=r, replace=False)))
-            layers.append(initialize_adapter(w, selected, stm_cfg))
+            layers.append(initialize_adapter(w, factors, selected, stm_cfg))
         else:  # zero_init_lora: B = 0, A random, base left untouched
-            plan = make_plan(w, (), stm_cfg)
-            plan = replace(plan, r=r)
             layers.append(AdaptedLayer(
                 w0=w.copy(),
                 b=np.zeros((w.shape[0], r)),
                 a=_kaiming_uniform(rng, r, w.shape[1]),
-                plan=plan,
+                plan=replace(make_plan(factors, (), stm_cfg), r=r),
                 frozen_factors=factors,
             ))
     return layers
@@ -292,13 +291,13 @@ def _baseline_adapters(model: SyntheticModel, stm_layers, method: str,
 def _train_adapters(layers, model, task, train_cfg, reg_weight):
     """Adapter-only descent on task MSE + reg_weight * maintaining penalty."""
     n_layers = len(layers)
-    loss0 = task_loss([l.w0 + l.b @ l.a for l in layers], model.activation, task)
+    loss0 = task_loss([merge(l) for l in layers], model.activation, task)
     threshold = train_cfg.threshold_fraction * loss0
     steps_to_threshold = None
     batches = _batches(task, train_cfg)
     for step in range(train_cfg.steps):
         sel = next(batches)
-        effective = [l.w0 + l.b @ l.a for l in layers]
+        effective = [merge(l) for l in layers]
         _, grads = _mse_and_grads(effective, model.activation,
                                   task.inputs[:, sel], task.targets[:, sel])
         for layer, g in zip(layers, grads):
@@ -310,7 +309,7 @@ def _train_adapters(layers, model, task, train_cfg, reg_weight):
                 grad_a = grad_a + (reg_weight / n_layers) * pen_a
             layer.b -= train_cfg.learning_rate * grad_b
             layer.a -= train_cfg.learning_rate * grad_a
-        loss = task_loss([l.w0 + l.b @ l.a for l in layers], model.activation, task)
+        loss = task_loss([merge(l) for l in layers], model.activation, task)
         if loss > 10.0 * max(loss0, 1e-30):
             raise TrainingDivergedError(
                 f"adapter training diverged at step {step + 1}: {loss:.3e} vs start {loss0:.3e}"
@@ -344,7 +343,7 @@ def _protected_drift(layers) -> float:
 def _update_norm(layers, model) -> float:
     sq = 0.0
     for layer, w in zip(layers, model.layers):
-        diff = layer.w0 + layer.b @ layer.a - w
+        diff = merge(layer) - w
         sq += float(np.sum(diff * diff))
     return math.sqrt(sq)
 
@@ -358,8 +357,8 @@ def run_stm_experiment(model: SyntheticModel, task: ProxyTask, stm_cfg: StmConfi
     on ``task``; the adapters themselves train on ``adapter_task`` when given
     (defaults to the same samples).
     """
-    if reg_weight < 0:
-        raise ValidationError("reg_weight must be non-negative")
+    if not (math.isfinite(reg_weight) and reg_weight >= 0):
+        raise ValidationError("reg_weight must be non-negative and finite")
     adapter_task = adapter_task if adapter_task is not None else task
     residuals = full_finetune_proxy(model, task, train_cfg)
     stm_layers = [adapt_layer(w, dw, stm_cfg) for w, dw in zip(model.layers, residuals)]

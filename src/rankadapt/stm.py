@@ -6,8 +6,8 @@ singular directions of ``W`` on which ``dW`` projects most strongly, splits
 those directions out of the frozen base into an exactly-initialized adapter
 ``W = W0 + B @ A``, and scores a penalty that keeps training away from the
 leading (stable-rank protected) directions that were not selected.
-:func:`adapt_layer` runs that whole per-layer chain from one decomposition
-of ``W``; the step-by-step public functions each decompose ``W`` themselves.
+Every step after the decomposition consumes the factors of ``W``;
+:func:`adapt_layer` runs the whole per-layer chain from one decomposition.
 
 Component indices are 1-based, consistent with :mod:`rankadapt.spectral`.
 """
@@ -20,13 +20,9 @@ import numpy as np
 
 from .eranks import entropy_rank, stable_rank
 from .errors import ValidationError
-from .spectral import SvdFactors, as_component_indices, decompose, project_residual
+from .spectral import SvdFactors, as_component_indices, decompose, project_residual, reconstruct
 
 PROTECTION_RULES = ("ceil", "floor", "round")
-
-
-def _round_half_away(x: float) -> int:
-    return int(math.floor(x + 0.5)) if x >= 0 else int(math.ceil(x - 0.5))
 
 
 def _apply_rule(value: float, rule: str) -> int:
@@ -36,7 +32,8 @@ def _apply_rule(value: float, rule: str) -> int:
         return int(math.ceil(v))
     if rule == "floor":
         return int(math.floor(v))
-    return _round_half_away(v)
+    # "round": half away from zero
+    return int(math.floor(v + 0.5)) if v >= 0 else int(math.ceil(v - 0.5))
 
 
 @dataclass(frozen=True)
@@ -56,10 +53,10 @@ class StmConfig:
     max_rank_fraction: float = 0.5
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValidationError(f"alpha must be positive, got {self.alpha}")
-        if self.gamma <= 0:
-            raise ValidationError(f"gamma must be positive, got {self.gamma}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValidationError(f"alpha must be positive and finite, got {self.alpha}")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValidationError(f"gamma must be positive and finite, got {self.gamma}")
         if self.protection_rule not in PROTECTION_RULES:
             raise ValidationError(f"protection_rule must be one of {PROTECTION_RULES}")
         if self.min_rank < 1:
@@ -127,15 +124,10 @@ class AdaptedLayer:
     frozen_factors: SvdFactors
 
 
-def _rank_of(sigma: np.ndarray, cfg: StmConfig) -> int:
-    raw = cfg.alpha * entropy_rank(sigma, cfg.gamma)
-    r = _round_half_away(round(raw, 12))
-    return max(cfg.min_rank, min(r, cfg.max_rank(sigma.shape[0])))
-
-
-def select_rank(weight: np.ndarray, cfg: StmConfig) -> int:
-    """Entropy-rank-proportional rank budget, rounded and clamped."""
-    return _rank_of(decompose(weight).sigma, cfg)
+def select_rank(sigma: np.ndarray, cfg: StmConfig) -> int:
+    """Entropy-rank-proportional rank budget for spectrum ``sigma``, rounded and clamped."""
+    r = _apply_rule(cfg.alpha * entropy_rank(sigma, cfg.gamma), "round")
+    return max(cfg.min_rank, min(r, cfg.max_rank(len(sigma))))
 
 
 def select_directions(factors: SvdFactors, residual: np.ndarray, r: int) -> tuple[int, ...]:
@@ -151,15 +143,11 @@ def select_directions(factors: SvdFactors, residual: np.ndarray, r: int) -> tupl
     return tuple(sorted(int(i) + 1 for i in order[:r]))
 
 
-def _protection_cutoff(sigma: np.ndarray, cfg: StmConfig) -> int:
-    cutoff = _apply_rule(stable_rank(sigma, cfg.gamma), cfg.protection_rule)
-    return max(0, min(cutoff, sigma.shape[0]))
-
-
-def _plan_of(factors: SvdFactors, selected, cfg: StmConfig) -> StmPlan:
-    idx0 = as_component_indices(selected, factors.k)
-    sel = tuple(int(i) + 1 for i in idx0)
-    cutoff = _protection_cutoff(factors.sigma, cfg)
+def make_plan(factors: SvdFactors, selected, cfg: StmConfig) -> StmPlan:
+    """Record selection plus the protected leading directions of ``factors``."""
+    sel = tuple(int(i) + 1 for i in as_component_indices(selected, factors.k))
+    cutoff = _apply_rule(stable_rank(factors.sigma, cfg.gamma), cfg.protection_rule)
+    cutoff = max(0, min(cutoff, factors.k))
     protected = tuple(i for i in range(1, cutoff + 1) if i not in set(sel))
     return StmPlan(
         r=len(sel),
@@ -171,49 +159,43 @@ def _plan_of(factors: SvdFactors, selected, cfg: StmConfig) -> StmPlan:
     )
 
 
-def make_plan(weight: np.ndarray, selected, cfg: StmConfig) -> StmPlan:
-    """Record selection plus the protected leading directions for ``weight``."""
-    return _plan_of(decompose(weight), selected, cfg)
+def initialize_adapter(weight: np.ndarray, factors: SvdFactors, selected,
+                       cfg: StmConfig) -> AdaptedLayer:
+    """Split the selected components of ``factors`` out of ``weight`` into an exact adapter.
 
-
-def _split(w: np.ndarray, factors: SvdFactors, plan: StmPlan) -> AdaptedLayer:
-    idx0 = as_component_indices(plan.selected, factors.k)
-    if np.any(factors.sigma[idx0] == 0.0):
-        # stacklevel 3: the caller of the public function that called us
-        warnings.warn("selected a direction with zero singular value; its adapter "
-                      "column is initialized to zero", stacklevel=3)
-    sqrt_s = np.sqrt(factors.sigma[idx0])
-    b = factors.u[:, idx0] * sqrt_s
-    a = sqrt_s[:, None] * factors.vt[idx0, :]
-    w0 = w - (factors.u[:, idx0] * factors.sigma[idx0]) @ factors.vt[idx0, :]
-    return AdaptedLayer(w0=w0, b=b, a=a, plan=plan, frozen_factors=factors)
-
-
-def initialize_adapter(weight: np.ndarray, selected, cfg: StmConfig) -> AdaptedLayer:
-    """Split the selected components out of ``weight`` into an exact adapter.
-
+    ``factors`` must be the decomposition of ``weight``.
     ``B = U[:, sel] sqrt(S[sel])`` and ``A = sqrt(S[sel]) Vt[sel, :]``, with
     ``W0 = W - U[:, sel] S[sel] Vt[sel, :]`` so that ``W0 + B A == W`` up to
     rounding. Selected components with a zero singular value are legal but
     useless (their adapter column starts at zero) and trigger a warning.
     """
     w = np.asarray(weight, dtype=np.float64)
-    factors = decompose(w)
-    return _split(w, factors, _plan_of(factors, selected, cfg))
+    if w.shape != (factors.m, factors.n):
+        raise ValidationError(
+            f"weight shape {w.shape} does not match factors ({factors.m}, {factors.n})"
+        )
+    plan = make_plan(factors, selected, cfg)
+    idx0 = np.asarray(plan.selected, dtype=int) - 1
+    if np.any(factors.sigma[idx0] == 0.0):
+        warnings.warn("selected a direction with zero singular value; its adapter "
+                      "column is initialized to zero", stacklevel=2)
+    sqrt_s = np.sqrt(factors.sigma[idx0])
+    b = factors.u[:, idx0] * sqrt_s
+    a = sqrt_s[:, None] * factors.vt[idx0, :]
+    w0 = w - reconstruct(factors, plan.selected)
+    return AdaptedLayer(w0=w0, b=b, a=a, plan=plan, frozen_factors=factors)
 
 
 def adapt_layer(weight: np.ndarray, residual: np.ndarray, cfg: StmConfig) -> AdaptedLayer:
     """Analyze, select and initialize one layer from a single decomposition.
 
-    Equal to ``initialize_adapter(weight, select_directions(decompose(weight),
-    residual, select_rank(weight, cfg)), cfg)``, but ``weight`` is decomposed
-    once and those factors feed the rank budget, the direction selection, the
-    plan and the split.
+    ``weight`` is widened and decomposed once, and those factors feed the
+    rank budget, the direction selection, the plan and the split.
     """
     w = np.asarray(weight, dtype=np.float64)
     factors = decompose(w)
-    selected = select_directions(factors, residual, _rank_of(factors.sigma, cfg))
-    return _split(w, factors, _plan_of(factors, selected, cfg))
+    selected = select_directions(factors, residual, select_rank(factors.sigma, cfg))
+    return initialize_adapter(w, factors, selected, cfg)
 
 
 def protected_terms(layer: AdaptedLayer) -> tuple[np.ndarray, np.ndarray]:

@@ -91,7 +91,7 @@ def _hundred_random_layers():
     layers = []
     for _ in range(100):
         w, selected = _random_layer_and_selection(rng, shapes)
-        layers.append((w, initialize_adapter(w, selected, cfg)))
+        layers.append((w, initialize_adapter(w, decompose(w), selected, cfg)))
     return layers
 
 
@@ -106,7 +106,7 @@ def test_criterion_04_zero_penalty_at_init():
     for _, layer in _hundred_random_layers():
         assert maintaining_penalty([layer]) <= 1e-9
     w = np.diag([3.0, 2.0, 1.0])
-    layer = initialize_adapter(w, {3}, StmConfig(alpha=1.0))
+    layer = initialize_adapter(w, decompose(w), {3}, StmConfig(alpha=1.0))
     layer.b = np.diag([0.1, 0.2, 0.5])
     layer.a = np.eye(3)
     assert abs(maintaining_penalty([layer]) - 0.7) <= 1e-12
@@ -120,7 +120,7 @@ def test_criterion_05_gradient_fidelity():
     cfg = StmConfig(alpha=1.0)
     for _ in range(100):
         w, selected = _random_layer_and_selection(rng, shapes)
-        layer = initialize_adapter(w, selected, cfg)
+        layer = initialize_adapter(w, decompose(w), selected, cfg)
         layer.b = layer.b + 0.25 * rng.standard_normal(layer.b.shape)
         layer.a = layer.a + 0.25 * rng.standard_normal(layer.a.shape)
         grad_b, grad_a = maintaining_penalty_grad(layer)

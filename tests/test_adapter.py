@@ -3,13 +3,15 @@ import pytest
 
 from rankadapt.adapter import forward, merge, trainable_param_count
 from rankadapt.errors import ValidationError
+from rankadapt.spectral import decompose
 from rankadapt.stm import StmConfig, initialize_adapter
 
 from conftest import rand_matrix
 
 
 def make_layer(seed, m=10, n=8, selected=(1, 3)):
-    return initialize_adapter(rand_matrix(seed, m, n), selected, StmConfig(alpha=1.0))
+    w = rand_matrix(seed, m, n)
+    return initialize_adapter(w, decompose(w), selected, StmConfig(alpha=1.0))
 
 
 def test_forward_zero_input():
@@ -19,7 +21,7 @@ def test_forward_zero_input():
 
 def test_forward_at_init_equals_original():
     w = rand_matrix(1, 10, 8)
-    layer = initialize_adapter(w, (2, 4), StmConfig(alpha=1.0))
+    layer = initialize_adapter(w, decompose(w), (2, 4), StmConfig(alpha=1.0))
     x = rand_matrix(2, 8, 5)
     assert np.allclose(forward(layer, x), w @ x, atol=1e-10)
 
@@ -39,7 +41,7 @@ def test_forward_matches_merge():
 
 def test_merge_at_init_and_zeroed():
     w = rand_matrix(5, 9, 9)
-    layer = initialize_adapter(w, (1,), StmConfig(alpha=1.0))
+    layer = initialize_adapter(w, decompose(w), (1,), StmConfig(alpha=1.0))
     assert np.linalg.norm(merge(layer) - w) <= 1e-10 * np.linalg.norm(w)
     layer.b = np.zeros_like(layer.b)
     assert np.array_equal(merge(layer), layer.w0)

@@ -15,6 +15,8 @@ from rankadapt.harness import make_synthetic_model
 from rankadapt.stm import StmConfig, StmPlan
 from rankadapt.tensorio import MatrixBundle, read_bundle, write_bundle, write_manifest
 
+from conftest import count_svd_calls
+
 
 def write_pair(tmp_path, names_weights, names_residuals=None):
     wdir, rdir = tmp_path / "w", tmp_path / "r"
@@ -195,19 +197,6 @@ class TestStmInit:
                      "--alpha", "0.5", "--output", str(tmp_path / "o")]) == 2
 
 
-def count_svd_calls(monkeypatch):
-    """Wrap numpy.linalg.svd; return a dict of call counts keyed by compute_uv."""
-    calls = {True: 0, False: 0}
-    svd = np.linalg.svd
-
-    def counting_svd(*args, **kwargs):
-        calls[kwargs.get("compute_uv", True)] += 1
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    return calls
-
-
 class TestSvdBudget:
     """Each layer is decomposed once; a residual spectrum never needs vectors.
 
@@ -343,6 +332,28 @@ class TestLayerWorkers:
                             for p in sorted(run.rglob("*")) if p.is_file()})
         assert len(outputs[0]) == 2 + 1 + 3 * 2 + 2 + 1  # stdouts, manifest, bins, plans, csv
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["stm-init", "--alpha", "nan"],
+    ["stm-init", "--alpha", "inf"],
+    ["stm-init", "--alpha", "0.5", "--gamma", "nan"],
+    ["spectra", "--gamma", "nan"],
+    ["spectra", "--gamma", "inf"],
+    ["train-toy", "--reg-weight", "nan"],
+    ["train-toy", "--reg-weight", "inf"],
+    ["train-toy", "--learning-rate", "nan"],
+], ids="_".join)
+def test_non_finite_flag_exits_2(tmp_path, capsys, argv):
+    rng = np.random.default_rng(2)
+    wdir, rdir = write_pair(tmp_path, {"w": rng.standard_normal((6, 5))},
+                            {"w": 0.1 * rng.standard_normal((6, 5))})
+    bundles = [] if argv[0] == "train-toy" else ["--weights", wdir, "--residuals", rdir]
+    assert main([*argv, *bundles, "--output", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r", "w"]
 
 
 class TestVerify:

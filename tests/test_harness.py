@@ -4,6 +4,7 @@ import pytest
 from rankadapt.eranks import entropy_rank, stable_rank
 from rankadapt.errors import TrainingDivergedError, ValidationError
 from rankadapt.harness import (
+    BASELINES,
     PlantedDirections,
     TrainConfig,
     _mse_and_grads,
@@ -16,6 +17,8 @@ from rankadapt.harness import (
 )
 from rankadapt.spectral import decompose, project_residual
 from rankadapt.stm import StmConfig
+
+from conftest import count_svd_calls
 
 
 class TestMakeSyntheticModel:
@@ -166,3 +169,14 @@ class TestRunStmExperiment:
                                  TrainConfig(steps=80, learning_rate=0.5, seed=6),
                                  adapter_task=other)
         assert rep.records[0]["final_loss"] > 0.0
+
+    @pytest.mark.parametrize("baseline", BASELINES)
+    def test_one_svd_per_layer(self, monkeypatch, baseline):
+        # the baseline reuses the STM layers' factors instead of decomposing again
+        model = make_synthetic_model([(16, 12, 0.6), (10, 16, 0.8)], seed=7)
+        planted = [PlantedDirections((3,), (0.9,)), None]
+        task = make_proxy_task(model, planted, n_samples=32, noise=0.02, seed=8)
+        calls = count_svd_calls(monkeypatch)
+        run_stm_experiment(model, task, StmConfig(alpha=0.5),
+                           TrainConfig(steps=5, learning_rate=0.5, baseline=baseline))
+        assert calls == {True: len(model.layers), False: 0}

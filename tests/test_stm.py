@@ -27,27 +27,29 @@ def cfg(alpha=1.0, **kw):
 
 class TestSelectRank:
     def test_identity_half(self):
-        assert select_rank(np.eye(8), cfg(alpha=0.5)) == 4
+        assert select_rank(decompose(np.eye(8)).sigma, cfg(alpha=0.5)) == 4
 
     def test_rank_one_clamps_to_min(self):
         w = np.zeros((8, 8))
         w[0, 0] = 5.0
-        assert select_rank(w, cfg(alpha=0.1)) == 1
+        assert select_rank(decompose(w).sigma, cfg(alpha=0.1)) == 1
 
     def test_cap_clamps_small_matrices(self):
         # entropy rank of (2,1) is ~1.89; alpha=1 rounds to 2 but the
         # default cap floor(0.5*K)=1 wins
-        assert select_rank(np.diag([2.0, 1.0]), cfg(alpha=1.0)) == 1
-        assert select_rank(np.diag([2.0, 1.0]), cfg(alpha=1.0, max_rank_fraction=1.0)) == 2
+        sigma = decompose(np.diag([2.0, 1.0])).sigma
+        assert select_rank(sigma, cfg(alpha=1.0)) == 1
+        assert select_rank(sigma, cfg(alpha=1.0, max_rank_fraction=1.0)) == 2
 
     def test_monotone_in_alpha(self):
         w = rand_matrix(0, 16, 16)
-        ranks = [select_rank(w, cfg(alpha=a)) for a in (0.05, 0.1, 0.2, 0.3, 0.4)]
+        sigma = decompose(w).sigma
+        ranks = [select_rank(sigma, cfg(alpha=a)) for a in (0.05, 0.1, 0.2, 0.3, 0.4)]
         assert ranks == sorted(ranks)
 
     def test_min_rank_above_cap_rejected(self):
         with pytest.raises(ValidationError):
-            select_rank(np.eye(4), cfg(alpha=1.0, min_rank=3))
+            select_rank(decompose(np.eye(4)).sigma, cfg(alpha=1.0, min_rank=3))
 
 
 class TestSelectDirections:
@@ -88,7 +90,7 @@ class TestSelectDirections:
 class TestInitializeAdapter:
     def test_diagonal_worked_example(self):
         w = np.diag([3.0, 2.0, 1.0])
-        layer = initialize_adapter(w, {2, 3}, cfg())
+        layer = initialize_adapter(w, decompose(w), {2, 3}, cfg())
         assert np.allclose(layer.w0, np.diag([3.0, 0.0, 0.0]), atol=1e-12)
         expected_b = np.array([[0.0, 0.0], [np.sqrt(2.0), 0.0], [0.0, 1.0]])
         expected_a = np.array([[0.0, np.sqrt(2.0), 0.0], [0.0, 0.0, 1.0]])
@@ -98,14 +100,14 @@ class TestInitializeAdapter:
 
     def test_empty_selection(self):
         w = rand_matrix(1, 6, 5)
-        layer = initialize_adapter(w, (), cfg())
+        layer = initialize_adapter(w, decompose(w), (), cfg())
         assert layer.b.shape == (6, 0) and layer.a.shape == (0, 5)
         assert np.array_equal(layer.w0, w)
         assert layer.plan.r == 0
 
     def test_random_exactness(self):
         w = rand_matrix(2, 32, 16)
-        layer = initialize_adapter(w, (1, 2, 3, 4), cfg())
+        layer = initialize_adapter(w, decompose(w), (1, 2, 3, 4), cfg())
         err = np.linalg.norm(layer.w0 + layer.b @ layer.a - w)
         assert err <= 1e-10 * np.linalg.norm(w)
 
@@ -117,7 +119,7 @@ class TestInitializeAdapter:
             k = min(m, n)
             r = int(rng.integers(1, k + 1))
             selected = sorted(int(i) + 1 for i in rng.choice(k, size=r, replace=False))
-            layer = initialize_adapter(w, selected, cfg())
+            layer = initialize_adapter(w, decompose(w), selected, cfg())
             err = np.linalg.norm(layer.w0 + layer.b @ layer.a - w)
             assert err <= 1e-10 * np.linalg.norm(w)
             assert not set(layer.plan.selected) & set(layer.plan.protected)
@@ -128,11 +130,17 @@ class TestInitializeAdapter:
     def test_zero_singular_value_warns(self):
         w = np.diag([2.0, 0.0])
         with pytest.warns(UserWarning):
-            initialize_adapter(w, {2}, cfg())
+            initialize_adapter(w, decompose(w), {2}, cfg())
+
+    @pytest.mark.parametrize("other", [(6, 5), (5, 7), (4, 6)])
+    def test_factors_of_another_shape_rejected(self, other):
+        w = rand_matrix(3, 5, 6)
+        with pytest.raises(ValidationError, match="does not match factors"):
+            initialize_adapter(w, decompose(rand_matrix(4, *other)), (1,), cfg())
 
 
 class TestAdaptLayer:
-    """The single-decomposition path against the public step-by-step chain."""
+    """adapt_layer against the public chain of steps over one decomposition."""
 
     SHAPES = {
         "tall": (14, 9, np.float64),
@@ -155,7 +163,8 @@ class TestAdaptLayer:
         c = cfg(**self.CONFIGS[config])
 
         fast = adapt_layer(w, dw, c)
-        ref = initialize_adapter(w, select_directions(decompose(w), dw, select_rank(w, c)), c)
+        f = decompose(w)
+        ref = initialize_adapter(w, f, select_directions(f, dw, select_rank(f.sigma, c)), c)
 
         assert fast.plan == ref.plan
         for attr in ("w0", "b", "a"):
@@ -192,12 +201,12 @@ class TestMaintainingPenalty:
     def test_zero_at_init(self):
         for seed_ in range(20):
             w = rand_matrix(seed_, 12, 9)
-            layer = initialize_adapter(w, (1, 4), cfg())
+            layer = initialize_adapter(w, decompose(w), (1, 4), cfg())
             assert maintaining_penalty([layer]) <= 1e-9
 
     def test_hand_computed_example(self):
         w = np.diag([3.0, 2.0, 1.0])
-        layer = initialize_adapter(w, {3}, cfg())
+        layer = initialize_adapter(w, decompose(w), {3}, cfg())
         assert layer.plan.protect_cutoff == 2
         assert layer.plan.protected == (1, 2)
         layer.b = np.diag([0.1, 0.2, 0.5])
@@ -215,13 +224,14 @@ class TestMaintainingPenaltyGrad:
     def _perturbed_layer(self, seed_):
         rng = np.random.default_rng(seed_)
         w = rng.standard_normal((10, 7))
-        layer = initialize_adapter(w, (2, 6), cfg())
+        layer = initialize_adapter(w, decompose(w), (2, 6), cfg())
         layer.b = layer.b + 0.25 * rng.standard_normal(layer.b.shape)
         layer.a = layer.a + 0.25 * rng.standard_normal(layer.a.shape)
         return layer
 
     def test_zero_gradient_at_init(self):
-        layer = initialize_adapter(rand_matrix(4, 9, 6), (3,), cfg())
+        w = rand_matrix(4, 9, 6)
+        layer = initialize_adapter(w, decompose(w), (3,), cfg())
         grad_b, grad_a = maintaining_penalty_grad(layer)
         assert np.max(np.abs(grad_b)) <= 1e-12
         assert np.max(np.abs(grad_a)) <= 1e-12
