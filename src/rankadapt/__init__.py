@@ -59,6 +59,7 @@ from .tensorio import (
     read_bundle,
     read_matrix,
     read_shapes,
+    staged_bundle,
     write_bundle,
     write_entry,
     write_manifest,
@@ -114,6 +115,7 @@ __all__ = [
     "smooth_loss",
     "ssim",
     "stable_rank",
+    "staged_bundle",
     "trainable_param_count",
     "unpack_depth",
     "unpack_image",

@@ -7,10 +7,10 @@ adaptation experiment against a baseline). ``spectra`` and ``stm-init``
 analyze the layers in worker processes, one per usable core, each with one
 BLAS thread; their outputs do not depend on the BLAS thread settings. A
 worker maps only its own layer and, for ``stm-init``, writes that layer's
-adapter payloads itself into a private staging directory next to the
-output, so no process holds more than one layer. The CLI process then moves
-the payloads into the output directory and writes the manifest last; the
-output directory is only created once every layer has succeeded.
+adapter payloads itself into a :func:`~rankadapt.tensorio.staged_bundle`
+directory, so no process holds more than one layer. The CLI process adds
+the plan files and the manifest there; that directory replaces the output
+only once every layer has succeeded.
 
 Exit codes are a stable contract: 0 success, 1 I/O, 2 validation,
 3 property failure, 4 training divergence.
@@ -20,16 +20,14 @@ import argparse
 import json
 import math
 import os
-import shutil
 import sys
 from dataclasses import asdict
-from pathlib import Path
 
 import numpy as np
 
 from . import harness
 from .adapter import merge
-from .eranks import entropy_rank, stable_rank
+from .eranks import check_gamma, entropy_rank, stable_rank
 from .errors import (
     BundleCorruptionError,
     BundleNotFoundError,
@@ -47,14 +45,7 @@ from .stm import (
     maintaining_penalty,
     maintaining_penalty_grad,
 )
-from .tensorio import (
-    MANIFEST_NAME,
-    Report,
-    read_matrix,
-    read_shapes,
-    write_entry,
-    write_manifest,
-)
+from .tensorio import Report, read_matrix, read_shapes, staged_bundle, write_entry, write_manifest
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -208,6 +199,7 @@ def spectra_layer(name: str, weights_dir, residuals_dir, gamma: float) -> list[d
 
 
 def cmd_spectra(args) -> int:
+    check_gamma(args.gamma)
     shapes = _layer_shapes(args.weights, args.residuals)
     per_layer = _map_layers(spectra_layer, shapes, args.weights, args.residuals, args.gamma)
     records = [rec for layer_records in per_layer for rec in layer_records]
@@ -233,29 +225,16 @@ def stm_init_layer(name: str, weights_dir, residuals_dir, cfg: StmConfig,
 def cmd_stm_init(args) -> int:
     shapes = _layer_shapes(args.weights, args.residuals)
     cfg = _stm_config(args)
-    out = Path(args.output).resolve()
-    # a sibling of the output, so payloads move in by rename on one filesystem
-    staging = out.with_name(f".{out.name}.staging-{os.getpid()}")
-    staging.mkdir(parents=True)
-    try:
-        layers = _map_layers(stm_init_layer, shapes, args.weights, args.residuals, cfg,
-                             staging)
-        out.mkdir(exist_ok=True)
-        # no manifest while payloads change, so a failed commit leaves no bundle
-        (out / MANIFEST_NAME).unlink(missing_ok=True)
-        manifest = []
-        for records, _ in layers:
-            for record in records:
-                os.replace(staging / record["data"], out / record["data"])
-            manifest.extend(records)
+    if os.path.realpath(args.output) in map(os.path.realpath, (args.weights, args.residuals)):
+        raise ValidationError("--output must not be the weight or residual bundle")
+    with staged_bundle(args.output) as out:
+        layers = _map_layers(stm_init_layer, shapes, args.weights, args.residuals, cfg, out)
         config = asdict(cfg)
         for name, (_, plan) in zip(shapes, layers):
             with open(out / f"{name}.plan.json", "w", encoding="utf-8") as fh:
                 json.dump({"name": name, **plan.to_dict(), "config": config}, fh, indent=2)
                 fh.write("\n")
-        write_manifest(out, manifest)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
+        write_manifest(out, [record for records, _ in layers for record in records])
     trainable = sum(plan.r * sum(shapes[name]) for name, (_, plan) in zip(shapes, layers))
     print(f"trainable parameters: {trainable}")
     return EXIT_OK
@@ -347,7 +326,7 @@ def _verify_task_gradient(seed: int, count: int):
         task = harness.make_proxy_task(
             model, [None, None], n_samples=12, noise=0.1, seed=seed + 17 * t + 1)
         weights = [w + 0.1 for w in model.layers]
-        _, grads = harness._mse_and_grads(weights, "tanh", task.inputs, task.targets)
+        _, grads = harness.mse_and_grads(weights, "tanh", task.inputs, task.targets)
         for li in range(len(weights)):
             def loss_of(wl, li=li):
                 trial = [wl if j == li else weights[j] for j in range(len(weights))]

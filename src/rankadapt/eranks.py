@@ -22,9 +22,14 @@ from .errors import DegenerateSpectrumError, ValidationError
 from .spectral import singular_values
 
 
-def _checked_spectrum(sigma, gamma: float) -> np.ndarray:
+def check_gamma(gamma: float) -> None:
+    """Raise ``ValidationError`` unless the spectrum exponent is positive and finite."""
     if not (np.isfinite(gamma) and gamma > 0):
         raise ValidationError(f"gamma must be positive and finite, got {gamma}")
+
+
+def _checked_spectrum(sigma, gamma: float) -> np.ndarray:
+    check_gamma(gamma)
     s = np.asarray(sigma, dtype=np.float64).ravel()
     if s.size == 0:
         raise ValidationError("empty spectrum")

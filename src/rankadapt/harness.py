@@ -132,42 +132,38 @@ def make_synthetic_model(layer_specs, seed: int, activation: str = "identity") -
     return SyntheticModel(layers=layers, activation=activation, seed=seed)
 
 
-def _forward(weights, activation: str, x: np.ndarray) -> np.ndarray:
+def _forward(weights, activation: str, x: np.ndarray, inputs=None) -> np.ndarray:
+    """Network output for inputs ``x``; ``inputs``, if given, collects each layer's input."""
     h = x
     last = len(weights) - 1
     for i, w in enumerate(weights):
+        if inputs is not None:
+            inputs.append(h)
         h = w @ h
         if i < last and activation == "tanh":
             h = np.tanh(h)
     return h
 
 
-def _mse_and_grads(weights, activation: str, x, y):
+def mse_and_grads(weights, activation: str, x, y):
     """Mean-squared error over all target entries plus per-layer gradients."""
-    inputs, pres = [], []
-    h = x
-    last = len(weights) - 1
-    for i, w in enumerate(weights):
-        inputs.append(h)
-        z = w @ h
-        pres.append(z)
-        h = np.tanh(z) if (i < last and activation == "tanh") else z
-    resid = h - y
-    loss = float(np.mean(resid * resid))
+    inputs = []
+    resid = _forward(weights, activation, x, inputs) - y
     g = (2.0 / resid.size) * resid
     grads = [None] * len(weights)
     for i in reversed(range(len(weights))):
         grads[i] = g @ inputs[i].T
         if i > 0:
             g = weights[i].T @ g
-            if activation == "tanh":
-                t = np.tanh(pres[i - 1])
-                g = g * (1.0 - t * t)
-    return loss, grads
+            if activation == "tanh":  # the input of layer i is tanh of layer i-1's output
+                g = g * (1.0 - inputs[i] * inputs[i])
+    return float(np.mean(resid * resid)), grads
 
 
 def task_loss(weights, activation: str, task: ProxyTask) -> float:
-    return _mse_and_grads(weights, activation, task.inputs, task.targets)[0]
+    """Mean-squared error of the network on the whole task, forward pass only."""
+    resid = _forward(weights, activation, task.inputs) - task.targets
+    return float(np.mean(resid * resid))
 
 
 def make_proxy_task(model: SyntheticModel, planted, n_samples: int,
@@ -219,7 +215,7 @@ def full_finetune_proxy(model: SyntheticModel, task: ProxyTask,
     batches = _batches(task, cfg)
     for step in range(cfg.steps):
         sel = next(batches)
-        _, grads = _mse_and_grads(weights, model.activation,
+        _, grads = mse_and_grads(weights, model.activation,
                                   task.inputs[:, sel], task.targets[:, sel])
         for w, g in zip(weights, grads):
             w -= cfg.learning_rate * g
@@ -298,7 +294,7 @@ def _train_adapters(layers, model, task, train_cfg, reg_weight):
     for step in range(train_cfg.steps):
         sel = next(batches)
         effective = [merge(l) for l in layers]
-        _, grads = _mse_and_grads(effective, model.activation,
+        _, grads = mse_and_grads(effective, model.activation,
                                   task.inputs[:, sel], task.targets[:, sel])
         for layer, g in zip(layers, grads):
             grad_b = g @ layer.a.T

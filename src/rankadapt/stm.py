@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .eranks import entropy_rank, stable_rank
+from .eranks import check_gamma, entropy_rank, stable_rank
 from .errors import ValidationError
 from .spectral import SvdFactors, as_component_indices, decompose, project_residual, reconstruct
 
@@ -55,8 +55,7 @@ class StmConfig:
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValidationError(f"alpha must be positive and finite, got {self.alpha}")
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ValidationError(f"gamma must be positive and finite, got {self.gamma}")
+        check_gamma(self.gamma)
         if self.protection_rule not in PROTECTION_RULES:
             raise ValidationError(f"protection_rule must be one of {PROTECTION_RULES}")
         if self.min_rank < 1:

@@ -11,13 +11,13 @@ return entries as stored; widening of ``f32`` payloads to the library's
 the numerical functions that receive a matrix, so a caller that reads an
 entry decides when its widened copy exists.
 
-A bundle is written in two steps: :func:`write_entry` writes one payload
-and returns its manifest record, and :func:`write_manifest` writes the
-manifest that makes those payloads a readable bundle. :func:`write_bundle`
-chains them; a writer that produces entries elsewhere, such as one worker
-process per layer, calls them itself. Whoever rewrites a bundle removes its
-old manifest first and writes the new one last, so a write that stops
-partway leaves a directory that reads as no bundle at all.
+A bundle is written whole into the fresh directory of :func:`staged_bundle`,
+which then replaces the old bundle by rename, so the old one stays intact
+until the new one is complete and none of its files outlive it. There,
+:func:`write_entry` writes one payload and returns its manifest record, and
+:func:`write_manifest` writes the manifest that makes the payloads a
+bundle. :func:`write_bundle` chains them; a writer that produces entries
+elsewhere, such as one worker process per layer, calls them itself.
 
 Reports are flat tables of records that serialize to CSV (header row
 mandatory, ``.`` decimal separator) or JSON with identical numeric content.
@@ -27,6 +27,8 @@ import csv
 import json
 import os
 import re
+import shutil
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -99,17 +101,13 @@ def write_entry(path, name: str, matrix: np.ndarray) -> dict:
     """Write ``matrix`` as the payload of entry ``name`` in directory ``path``.
 
     Returns the entry's manifest record, for :func:`write_manifest`. The
-    payload is written in place, without a temporary file: an existing
-    payload of that name is unlinked first, so a reader that memory-mapped
-    it keeps the old values. The entry is not readable until a manifest
-    lists it.
+    payload must not exist yet, as in a directory from :func:`staged_bundle`.
+    The entry is not readable until a manifest lists it.
     """
     arr = _as_entry(name, matrix)
     code = _dtype_code(arr.dtype)
     data_name = f"{name}.bin"
-    data_path = Path(path) / data_name
-    data_path.unlink(missing_ok=True)
-    with open(data_path, "xb") as fh:
+    with open(Path(path) / data_name, "xb") as fh:
         fh.write(np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]))
     return {
         "name": name,
@@ -121,32 +119,52 @@ def write_entry(path, name: str, matrix: np.ndarray) -> dict:
 
 
 def write_manifest(path, records: list[dict]) -> None:
-    """Write the manifest of directory ``path``, listing ``records`` in order.
+    """Write the manifest of directory ``path``, listing ``records`` in order."""
+    (Path(path) / MANIFEST_NAME).write_bytes((json.dumps(records, indent=2) + "\n").encode())
 
-    The manifest goes to a temporary sibling and is renamed into place, so
-    it appears whole or not at all.
+
+@contextmanager
+def staged_bundle(path):
+    """Yield a fresh directory that replaces the bundle at ``path`` on a clean exit.
+
+    It is the sibling ``.<name>.staging-<pid>``, so the swap is a rename on
+    one filesystem: ``path``, if present, is renamed aside to
+    ``.<name>.old-<pid>`` and removed once the staging directory has taken
+    its place. A block that raises or a swap that fails leaves ``path`` as
+    it was, and no staging directory. A non-empty ``path`` without a
+    manifest raises ``ValidationError`` at once, so no user file is replaced.
     """
-    root = Path(path)
-    tmp = root / f".{MANIFEST_NAME}.tmp"
+    root = Path(path).resolve()
+    if root.exists() and not (root / MANIFEST_NAME).is_file() and any(root.iterdir()):
+        raise ValidationError(f"{root} is not empty and holds no bundle; not replacing it")
+    staging = root.with_name(f".{root.name}.staging-{os.getpid()}")
+    old = root.with_name(f".{root.name}.old-{os.getpid()}")
+    staging.mkdir(parents=True)
     try:
-        tmp.write_bytes((json.dumps(records, indent=2) + "\n").encode("utf-8"))
-        os.replace(tmp, root / MANIFEST_NAME)
+        yield staging
+        replacing = root.exists()
+        if replacing:
+            os.rename(root, old)
+        try:
+            os.rename(staging, root)
+        except BaseException:
+            if replacing:
+                os.rename(old, root)
+            raise
+        shutil.rmtree(old, ignore_errors=True)
     finally:
-        tmp.unlink(missing_ok=True)
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def write_bundle(path, bundle: MatrixBundle) -> None:
-    """Write ``bundle`` to directory ``path`` (created if absent).
+    """Write ``bundle`` to directory ``path`` through :func:`staged_bundle`.
 
-    The old manifest, if any, is removed first and the new one is written
-    last, so a write that fails partway leaves no bundle that looks valid.
-    Old payloads are unlinked, not overwritten, so open :func:`read_bundle`
-    results keep their values.
+    A write that fails leaves the old bundle, if any, as it was; open
+    :func:`read_bundle` results keep their values either way.
     """
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
-    (root / MANIFEST_NAME).unlink(missing_ok=True)
-    write_manifest(root, [write_entry(root, name, arr) for name, arr in bundle.entries.items()])
+    with staged_bundle(path) as root:
+        write_manifest(root, [write_entry(root, name, arr)
+                              for name, arr in bundle.entries.items()])
 
 
 def _read_manifest(root: Path) -> list:

@@ -16,11 +16,11 @@ from rankadapt.eranks import entropy_rank, stable_rank
 from rankadapt.harness import (
     PlantedDirections,
     TrainConfig,
-    _mse_and_grads,
     finite_difference_check,
     full_finetune_proxy,
     make_proxy_task,
     make_synthetic_model,
+    mse_and_grads,
     run_stm_experiment,
     task_loss,
 )
@@ -141,7 +141,7 @@ def test_criterion_05_gradient_fidelity():
         task = make_proxy_task(model, [None, None], n_samples=12, noise=0.1,
                                seed=2000 + trial)
         weights = [w + 0.05 for w in model.layers]
-        _, grads = _mse_and_grads(weights, "tanh", task.inputs, task.targets)
+        _, grads = mse_and_grads(weights, "tanh", task.inputs, task.targets)
         for li in range(2):
             def loss_of(wl, li=li):
                 trial_weights = [wl if j == li else weights[j] for j in range(2)]

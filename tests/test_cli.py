@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 
 from rankadapt.cli import _map_layers, main, spectra_layer, stm_init_layer
-from rankadapt.errors import BundleNotFoundError
 from rankadapt.harness import make_synthetic_model
 from rankadapt.stm import StmConfig, StmPlan
 from rankadapt.tensorio import MatrixBundle, read_bundle, write_bundle, write_manifest
 
-from conftest import count_svd_calls
+from conftest import COMMIT_FAILURES, break_commit, count_svd_calls
 
 
 def write_pair(tmp_path, names_weights, names_residuals=None):
@@ -155,9 +154,8 @@ class TestStmInit:
                      "--alpha", "0.5", "--output", str(out)]) == 2
         assert not out.exists()
 
-    # 2 layers: os.replace moves 6 payloads, then the manifest
-    @pytest.mark.parametrize("failing_call", [1, 4, 7])
-    def test_failed_commit_leaves_no_bundle(self, tmp_path, monkeypatch, failing_call):
+    @pytest.mark.parametrize("failure", COMMIT_FAILURES)
+    def test_failed_commit_keeps_old_bundle(self, tmp_path, monkeypatch, failure):
         rng = np.random.default_rng(9)
         shapes = {"l0": (10, 8), "l1": (8, 12)}
         wdir, rdir = write_pair(
@@ -168,27 +166,56 @@ class TestStmInit:
         out = tmp_path / "out"
         # an earlier, valid bundle in the output directory
         assert main(args + ["--max-rank-fraction", "0.25", "--output", str(out)]) == 0
-        read_bundle(out)
+        before = dir_bytes(out)
 
-        replace = os.replace
-        calls = []
-
-        def failing_replace(src, dst):
-            calls.append(dst)
-            if len(calls) == failing_call:
-                raise OSError("disk full")
-            replace(src, dst)
-
-        monkeypatch.setattr(os, "replace", failing_replace)
+        break_commit(monkeypatch, failure, "rankadapt.cli")
         assert main(args + ["--output", str(out)]) == 1
-        monkeypatch.setattr(os, "replace", replace)
-        with pytest.raises(BundleNotFoundError):
-            read_bundle(out)
+        monkeypatch.undo()
+        assert dir_bytes(out) == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "r", "w"]
 
         assert main(args + ["--output", str(out)]) == 0
         assert main(args + ["--output", str(tmp_path / "fresh")]) == 0
         assert dir_bytes(out) == dir_bytes(tmp_path / "fresh")
+
+    def test_rerun_with_fewer_layers_leaves_no_stale_files(self, tmp_path):
+        rng = np.random.default_rng(10)
+        weights = {k: rng.standard_normal((8, 6)) for k in ("a", "b")}
+        residuals = {k: 0.1 * rng.standard_normal((8, 6)) for k in weights}
+        out = tmp_path / "out"
+        for names in (("a", "b"), ("a",)):
+            run = tmp_path / "-".join(names)
+            run.mkdir()
+            wdir, rdir = write_pair(run, {k: weights[k] for k in names},
+                                    {k: residuals[k] for k in names})
+            assert main(["stm-init", "--weights", wdir, "--residuals", rdir,
+                         "--alpha", "0.5", "--output", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "a.A.bin", "a.B.bin", "a.W0.bin", "a.plan.json", "manifest.json"]
+        assert read_bundle(out).names() == ["a.W0", "a.B", "a.A"]
+        # the replaced bundle and the staging directory are gone too
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "a-b", "out"]
+
+    def test_non_bundle_output_exits_2_untouched(self, tmp_path, capsys):
+        wdir, rdir = write_pair(tmp_path, {"w": np.eye(3)}, {"w": np.ones((3, 3))})
+        out = tmp_path / "notes"
+        out.mkdir()
+        (out / "todo.txt").write_text("keep me\n")
+        assert main(["stm-init", "--weights", wdir, "--residuals", rdir,
+                     "--alpha", "0.5", "--output", str(out)]) == 2
+        assert capsys.readouterr().err.endswith("holds no bundle; not replacing it\n")
+        assert dir_bytes(out) == {"todo.txt": b"keep me\n"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["notes", "r", "w"]
+
+    @pytest.mark.parametrize("bundle", ["w", "r"])
+    def test_input_bundle_as_output_exits_2(self, tmp_path, capsys, bundle):
+        wdir, rdir = write_pair(tmp_path, {"w": np.eye(3)}, {"w": np.ones((3, 3))})
+        before = dir_bytes(tmp_path / bundle)
+        assert main(["stm-init", "--weights", wdir, "--residuals", rdir, "--alpha", "0.5",
+                     "--output", str(tmp_path / "r" / ".." / bundle)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --output must not be the weight or residual bundle\n")
+        assert dir_bytes(tmp_path / bundle) == before
 
     def test_missing_residual_exits_2(self, tmp_path):
         wdir, rdir = write_pair(tmp_path, {"a": np.eye(3), "b": np.eye(3)},
@@ -340,6 +367,7 @@ class TestLayerWorkers:
     ["stm-init", "--alpha", "0.5", "--gamma", "nan"],
     ["spectra", "--gamma", "nan"],
     ["spectra", "--gamma", "inf"],
+    ["spectra", "--gamma", "0"],
     ["train-toy", "--reg-weight", "nan"],
     ["train-toy", "--reg-weight", "inf"],
     ["train-toy", "--learning-rate", "nan"],
@@ -352,6 +380,8 @@ def test_non_finite_flag_exits_2(tmp_path, capsys, argv):
     assert main([*argv, *bundles, "--output", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
+    if argv[0] == "spectra":  # rejected before any layer runs, so no layer prefix
+        assert captured.err == f"error: gamma must be positive and finite, got {float(argv[2])}\n"
     assert captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["r", "w"]
 

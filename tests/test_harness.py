@@ -7,11 +7,11 @@ from rankadapt.harness import (
     BASELINES,
     PlantedDirections,
     TrainConfig,
-    _mse_and_grads,
     finite_difference_check,
     full_finetune_proxy,
     make_proxy_task,
     make_synthetic_model,
+    mse_and_grads,
     run_stm_experiment,
     task_loss,
 )
@@ -70,7 +70,7 @@ class TestFullFinetuneProxy:
         model = make_synthetic_model([(6, 5, 0.6), (4, 6, 0.9)], seed=6, activation="tanh")
         task = make_proxy_task(model, [None, None], n_samples=16, noise=0.1, seed=7)
         weights = [w + 0.05 for w in model.layers]
-        _, grads = _mse_and_grads(weights, "tanh", task.inputs, task.targets)
+        _, grads = mse_and_grads(weights, "tanh", task.inputs, task.targets)
         for li in range(2):
             def loss_of(wl, li=li):
                 trial = [wl if j == li else weights[j] for j in range(2)]

@@ -19,6 +19,8 @@ from rankadapt.tensorio import (
     write_bundle,
 )
 
+from conftest import COMMIT_FAILURES, break_commit
+
 
 def test_zero_matrix_layout(tmp_path):
     bundle = MatrixBundle()
@@ -136,29 +138,45 @@ def test_rewrite_leaves_open_bundle_unchanged(tmp_path):
     old = read_bundle(tmp_path)
 
     rewrite = MatrixBundle()
-    for name, value in old_values.items():
-        rewrite.add(name, -2.0 * value)
+    rewrite.add("a", -2.0 * old_values["a"])
     write_bundle(tmp_path, rewrite)
 
     for name, value in old_values.items():
         assert np.array_equal(old.matrix(name), value)
-        assert np.array_equal(read_bundle(tmp_path).matrix(name), -2.0 * value)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin", "b.bin", "manifest.json"]
+    assert read_bundle(tmp_path).names() == ["a"]
+    assert np.array_equal(read_bundle(tmp_path).matrix("a"), -2.0 * old_values["a"])
+    # no payload of the old bundle outlives the rewrite
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin", "manifest.json"]
 
 
-def test_failed_rewrite_leaves_no_bundle(tmp_path):
+@pytest.mark.parametrize("failure", COMMIT_FAILURES)
+def test_failed_rewrite_keeps_old_bundle(tmp_path, monkeypatch, failure):
+    path = tmp_path / "bundle"
     old = MatrixBundle()
     old.add("a", np.ones((2, 2)))
-    write_bundle(tmp_path, old)
-    # a directory where the second payload goes makes the rewrite fail there
-    (tmp_path / "b.bin").mkdir()
+    write_bundle(path, old)
+    break_commit(monkeypatch, failure, "rankadapt.tensorio")
     new = MatrixBundle()
     new.add("a", np.zeros((2, 2)))
     new.add("b", np.zeros((2, 2)))
-    with pytest.raises(OSError):
-        write_bundle(tmp_path, new)
-    with pytest.raises(BundleNotFoundError):
-        read_bundle(tmp_path)
+    with pytest.raises(OSError, match="disk full"):
+        write_bundle(path, new)
+    monkeypatch.undo()
+    back = read_bundle(path)
+    assert back.names() == ["a"]
+    assert np.array_equal(back.matrix("a"), np.ones((2, 2)))
+    assert sorted(p.name for p in path.iterdir()) == ["a.bin", "manifest.json"]
+    assert [p.name for p in tmp_path.iterdir()] == ["bundle"]
+
+
+def test_non_bundle_directory_is_not_replaced(tmp_path):
+    (tmp_path / "notes.txt").write_text("keep me")
+    bundle = MatrixBundle()
+    bundle.add("a", np.ones((2, 2)))
+    with pytest.raises(ValidationError, match="holds no bundle"):
+        write_bundle(tmp_path, bundle)
+    assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
+    assert not list(tmp_path.parent.glob(f".{tmp_path.name}.*"))
 
 
 def test_read_matrix_maps_one_entry(tmp_path):
