@@ -54,11 +54,11 @@ from .stm import (
     select_rank,
 )
 from .tensorio import (
+    BundleEntry,
     MatrixBundle,
     Report,
     read_bundle,
-    read_matrix,
-    read_shapes,
+    read_entries,
     staged_bundle,
     write_bundle,
     write_entry,
@@ -69,6 +69,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaptedLayer",
+    "BundleEntry",
     "Camera",
     "DepthMap",
     "LossWeights",
@@ -105,8 +106,7 @@ __all__ = [
     "pseudo_loss",
     "rank_report",
     "read_bundle",
-    "read_matrix",
-    "read_shapes",
+    "read_entries",
     "reconstruct",
     "run_stm_experiment",
     "select_directions",

@@ -6,11 +6,12 @@ bundles), ``verify`` (seeded property sweeps), ``train-toy`` (synthetic
 adaptation experiment against a baseline). ``spectra`` and ``stm-init``
 analyze the layers in worker processes, one per usable core, each with one
 BLAS thread; their outputs do not depend on the BLAS thread settings. A
-worker maps only its own layer and, for ``stm-init``, writes that layer's
-adapter payloads itself into a :func:`~rankadapt.tensorio.staged_bundle`
-directory, so no process holds more than one layer. The CLI process adds
-the plan files and the manifest there; that directory replaces the output
-only once every layer has succeeded.
+worker gets its layer's validated bundle entries, maps only that layer and,
+for ``stm-init``, writes that layer's adapter payloads itself into a
+:func:`~rankadapt.tensorio.staged_bundle` directory, so no process holds
+more than one layer. The CLI process adds the plan files and the manifest
+there; that directory replaces the output only once every layer has
+succeeded.
 
 Exit codes are a stable contract: 0 success, 1 I/O, 2 validation,
 3 property failure, 4 training divergence.
@@ -45,7 +46,7 @@ from .stm import (
     maintaining_penalty,
     maintaining_penalty_grad,
 )
-from .tensorio import Report, read_matrix, read_shapes, staged_bundle, write_entry, write_manifest
+from .tensorio import BundleEntry, Report, read_entries, staged_bundle, write_entry, write_manifest
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -66,30 +67,29 @@ _TOY_NOISE = 0.01
 _BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _layer_shapes(weights_dir, residuals_dir) -> dict[str, tuple[int, int]]:
-    """Shapes of a validated weight bundle's entries, by sorted name.
+def _layer_entries(weights_dir, residuals_dir) -> dict:
+    """Each layer's validated (weight, residual or None) entries, by sorted name.
 
     A residual bundle, if given, must hold the same names.
     """
-    shapes = read_shapes(weights_dir)
-    if residuals_dir is not None:
-        residual_names = read_shapes(residuals_dir)
-        missing = sorted(set(shapes) - set(residual_names))
-        extra = sorted(set(residual_names) - set(shapes))
-        if missing or extra:
-            raise ValidationError(
-                f"weight/residual name mismatch: missing residuals {missing}, extra {extra}"
-            )
-    return dict(sorted(shapes.items()))
+    weights = read_entries(weights_dir)
+    residuals = dict.fromkeys(weights) if residuals_dir is None else read_entries(residuals_dir)
+    missing = sorted(set(weights) - set(residuals))
+    extra = sorted(set(residuals) - set(weights))
+    if missing or extra:
+        raise ValidationError(
+            f"weight/residual name mismatch: missing residuals {missing}, extra {extra}"
+        )
+    return {name: (weights[name], residuals[name]) for name in sorted(weights)}
 
 
-def _map_layers(job, shapes: dict[str, tuple[int, int]], *args) -> list:
-    """``[job(name, *args) for name in shapes]``, one worker process per usable core.
+def _map_layers(job, layers: dict, *args) -> list:
+    """``[job(name, *layers[name], *args) for name in layers]``, one worker per usable core.
 
     Workers are spawned with one BLAS thread each, so cores are not
     oversubscribed and results do not depend on the caller's BLAS thread
     settings. Layers start largest first, so no worker is left alone with
-    a large layer at the end. Results are read in ``shapes`` order: the
+    a large layer at the end. Results are read in ``layers`` order: the
     first layer in that order to fail raises, with its name prefixed to the
     message, once pending jobs are cancelled and every worker has exited.
     """
@@ -97,22 +97,23 @@ def _map_layers(job, shapes: dict[str, tuple[int, int]], *args) -> list:
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    if not shapes:
+    if not layers:
         return []
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on macOS or Windows
         cores = os.cpu_count() or 1
-    # a thin SVD of an m x n matrix costs about m * n * min(m, n)
+    # a thin SVD of an m x n weight costs about m * n * min(m, n)
+    shapes = {name: weight.shape for name, (weight, _) in layers.items()}
     by_cost = sorted(shapes, key=lambda n: -math.prod(shapes[n]) * min(shapes[n]))
-    pool = ProcessPoolExecutor(min(cores, len(shapes)),
+    pool = ProcessPoolExecutor(min(cores, len(layers)),
                                mp_context=multiprocessing.get_context("spawn"))
     try:
         saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
         os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
         try:
             # workers start inside submit(), so every one sees the variables
-            futures = {name: pool.submit(job, name, *args) for name in by_cost}
+            futures = {name: pool.submit(job, name, *layers[name], *args) for name in by_cost}
         finally:
             for var, value in saved.items():
                 if value is None:
@@ -120,7 +121,7 @@ def _map_layers(job, shapes: dict[str, tuple[int, int]], *args) -> list:
                 else:
                     os.environ[var] = value
         results = []
-        for name in shapes:
+        for name in layers:
             try:
                 results.append(futures[name].result())
             except (ValidationError, NumericError, BundleNotFoundError,
@@ -155,24 +156,27 @@ def _stm_config(args) -> StmConfig:
     )
 
 
-def _read_weight(weights_dir, name: str) -> np.ndarray:
-    """Layer ``name`` of a weight bundle, widened to float64.
+def _load_f64(entry: BundleEntry) -> np.ndarray:
+    """The matrix of ``entry``, widened to float64.
 
-    Widening here rather than inside the SVD lets an ``f32`` entry's memory
-    map close before the decomposition, the job's peak, so its pages are not
-    resident on top of the SVD's own buffers.
+    Widening a weight here rather than inside the SVD lets an ``f32`` entry's
+    memory map close before the decomposition, the job's peak, so its pages
+    are not resident on top of the SVD's own buffers.
     """
-    return np.asarray(read_matrix(weights_dir, name), dtype=np.float64)
+    return np.asarray(entry.load(), dtype=np.float64)
 
 
-def spectra_layer(name: str, weights_dir, residuals_dir, gamma: float) -> list[dict]:
+def spectra_layer(name: str, weight: BundleEntry, residual: BundleEntry | None,
+                  gamma: float) -> list[dict]:
     """The ``spectra`` report records of layer ``name``, one per component."""
-    factors = decompose(_read_weight(weights_dir, name))
-    ent = entropy_rank(factors.sigma, gamma)
-    st = stable_rank(factors.sigma, gamma)
-    if residuals_dir is not None:
+    w = _load_f64(weight)
+    factors = None if residual is None else decompose(w)  # vectors only to project dW
+    sigma = singular_values(w) if factors is None else factors.sigma
+    ent = entropy_rank(sigma, gamma)
+    st = stable_rank(sigma, gamma)
+    if residual is not None:
         # widened once here, since both the projection and the spectrum use it
-        dw = np.asarray(read_matrix(residuals_dir, name), dtype=np.float64)
+        dw = _load_f64(residual)
         proj = project_residual(factors, dw)
         res_sigma = singular_values(dw)
         try:
@@ -181,15 +185,15 @@ def spectra_layer(name: str, weights_dir, residuals_dir, gamma: float) -> list[d
         except DegenerateSpectrumError:
             res_ent = res_st = "na"  # zero residual is legitimate data
     records = []
-    for i in range(factors.k):
+    for i in range(len(sigma)):
         rec = {
             "name": name,
             "component": i + 1,
-            "sigma": float(factors.sigma[i]),
+            "sigma": float(sigma[i]),
             "entropy_rank": ent,
             "stable_rank": st,
         }
-        if residuals_dir is not None:
+        if residual is not None:
             rec["residual_sigma"] = float(res_sigma[i])
             rec["projection"] = float(proj[i])
             rec["residual_entropy_rank"] = res_ent
@@ -200,14 +204,14 @@ def spectra_layer(name: str, weights_dir, residuals_dir, gamma: float) -> list[d
 
 def cmd_spectra(args) -> int:
     check_gamma(args.gamma)
-    shapes = _layer_shapes(args.weights, args.residuals)
-    per_layer = _map_layers(spectra_layer, shapes, args.weights, args.residuals, args.gamma)
+    per_layer = _map_layers(spectra_layer, _layer_entries(args.weights, args.residuals),
+                            args.gamma)
     records = [rec for layer_records in per_layer for rec in layer_records]
     Report(kind="spectra", records=records).write(args.output, args.format)
     return EXIT_OK
 
 
-def stm_init_layer(name: str, weights_dir, residuals_dir, cfg: StmConfig,
+def stm_init_layer(name: str, weight: BundleEntry, residual: BundleEntry, cfg: StmConfig,
                    out_dir) -> tuple[list[dict], StmPlan]:
     """Write the adapter matrices of layer ``name`` into directory ``out_dir``.
 
@@ -216,26 +220,26 @@ def stm_init_layer(name: str, weights_dir, residuals_dir, cfg: StmConfig,
     returned, and no matrix is.
     """
     # the residual stays as stored until the projection, after the SVD
-    layer = adapt_layer(_read_weight(weights_dir, name), read_matrix(residuals_dir, name), cfg)
+    layer = adapt_layer(_load_f64(weight), residual.load(), cfg)
     records = [write_entry(out_dir, f"{name}.{part}", matrix)
                for part, matrix in (("W0", layer.w0), ("B", layer.b), ("A", layer.a))]
     return records, layer.plan
 
 
 def cmd_stm_init(args) -> int:
-    shapes = _layer_shapes(args.weights, args.residuals)
+    layers = _layer_entries(args.weights, args.residuals)
     cfg = _stm_config(args)
     if os.path.realpath(args.output) in map(os.path.realpath, (args.weights, args.residuals)):
         raise ValidationError("--output must not be the weight or residual bundle")
     with staged_bundle(args.output) as out:
-        layers = _map_layers(stm_init_layer, shapes, args.weights, args.residuals, cfg, out)
+        results = _map_layers(stm_init_layer, layers, cfg, out)
         config = asdict(cfg)
-        for name, (_, plan) in zip(shapes, layers):
+        for name, (_, plan) in zip(layers, results):
             with open(out / f"{name}.plan.json", "w", encoding="utf-8") as fh:
                 json.dump({"name": name, **plan.to_dict(), "config": config}, fh, indent=2)
                 fh.write("\n")
-        write_manifest(out, [record for records, _ in layers for record in records])
-    trainable = sum(plan.r * sum(shapes[name]) for name, (_, plan) in zip(shapes, layers))
+        write_manifest(out, [record for records, _ in results for record in records])
+    trainable = sum(plan.r * sum(layers[n][0].shape) for n, (_, plan) in zip(layers, results))
     print(f"trainable parameters: {trainable}")
     return EXIT_OK
 

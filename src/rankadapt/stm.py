@@ -145,8 +145,8 @@ def select_directions(factors: SvdFactors, residual: np.ndarray, r: int) -> tupl
 def make_plan(factors: SvdFactors, selected, cfg: StmConfig) -> StmPlan:
     """Record selection plus the protected leading directions of ``factors``."""
     sel = tuple(int(i) + 1 for i in as_component_indices(selected, factors.k))
-    cutoff = _apply_rule(stable_rank(factors.sigma, cfg.gamma), cfg.protection_rule)
-    cutoff = max(0, min(cutoff, factors.k))
+    st = stable_rank(factors.sigma, cfg.gamma)
+    cutoff = max(0, min(_apply_rule(st, cfg.protection_rule), factors.k))
     protected = tuple(i for i in range(1, cutoff + 1) if i not in set(sel))
     return StmPlan(
         r=len(sel),
@@ -154,7 +154,7 @@ def make_plan(factors: SvdFactors, selected, cfg: StmConfig) -> StmPlan:
         protected=protected,
         protect_cutoff=cutoff,
         entropy_rank=entropy_rank(factors.sigma, cfg.gamma),
-        stable_rank=stable_rank(factors.sigma, cfg.gamma),
+        stable_rank=st,
     )
 
 

@@ -5,11 +5,12 @@ listing one entry per matrix (name, rows, cols, dtype, relative data file)
 and one raw binary file per matrix. Payloads are row-major little-endian
 with no embedded shape metadata; the manifest is the single source of
 truth. Supported dtypes are ``f32`` and ``f64``. Round trips are bit-exact,
-including the stored dtype. :func:`read_bundle` and :func:`read_matrix`
-return entries as stored; widening of ``f32`` payloads to the library's
-``float64`` compute precision happens in :meth:`MatrixBundle.matrix` and in
-the numerical functions that receive a matrix, so a caller that reads an
-entry decides when its widened copy exists.
+including the stored dtype. :func:`read_entries` is the one validator of a
+manifest; each :class:`BundleEntry` it returns holds no open file, and its
+:meth:`~BundleEntry.load` maps the payload as stored. Widening of ``f32``
+payloads to the library's ``float64`` compute precision happens in
+:meth:`MatrixBundle.matrix` and in the numerical functions that receive a
+matrix, so a caller that reads an entry decides when its widened copy exists.
 
 A bundle is written whole into the fresh directory of :func:`staged_bundle`,
 which then replaces the old bundle by rename, so the old one stays intact
@@ -25,6 +26,7 @@ mandatory, ``.`` decimal separator) or JSON with identical numeric content.
 
 import csv
 import json
+import math
 import os
 import re
 import shutil
@@ -173,99 +175,99 @@ def _read_manifest(root: Path) -> list:
         raise BundleNotFoundError(f"no {MANIFEST_NAME} in {root}")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSON or UTF-8 errors, or nesting too deep
         raise BundleCorruptionError(f"malformed manifest in {root}: {exc}") from exc
     if not isinstance(manifest, list):
         raise BundleCorruptionError(f"manifest in {root} is not a list of entries")
     return manifest
 
 
-def _check_entry(root: Path, entry) -> tuple[str, Path, np.dtype, tuple[int, int]]:
-    """Validate one manifest entry against its data file.
+@dataclass(frozen=True)
+class BundleEntry:
+    """One validated manifest entry: its data file, dtype and shape.
 
-    Returns the entry's name, data file, dtype and shape.
+    It holds no open file, so it pickles to a worker process that loads it.
     """
-    try:
-        name = entry["name"]
-        rows = int(entry["rows"])
-        cols = int(entry["cols"])
-        code = entry["dtype"]
-        data_name = entry["data"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BundleCorruptionError(
-            f"manifest entry with missing or bad fields: {entry!r}"
-        ) from exc
-    if code not in _DTYPE_CODES:
-        raise UnsupportedFormatError(f"entry {name!r} declares unknown dtype {code!r}")
-    if rows < 1 or cols < 1:
-        raise BundleCorruptionError(f"entry {name!r} declares empty shape {rows}x{cols}")
-    if not isinstance(data_name, str):
-        raise BundleCorruptionError(f"entry {name!r}: data {data_name!r} is not a file name")
-    data_path = root / data_name
-    if not data_path.resolve().is_relative_to(root.resolve()):
-        raise BundleCorruptionError(
-            f"entry {name!r}: data file {data_name!r} lies outside {root}"
-        )
-    if not data_path.is_file():
-        raise BundleNotFoundError(f"missing data file {data_path}")
-    dtype = _DTYPE_CODES[code]
-    size = data_path.stat().st_size
-    expected = rows * cols * dtype.itemsize
-    if size != expected:
-        raise BundleCorruptionError(
-            f"entry {name!r}: data file holds {size} bytes, manifest implies {expected}"
-        )
-    return name, data_path, dtype, (rows, cols)
+
+    path: Path
+    dtype: np.dtype
+    shape: tuple[int, int]
+
+    def _check_payload(self) -> None:
+        if not self.path.is_file():
+            raise BundleNotFoundError(f"missing data file {self.path}")
+        size = self.path.stat().st_size
+        expected = math.prod(self.shape) * self.dtype.itemsize
+        if size != expected:
+            raise BundleCorruptionError(
+                f"data file {self.path} holds {size} bytes, manifest implies {expected}"
+            )
+
+    def load(self) -> np.memmap:
+        """The payload as stored, memory-mapped read-only.
+
+        The data file is checked again first, since it may have changed
+        after :func:`read_entries`. Nothing is widened or copied here: an
+        ``f32`` entry stays float32 until numerical code widens it.
+        """
+        self._check_payload()
+        return np.memmap(self.path, dtype=self.dtype, mode="r", shape=self.shape)
 
 
-def _entries(root: Path):
-    """Validate the bundle at ``root``; yield ``(name, data file, dtype, shape)``."""
-    seen = set()
-    for entry in _read_manifest(root):
-        name, data_path, dtype, shape = _check_entry(root, entry)
-        _check_name(name, seen)
-        seen.add(name)
-        yield name, data_path, dtype, shape
+def read_entries(path) -> dict[str, BundleEntry]:
+    """Validate the bundle at ``path``; its entries by name, in manifest order.
 
-
-def read_shapes(path) -> dict[str, tuple[int, int]]:
-    """Shape of each entry of the bundle at ``path``, in manifest order.
-
-    Validates the bundle as :func:`read_bundle` does, without opening any
-    data file.
+    This is the one check of a manifest: names, fields, dtypes, confinement
+    of every data file to the bundle directory and payload sizes. No data
+    file is opened; :meth:`BundleEntry.load` maps one.
     """
-    return {name: shape for name, _, _, shape in _entries(Path(path))}
+    root = Path(path)
+    entries = {}
+    for record in _read_manifest(root):
+        try:
+            name, rows, cols, code, data_name = (
+                record[key] for key in ("name", "rows", "cols", "dtype", "data"))
+        except (KeyError, TypeError) as exc:
+            raise BundleCorruptionError(f"manifest entry with missing fields: {record!r}") from exc
+        _check_name(name, entries)
+        if not all(type(n) is int and n >= 1 for n in (rows, cols)):  # no bool, float or str
+            raise BundleCorruptionError(
+                f"entry {name!r}: rows and cols must be positive integers, got {rows!r}, {cols!r}")
+        if not isinstance(code, str):
+            raise BundleCorruptionError(f"entry {name!r}: dtype {code!r} is not a dtype code")
+        if code not in _DTYPE_CODES:
+            raise UnsupportedFormatError(f"entry {name!r} declares unknown dtype {code!r}")
+        if not isinstance(data_name, str):
+            raise BundleCorruptionError(f"entry {name!r}: data {data_name!r} is not a file name")
+        entry = BundleEntry(root / data_name, _DTYPE_CODES[code], (rows, cols))
+        try:
+            inside = entry.path.resolve().is_relative_to(root.resolve())
+            entry.path.is_file()  # raises on a name the system cannot look up
+        except (OSError, ValueError, RuntimeError) as exc:  # too long, NUL, symlink loop
+            raise BundleCorruptionError(
+                f"entry {name!r}: unusable data file name {data_name!r}: {exc}") from exc
+        if not inside:
+            raise BundleCorruptionError(
+                f"entry {name!r}: data file {data_name!r} lies outside {root}")
+        entry._check_payload()
+        entries[name] = entry
+    return entries
 
 
 def read_bundle(path) -> MatrixBundle:
     """Read a bundle directory written by :func:`write_bundle`.
 
-    Every entry is validated against its data file, which must lie inside
-    the bundle directory, and is memory-mapped read-only: pages are read
-    when a matrix is used. Each map holds one file descriptor open, so a
-    bundle with more entries than the process may open files cannot be read
-    whole; :func:`read_shapes` and :func:`read_matrix` open at most one.
+    Every entry is validated by :func:`read_entries` and memory-mapped
+    read-only: pages are read when a matrix is used. Each map holds one file
+    descriptor open until the bundle is dropped, so the bundle keeps its
+    values if the directory is rewritten meanwhile; a bundle with more
+    entries than the process may open files is read one
+    :meth:`BundleEntry.load` at a time instead.
     """
     bundle = MatrixBundle()
-    for name, data_path, dtype, shape in _entries(Path(path)):
-        bundle.add(name, np.memmap(data_path, dtype=dtype, mode="r", shape=shape))
+    for name, entry in read_entries(path).items():
+        bundle.add(name, entry.load())
     return bundle
-
-
-def read_matrix(path, name: str) -> np.memmap:
-    """Entry ``name`` of the bundle at ``path``, as stored, memory-mapped read-only.
-
-    Validates and maps only that entry's data file, so the cost of reading
-    one matrix hardly grows with the number of entries. Nothing is widened
-    or copied here: an ``f32`` entry stays float32 until numerical code
-    widens it.
-    """
-    root = Path(path)
-    for entry in _read_manifest(root):
-        if isinstance(entry, dict) and entry.get("name") == name:
-            _, data_path, dtype, shape = _check_entry(root, entry)
-            return np.memmap(data_path, dtype=dtype, mode="r", shape=shape)
-    raise KeyError(name)
 
 
 REPORT_KINDS = ("spectra", "ranks", "projections", "metrics")

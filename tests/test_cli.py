@@ -9,10 +9,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rankadapt.cli as cli
+import rankadapt.tensorio as tensorio
 from rankadapt.cli import _map_layers, main, spectra_layer, stm_init_layer
 from rankadapt.harness import make_synthetic_model
 from rankadapt.stm import StmConfig, StmPlan
-from rankadapt.tensorio import MatrixBundle, read_bundle, write_bundle, write_manifest
+from rankadapt.tensorio import (
+    BundleEntry,
+    MatrixBundle,
+    read_bundle,
+    read_entries,
+    write_bundle,
+    write_manifest,
+)
 
 from conftest import COMMIT_FAILURES, break_commit, count_svd_calls
 
@@ -89,6 +98,25 @@ class TestSpectra:
         assert main(["spectra", "--weights", str(wdir),
                      "--output", str(tmp_path / "x.csv")]) == 1
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("manifest", [
+        b'[{"name": "w", "rows": 1e999, "cols": 2, "dtype": "f64", "data": "w.bin"}]',
+        b'[{"name": "w", "rows": 2, "cols": 2, "dtype": [], "data": "w.bin"}]',
+        b'[{"name": "w", "rows": 2, "cols": 2, "dtype": "f64", "data": "w\\u0000.bin"}]',
+        b'[{"name": "w\xff", "rows": 2, "cols": 2, "dtype": "f64", "data": "w.bin"}]',
+        # read as 1 x 4 before, which matches the payload, and computed on
+        b'[{"name": "w", "rows": 1.9, "cols": 4, "dtype": "f64", "data": "w.bin"}]',
+    ], ids=["rows_inf", "dtype_list", "data_nul", "not_utf8", "rows_float"])
+    def test_bad_manifest_gives_one_error_line(self, tmp_path, capsys, manifest):
+        wdir = tmp_path / "w"
+        wdir.mkdir()
+        (wdir / "w.bin").write_bytes(np.zeros(4).tobytes())
+        (wdir / "manifest.json").write_bytes(manifest)
+        out = tmp_path / "x.csv"
+        assert main(["spectra", "--weights", str(wdir), "--output", str(out)]) in (1, 2)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_json_format(self, tmp_path):
         wdir, _ = write_pair(tmp_path, {"eye": np.eye(2)})
@@ -217,6 +245,24 @@ class TestStmInit:
             "error: --output must not be the weight or residual bundle\n")
         assert dir_bytes(tmp_path / bundle) == before
 
+    def test_residual_removed_after_validation_exits_1(self, tmp_path, monkeypatch, capsys):
+        rng = np.random.default_rng(3)
+        wdir, rdir = write_pair(tmp_path, {k: rng.standard_normal((6, 5)) for k in ("a", "b")},
+                                {k: 0.1 * rng.standard_normal((6, 5)) for k in ("a", "b")})
+        layer_entries = cli._layer_entries
+
+        def remove_after_validation(*args):
+            layers = layer_entries(*args)
+            layers["b"][1].path.unlink()
+            return layers
+
+        monkeypatch.setattr(cli, "_layer_entries", remove_after_validation)
+        out = tmp_path / "o"
+        assert main(["stm-init", "--weights", wdir, "--residuals", rdir,
+                     "--alpha", "0.5", "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: b: missing data file ")
+        assert not out.exists()
+
     def test_missing_residual_exits_2(self, tmp_path):
         wdir, rdir = write_pair(tmp_path, {"a": np.eye(3), "b": np.eye(3)},
                                 {"a": np.zeros((3, 3))})
@@ -239,8 +285,13 @@ class TestSvdBudget:
         residuals = {k: 0.1 * rng.standard_normal(s) for k, s in self.SHAPES.items()}
         return write_pair(tmp_path, weights, residuals)
 
-    def test_stm_init_one_svd_per_layer(self, tmp_path, monkeypatch):
+    def entries(self, tmp_path):
+        """The bundles' (weights, residuals) entries, as the CLI hands them to its jobs."""
         wdir, rdir = self.bundles(tmp_path)
+        return wdir, rdir, read_entries(wdir), read_entries(rdir)
+
+    def test_stm_init_one_svd_per_layer(self, tmp_path, monkeypatch):
+        wdir, rdir, w, r = self.entries(tmp_path)
         out = tmp_path / "o"
         assert main(["stm-init", "--weights", wdir, "--residuals", rdir,
                      "--alpha", "0.5", "--output", str(out)]) == 0
@@ -250,7 +301,8 @@ class TestSvdBudget:
         calls = count_svd_calls(monkeypatch)
         records = []
         for name in self.SHAPES:
-            layer_records, _ = stm_init_layer(name, wdir, rdir, StmConfig(alpha=0.5), job_dir)
+            layer_records, _ = stm_init_layer(name, w[name], r[name], StmConfig(alpha=0.5),
+                                              job_dir)
             records += layer_records
         assert calls == {True: len(self.SHAPES), False: 0}
         write_manifest(job_dir, records)
@@ -260,27 +312,56 @@ class TestSvdBudget:
             assert np.allclose(b @ a, written.matrix(f"{name}.B") @ written.matrix(f"{name}.A"))
 
     def test_stm_init_job_returns_no_matrix(self, tmp_path):
-        wdir, rdir = self.bundles(tmp_path)
-        records, plan = stm_init_layer("l0", wdir, rdir, StmConfig(alpha=0.5), tmp_path)
+        _, _, w, r = self.entries(tmp_path)
+        records, plan = stm_init_layer("l0", w["l0"], r["l0"], StmConfig(alpha=0.5), tmp_path)
         assert isinstance(plan, StmPlan)
         assert [r["name"] for r in records] == ["l0.W0", "l0.B", "l0.A"]
         values = [v for r in records for v in r.values()] + list(vars(plan).values())
         assert not any(isinstance(v, np.ndarray) for v in values)
         assert all(type(v) in (str, int, float, tuple) for v in values)
 
-    def test_spectra_residuals_one_svd_each(self, tmp_path, monkeypatch):
-        wdir, rdir = self.bundles(tmp_path)
+    def spectra_svd_calls(self, tmp_path, monkeypatch, residuals: bool) -> dict:
+        """SVD calls of every spectra job, run in-process after the CLI."""
+        wdir, rdir, w, r = self.entries(tmp_path)
         out = tmp_path / "report.csv"
-        assert main(["spectra", "--weights", wdir, "--residuals", rdir,
+        assert main(["spectra", "--weights", wdir, *(["--residuals", rdir] if residuals else []),
                      "--output", str(out)]) == 0
         calls = count_svd_calls(monkeypatch)
         records = [rec for name in sorted(self.SHAPES)
-                   for rec in spectra_layer(name, wdir, rdir, 1.0)]
+                   for rec in spectra_layer(name, w[name], r[name] if residuals else None, 1.0)]
         assert [r["name"] for r in records] == [row["name"] for row in read_csv(out)]
+        return calls
+
+    def test_spectra_residuals_one_svd_each(self, tmp_path, monkeypatch):
+        calls = self.spectra_svd_calls(tmp_path, monkeypatch, residuals=True)
         assert calls == {True: len(self.SHAPES), False: len(self.SHAPES)}
+
+    def test_plain_spectra_one_svd_without_vectors(self, tmp_path, monkeypatch):
+        calls = self.spectra_svd_calls(tmp_path, monkeypatch, residuals=False)
+        assert calls == {True: 0, False: len(self.SHAPES)}
+
+    def test_jobs_read_no_manifest(self, tmp_path, monkeypatch):
+        _, _, w, r = self.entries(tmp_path)
+        read_manifest = tensorio._read_manifest
+        reads = []
+        monkeypatch.setattr(tensorio, "_read_manifest",
+                            lambda root: reads.append(root) or read_manifest(root))
+        for name in self.SHAPES:
+            stm_init_layer(name, w[name], r[name], StmConfig(alpha=0.5), tmp_path)
+            spectra_layer(name, w[name], r[name], 1.0)
+            spectra_layer(name, w[name], None, 1.0)
+        assert reads == []
+        # the counter does see a read
+        read_entries(tmp_path / "w")
+        assert len(reads) == 1
 
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def exit_worker(name, weight, residual):
+    """A layer job that ends its worker process before it sends a result."""
+    os._exit(3)
 
 
 def cli_env() -> dict:
@@ -313,9 +394,9 @@ class TestLayerWorkers:
         assert multiprocessing.active_children() == []
 
     def test_worker_death_is_an_os_error(self):
-        # os._exit(3) ends the worker that runs it before it sends a result
+        layers = {"l0": (BundleEntry(Path("unread.bin"), np.dtype("<f8"), (1, 1)), None)}
         with pytest.raises(OSError, match="worker process ended abruptly"):
-            _map_layers(os._exit, {3: (1, 1)})
+            _map_layers(exit_worker, layers)
         assert multiprocessing.active_children() == []
 
     def test_more_layers_than_open_file_limit(self, tmp_path):

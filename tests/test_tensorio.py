@@ -3,6 +3,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 
 from rankadapt.errors import (
     BundleCorruptionError,
@@ -14,8 +17,7 @@ from rankadapt.tensorio import (
     MatrixBundle,
     Report,
     read_bundle,
-    read_matrix,
-    read_shapes,
+    read_entries,
     write_bundle,
 )
 
@@ -90,12 +92,22 @@ def test_size_mismatch_is_corruption(tmp_path):
     {"name": "w", "rows": 1, "dtype": "f64", "data": "w.bin"},
     {"name": "w", "rows": 1, "cols": 1, "dtype": "f64", "data": 7},
     "w.bin",
+    {"name": "w", "rows": 1e999, "cols": 1, "dtype": "f64", "data": "w.bin"},  # Infinity
+    {"name": "w", "rows": 1.9, "cols": 1, "dtype": "f64", "data": "w.bin"},  # was read as 1
+    {"name": "w", "rows": 1.0, "cols": 1, "dtype": "f64", "data": "w.bin"},
+    {"name": "w", "rows": 1, "cols": True, "dtype": "f64", "data": "w.bin"},
+    {"name": "w", "rows": 1, "cols": "1", "dtype": "f64", "data": "w.bin"},
+    {"name": "w", "rows": 1, "cols": 0, "dtype": "f64", "data": "w.bin"},
+    {"name": "w", "rows": 1, "cols": 1, "dtype": [], "data": "w.bin"},
+    {"name": "w", "rows": 1, "cols": 1, "dtype": "f64", "data": "w\x00.bin"},
+    {"name": "w", "rows": 1, "cols": 1, "dtype": "f64", "data": "x" * 300},
 ])
 def test_malformed_manifest_entry_is_corruption(tmp_path, entry):
     (tmp_path / "manifest.json").write_text(json.dumps([entry]))
     (tmp_path / "w.bin").write_bytes(np.zeros(1).tobytes())
-    with pytest.raises(BundleCorruptionError):
-        read_bundle(tmp_path)
+    for read in (read_bundle, read_entries):
+        with pytest.raises(BundleCorruptionError):
+            read(tmp_path)
 
 
 def test_unknown_dtype_rejected(tmp_path):
@@ -115,7 +127,7 @@ def test_data_path_outside_bundle_is_corruption(tmp_path, data):
     data = str(secret) if data == "ABSOLUTE" else data
     manifest = [{"name": "w", "rows": 2, "cols": 2, "dtype": "f64", "data": data}]
     (root / "manifest.json").write_text(json.dumps(manifest))
-    for read in (read_bundle, read_shapes, lambda path: read_matrix(path, "w")):
+    for read in (read_bundle, read_entries):
         with pytest.raises(BundleCorruptionError, match="outside"):
             read(root)
 
@@ -124,7 +136,7 @@ def test_duplicate_manifest_name_rejected(tmp_path):
     (tmp_path / "w.bin").write_bytes(np.zeros(1).tobytes())
     entry = {"name": "w", "rows": 1, "cols": 1, "dtype": "f64", "data": "w.bin"}
     (tmp_path / "manifest.json").write_text(json.dumps([entry, entry]))
-    for read in (read_bundle, read_shapes):
+    for read in (read_bundle, read_entries):
         with pytest.raises(ValidationError, match="duplicate"):
             read(tmp_path)
 
@@ -179,20 +191,79 @@ def test_non_bundle_directory_is_not_replaced(tmp_path):
     assert not list(tmp_path.parent.glob(f".{tmp_path.name}.*"))
 
 
-def test_read_matrix_maps_one_entry(tmp_path):
+def test_entry_load_maps_one_entry(tmp_path):
     bundle = MatrixBundle()
     bundle.add("keep", np.arange(6, dtype=np.float32).reshape(2, 3))
     bundle.add("gone", np.ones((2, 2)))
+    bundle.add("cut", np.ones((2, 2)))
     write_bundle(tmp_path, bundle)
-    assert read_shapes(tmp_path) == {"keep": (2, 3), "gone": (2, 2)}
+    entries = read_entries(tmp_path)
+    assert {name: e.shape for name, e in entries.items()} == {
+        "keep": (2, 3), "gone": (2, 2), "cut": (2, 2)}
     (tmp_path / "gone.bin").unlink()
-    got = read_matrix(tmp_path, "keep")
+    with open(tmp_path / "cut.bin", "r+b") as fh:
+        fh.truncate(8)
+    got = entries["keep"].load()
     assert got.dtype == np.float32  # as stored; numerical code widens it
     assert np.array_equal(got, np.arange(6.0).reshape(2, 3))
     with pytest.raises(BundleNotFoundError):
-        read_matrix(tmp_path, "gone")
-    with pytest.raises(KeyError):
-        read_matrix(tmp_path, "absent")
+        entries["gone"].load()
+    with pytest.raises(BundleCorruptionError, match="holds 8 bytes"):
+        entries["cut"].load()
+
+
+def test_data_symlink_loop_is_corruption(tmp_path):
+    (tmp_path / "a.bin").symlink_to("b.bin")
+    (tmp_path / "b.bin").symlink_to("a.bin")
+    manifest = [{"name": "w", "rows": 1, "cols": 1, "dtype": "f64", "data": "a.bin"}]
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(BundleCorruptionError, match="unusable data file name"):
+        read_entries(tmp_path)
+
+
+def test_manifest_not_utf8_is_corruption(tmp_path):
+    (tmp_path / "manifest.json").write_bytes(b'[{"name": "\xff"}]')
+    with pytest.raises(BundleCorruptionError, match="malformed manifest"):
+        read_entries(tmp_path)
+
+
+VALID_ENTRY = {"name": "w", "rows": 2, "cols": 3, "dtype": "f32", "data": "w.bin"}
+READ_ERRORS = (BundleCorruptionError, BundleNotFoundError, ValidationError)
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=4),
+    max_leaves=12)
+
+
+def read_or_reject(root) -> None:
+    """Each reader either returns or raises one of the documented bundle errors."""
+    for read in (read_entries, read_bundle):
+        try:
+            read(root)
+        except READ_ERRORS:
+            pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(manifest=st.binary(max_size=64) | JSON.map(lambda v: json.dumps(v).encode()))
+def test_fuzz_arbitrary_manifest(tmp_path_factory, manifest):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "w.bin").write_bytes(np.zeros(6, dtype=np.float32).tobytes())
+    (root / "manifest.json").write_bytes(manifest)
+    read_or_reject(root)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(sorted(VALID_ENTRY)),
+       value=JSON | st.sampled_from([1e300, -1, 0, 6, 2**70, "../w.bin", "w.bin", "/",
+                                     ".", "", "f64", "w\x00", "x" * 300]),
+       copies=st.integers(1, 2))
+def test_fuzz_mutated_entry(tmp_path_factory, field, value, copies):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "w.bin").write_bytes(np.zeros(6, dtype=np.float32).tobytes())
+    (root / "manifest.json").write_text(json.dumps([{**VALID_ENTRY, field: value}] * copies))
+    read_or_reject(root)
 
 
 def test_report_csv_json_same_numbers(tmp_path):
