@@ -134,6 +134,17 @@ def _map_layers(job, layers: dict, *args) -> list:
         pool.shutdown(wait=True, cancel_futures=True)
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy's generators take only non-negative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _add_stm_flags(p: argparse.ArgumentParser, require_alpha: bool,
                    alpha_default: float | None = None) -> None:
     p.add_argument("--alpha", type=float, required=require_alpha, default=alpha_default,
@@ -403,14 +414,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stm_init)
 
     p = sub.add_parser("verify", help="run the seeded property sweeps")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--inject-fault", action="store_true",
                    help="self-test: flip the rank ordering check so it must fail")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("train-toy", help="synthetic adaptation experiment vs a baseline")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_seed, default=7)
     p.add_argument("--steps", type=int, default=150)
     p.add_argument("--learning-rate", type=float, default=0.5)
     p.add_argument("--batch-size", type=int, default=None)

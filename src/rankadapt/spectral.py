@@ -5,8 +5,12 @@ A matrix ``W`` of shape (m, n) factors as ``W = U @ diag(sigma) @ Vt`` with
 vectors are only defined up to a joint sign flip of each (u_i, v_i) pair, so
 decompositions pin the sign: the largest-magnitude entry of each column of
 ``U`` is made positive (first occurrence wins on ties) and the matching row
-of ``Vt`` flips with it. Component indices are 1-based throughout the public
-API, ``i = 1..K``, following the usual math convention.
+of ``Vt`` flips with it. The sign is read from each column's extremes: the
+column flips when its most negative entry outweighs its largest positive
+one. Only where the two have exactly the same magnitude does the position
+of the first largest-magnitude entry decide, so those columns alone are
+searched. Component indices are 1-based throughout the public API,
+``i = 1..K``, following the usual math convention.
 
 Tiny singular values are never truncated; rank-like behavior is the job of
 the effective-rank functionals downstream.
@@ -65,11 +69,21 @@ def decompose(weight: np.ndarray) -> SvdFactors:
     """Thin SVD of ``weight`` with the sign convention applied."""
     u, sigma, vt = _svd(weight, compute_uv=True)
     # Pin signs: largest-|entry| of each left vector positive, right vector
-    # flipped jointly so u_i sigma_i v_i^T is unchanged.
-    anchor = np.argmax(np.abs(u), axis=0)
-    flip = u[anchor, np.arange(u.shape[1])] < 0
-    u[:, flip] *= -1.0
-    vt[flip, :] *= -1.0
+    # flipped jointly so u_i sigma_i v_i^T is unchanged. Unless a column's
+    # largest entry and the negation of its smallest are exactly equal, all
+    # its entries of largest magnitude share one sign, so the two column
+    # extremes decide without an |U| temporary. A tie needs the position of
+    # the first largest-magnitude entry, so only tied columns are searched.
+    top, neg = u.max(axis=0), -u.min(axis=0)
+    flip = neg > top
+    tied = np.flatnonzero(neg == top)
+    if tied.size:
+        cols = u[:, tied]
+        flip[tied] = cols[np.argmax(np.abs(cols), axis=0), np.arange(tied.size)] < 0
+    # multiplying by +-1.0 is exact, and in place it needs no full-size copy
+    sign = np.where(flip, -1.0, 1.0)
+    u *= sign
+    vt *= sign[:, None]
     return SvdFactors(u=u, sigma=sigma, vt=vt)
 
 
@@ -82,7 +96,10 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
 
 
 def reconstruct(factors: SvdFactors, indices=None) -> np.ndarray:
-    """Sum of components ``u_i sigma_i v_i^T``; all of them when ``indices`` is None."""
+    """Sum of components ``u_i sigma_i v_i^T``; all of them when ``indices`` is None.
+
+    The result is always a new array, which the caller may overwrite.
+    """
     if indices is None:
         return (factors.u * factors.sigma) @ factors.vt
     idx = as_component_indices(indices, factors.k)

@@ -125,8 +125,11 @@ class AdaptedLayer:
 
 def select_rank(sigma: np.ndarray, cfg: StmConfig) -> int:
     """Entropy-rank-proportional rank budget for spectrum ``sigma``, rounded and clamped."""
-    r = _apply_rule(cfg.alpha * entropy_rank(sigma, cfg.gamma), "round")
-    return max(cfg.min_rank, min(r, cfg.max_rank(len(sigma))))
+    budget = cfg.alpha * entropy_rank(sigma, cfg.gamma)
+    cap = cfg.max_rank(len(sigma))
+    # Clamping before rounding changes no finite budget, since round(x) >= cap
+    # whenever x > cap, and keeps a product that overflows to inf roundable.
+    return max(cfg.min_rank, _apply_rule(min(budget, cap), "round"))
 
 
 def select_directions(factors: SvdFactors, residual: np.ndarray, r: int) -> tuple[int, ...]:
@@ -165,8 +168,11 @@ def initialize_adapter(weight: np.ndarray, factors: SvdFactors, selected,
     ``factors`` must be the decomposition of ``weight``.
     ``B = U[:, sel] sqrt(S[sel])`` and ``A = sqrt(S[sel]) Vt[sel, :]``, with
     ``W0 = W - U[:, sel] S[sel] Vt[sel, :]`` so that ``W0 + B A == W`` up to
-    rounding. Selected components with a zero singular value are legal but
-    useless (their adapter column starts at zero) and trigger a warning.
+    rounding. ``W0`` is computed into the array that :func:`reconstruct`
+    returns, so the split allocates one m x n matrix, not two; ``weight``
+    itself is not modified. Selected components with a zero singular value
+    are legal but useless (their adapter column starts at zero) and trigger
+    a warning.
     """
     w = np.asarray(weight, dtype=np.float64)
     if w.shape != (factors.m, factors.n):
@@ -181,7 +187,8 @@ def initialize_adapter(weight: np.ndarray, factors: SvdFactors, selected,
     sqrt_s = np.sqrt(factors.sigma[idx0])
     b = factors.u[:, idx0] * sqrt_s
     a = sqrt_s[:, None] * factors.vt[idx0, :]
-    w0 = w - reconstruct(factors, plan.selected)
+    w0 = reconstruct(factors, plan.selected)
+    np.subtract(w, w0, out=w0)
     return AdaptedLayer(w0=w0, b=b, a=a, plan=plan, frozen_factors=factors)
 
 

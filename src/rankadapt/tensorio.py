@@ -133,10 +133,13 @@ def staged_bundle(path):
     one filesystem: ``path``, if present, is renamed aside to
     ``.<name>.old-<pid>`` and removed once the staging directory has taken
     its place. A block that raises or a swap that fails leaves ``path`` as
-    it was, and no staging directory. A non-empty ``path`` without a
-    manifest raises ``ValidationError`` at once, so no user file is replaced.
+    it was, and no staging directory. A ``path`` that is not a directory, or
+    a non-empty one without a manifest, raises ``ValidationError`` at once,
+    so no user file is replaced.
     """
     root = Path(path).resolve()
+    if root.exists() and not root.is_dir():
+        raise ValidationError(f"{root} is not a directory; not replacing it")
     if root.exists() and not (root / MANIFEST_NAME).is_file() and any(root.iterdir()):
         raise ValidationError(f"{root} is not empty and holds no bundle; not replacing it")
     staging = root.with_name(f".{root.name}.staging-{os.getpid()}")

@@ -235,6 +235,25 @@ class TestStmInit:
         assert dir_bytes(out) == {"todo.txt": b"keep me\n"}
         assert sorted(p.name for p in tmp_path.iterdir()) == ["notes", "r", "w"]
 
+    def test_regular_file_output_exits_2_untouched(self, tmp_path, capsys):
+        wdir, rdir = write_pair(tmp_path, {"w": np.eye(3)}, {"w": np.ones((3, 3))})
+        out = tmp_path / "notes.txt"
+        out.write_text("keep me\n")
+        assert main(["stm-init", "--weights", wdir, "--residuals", rdir,
+                     "--alpha", "0.5", "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {out} is not a directory; not replacing it\n"
+        assert out.read_text() == "keep me\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["notes.txt", "r", "w"]
+
+    def test_overflowing_alpha_takes_the_cap(self, tmp_path):
+        rng = np.random.default_rng(8)
+        wdir, rdir = write_pair(tmp_path, {"w": rng.standard_normal((10, 8))},
+                                {"w": 0.1 * rng.standard_normal((10, 8))})
+        out = tmp_path / "o"
+        assert main(["stm-init", "--weights", wdir, "--residuals", rdir,
+                     "--alpha", "1e308", "--output", str(out)]) == 0
+        assert json.loads((out / "w.plan.json").read_text())["r"] == 4  # floor(0.5 * K)
+
     @pytest.mark.parametrize("bundle", ["w", "r"])
     def test_input_bundle_as_output_exits_2(self, tmp_path, capsys, bundle):
         wdir, rdir = write_pair(tmp_path, {"w": np.eye(3)}, {"w": np.ones((3, 3))})
@@ -467,6 +486,16 @@ def test_non_finite_flag_exits_2(tmp_path, capsys, argv):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["r", "w"]
 
 
+@pytest.mark.parametrize("command", ["verify", "train-toy"])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    assert main([command, "--seed", "-1", "--output", str(tmp_path / "x.csv")]
+                if command == "train-toy" else [command, "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: must be a non-negative integer, got -1" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestVerify:
     def test_default_sweep_passes(self):
         assert main(["verify"]) == 0  # default 1000 rank-ordering trials
@@ -513,6 +542,12 @@ class TestTrainToy:
         assert main(args + ["--output", str(out1)]) == 0
         assert main(args + ["--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_overflowing_alpha_exits_0(self, tmp_path):
+        out = tmp_path / "metrics.csv"
+        assert main(["train-toy", "--alpha", "1e308", "--steps", "20",
+                     "--output", str(out)]) == 0
+        assert [row["method"] for row in read_csv(out)] == ["stm", "zero_init_lora"]
 
     def test_divergence_exits_4(self, tmp_path):
         assert main(["train-toy", "--learning-rate", "1e6",

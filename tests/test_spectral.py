@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,62 @@ def test_sign_convention_anchor_positive():
     f = decompose(rand_matrix(5, 12, 7))
     anchors = np.argmax(np.abs(f.u), axis=0)
     assert np.all(f.u[anchors, np.arange(f.k)] > 0)
+
+
+def _documented_factors(w):
+    """np.linalg.svd with the documented sign rule: argmax of |u| positive, first wins."""
+    u, sigma, vt = np.linalg.svd(w, full_matrices=False)
+    anchor = np.argmax(np.abs(u), axis=0)
+    flip = u[anchor, np.arange(u.shape[1])] < 0
+    u[:, flip] *= -1.0
+    vt[flip, :] *= -1.0
+    return u, sigma, vt
+
+
+_HADAMARD_2 = np.array([[1.0, 1.0], [1.0, -1.0]])
+_SIGN_RULE_CASES = {
+    "tall": rand_matrix(51, 40, 12),
+    "wide": rand_matrix(52, 12, 40),
+    "square": rand_matrix(53, 25, 25),
+    "hadamard_2": _HADAMARD_2,
+    "hadamard_4": np.kron(_HADAMARD_2, _HADAMARD_2),
+    "signed_permutation": np.eye(5)[[3, 0, 4, 1, 2]] * [1.0, -2.0, 3.0, -4.0, 5.0],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SIGN_RULE_CASES))
+def test_sign_rule_matches_svd_bit_for_bit(case):
+    w = _SIGN_RULE_CASES[case]
+    f = decompose(w)
+    u, sigma, vt = _documented_factors(w)
+    # bytes, so a zero entry must keep its sign bit too
+    assert f.u.tobytes() == u.tobytes()
+    assert f.sigma.tobytes() == sigma.tobytes()
+    assert f.vt.tobytes() == vt.tobytes()
+
+
+def test_sign_rule_exact_ties_first_occurrence_wins(monkeypatch):
+    # every column but the first has entries +-0.5 only, so its largest
+    # positive and most negative entries tie exactly; the first entry decides
+    h = np.kron(_HADAMARD_2, _HADAMARD_2) / 2.0
+    signs = np.array([1.0, -1.0, 1.0, -1.0])
+    factors = (h * signs, np.array([4.0, 3.0, 2.0, 1.0]), np.eye(4))
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: tuple(x.copy() for x in factors))
+    f = decompose(np.eye(4))
+    assert np.array_equal(f.u, h)
+    assert np.array_equal(f.vt, np.diag(signs))
+
+
+@pytest.mark.parametrize("shape", [(600, 200), (200, 600), (300, 300)])
+def test_decompose_allocates_little_beyond_its_factors(shape):
+    w = rand_matrix(59, *shape)
+    tracemalloc.start()
+    try:
+        f = decompose(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * (f.u.nbytes + f.sigma.nbytes + f.vt.nbytes)
 
 
 def test_decomposition_deterministic():

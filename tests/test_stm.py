@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,11 @@ def cfg(alpha=1.0, **kw):
 class TestSelectRank:
     def test_identity_half(self):
         assert select_rank(decompose(np.eye(8)).sigma, cfg(alpha=0.5)) == 4
+
+    def test_overflowing_budget_takes_the_cap(self):
+        sigma = decompose(rand_matrix(0, 16, 12)).sigma
+        assert select_rank(sigma, cfg(alpha=1e308)) == 6
+        assert select_rank(sigma, cfg(alpha=1e308, max_rank_fraction=1.0)) == 12
 
     def test_rank_one_clamps_to_min(self):
         w = np.zeros((8, 8))
@@ -131,6 +137,30 @@ class TestInitializeAdapter:
         w = np.diag([2.0, 0.0])
         with pytest.warns(UserWarning):
             initialize_adapter(w, decompose(w), {2}, cfg())
+
+    @pytest.mark.parametrize("shape", [(600, 200), (200, 600), (300, 300)])
+    def test_allocates_one_full_size_matrix(self, shape):
+        w = rand_matrix(5, *shape)
+        f = decompose(w)
+        selected = range(1, f.k + 1, 10)
+        tracemalloc.start()
+        try:
+            layer = initialize_adapter(w, f, selected, cfg())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (layer.w0.nbytes + layer.b.nbytes + layer.a.nbytes)
+
+    @pytest.mark.parametrize("selected", [(), (1, 3, 4)])
+    def test_weight_not_modified(self, selected):
+        w = rand_matrix(6, 9, 7)
+        before = w.tobytes()
+        layer = initialize_adapter(w, decompose(w), selected, cfg())
+        assert w.tobytes() == before
+        assert layer.w0.flags.c_contiguous and not np.shares_memory(layer.w0, w)
+        layer = adapt_layer(w, 0.1 * rand_matrix(7, 9, 7), cfg(0.5))
+        assert w.tobytes() == before
+        assert layer.w0.flags.c_contiguous and not np.shares_memory(layer.w0, w)
 
     @pytest.mark.parametrize("other", [(6, 5), (5, 7), (4, 6)])
     def test_factors_of_another_shape_rejected(self, other):
