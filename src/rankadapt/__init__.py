@@ -55,7 +55,6 @@ from .stm import (
 )
 from .tensorio import (
     BundleEntry,
-    MatrixBundle,
     Report,
     read_bundle,
     read_entries,
@@ -73,7 +72,6 @@ __all__ = [
     "Camera",
     "DepthMap",
     "LossWeights",
-    "MatrixBundle",
     "PlantedDirections",
     "Pose",
     "ProxyTask",

@@ -446,7 +446,7 @@ def main(argv=None) -> int:
     except (BundleNotFoundError, BundleCorruptionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValidationError, KeyError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except TrainingDivergedError as exc:

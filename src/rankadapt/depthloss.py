@@ -13,7 +13,8 @@ pose, reprojects into the source view and samples bilinearly with zero
 padding plus an explicit in-bounds mask.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,8 +41,9 @@ class DepthMap:
             self.valid_mask = np.asarray(self.valid_mask, dtype=bool)
         if self.valid_mask.shape != self.depth.shape:
             raise ValidationError("valid_mask shape must match depth")
-        if np.any(self.depth[self.valid_mask] <= 0):
-            raise ValidationError("depth must be positive wherever valid")
+        valid = self.depth[self.valid_mask]
+        if not np.all((valid > 0) & (valid < np.inf)):  # NaN fails both
+            raise ValidationError("depth must be positive and finite wherever valid")
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,8 @@ class Camera:
     cy: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.fx, self.fy, self.cx, self.cy)):
+            raise ValidationError("intrinsics must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise ValidationError("focal lengths must be positive")
 
@@ -70,6 +74,8 @@ class Pose:
         self.translation = np.asarray(self.translation, dtype=np.float64).reshape(3)
         if self.rotation.shape != (3, 3):
             raise ValidationError("rotation must be 3x3")
+        if not (np.all(np.isfinite(self.rotation)) and np.all(np.isfinite(self.translation))):
+            raise ValidationError("pose contains non-finite values")
         err = np.max(np.abs(self.rotation.T @ self.rotation - np.eye(3)))
         if err > 1e-9:
             raise ValidationError(f"rotation is not orthonormal (deviation {err:.2e})")
@@ -96,8 +102,8 @@ class LossWeights:
         if not 0.0 <= self.ssim_weight <= 1.0:
             raise ValidationError("ssim_weight must lie in [0, 1]")
         for name in ("smooth_weight", "gt_weight", "pseudo_weight", "reg_weight"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be non-negative")
+            if not 0.0 <= getattr(self, name) < math.inf:  # NaN fails too
+                raise ValidationError(f"{name} must be non-negative and finite")
 
 
 def _checked_image(img, name="image") -> np.ndarray:
@@ -277,37 +283,48 @@ def pseudo_loss(pred: DepthMap, pseudo: DepthMap) -> float:
     return float(np.mean(np.abs(normalize(pred.depth[mask]) - normalize(pseudo.depth[mask]))))
 
 
-def pack_image(bundle, name: str, image) -> None:
-    """Store an image as one H x W bundle entry per channel (``name.c<k>``).
+def _pack(bundle: dict, entries: dict) -> None:
+    taken = sorted(bundle.keys() & entries.keys())
+    if taken:
+        raise ValidationError(f"duplicate entry name {taken[0]!r}")
+    bundle.update(entries)
 
-    The manifest stays the single source of truth for shapes; the channel
-    count is recoverable from the entry names.
+
+def pack_image(bundle: dict, name: str, image) -> None:
+    """Store an image in the ``{name: matrix}`` dict ``bundle``, one H x W entry per channel.
+
+    The entries are ``name.c0``, ``name.c1``, ...; the manifest stays the
+    single source of truth for shapes, and the channel count is recoverable
+    from the entry names. A name ``bundle`` already holds raises
+    ``ValidationError`` and adds no entry; entry names are checked when the
+    bundle is written.
     """
     image = _checked_image(image, name)
-    for c in range(image.shape[2]):
-        bundle.add(f"{name}.c{c}", image[:, :, c])
+    _pack(bundle, {f"{name}.c{c}": image[:, :, c] for c in range(image.shape[2])})
 
 
-def unpack_image(bundle, name: str) -> np.ndarray:
-    """Reassemble an image stored by :func:`pack_image`."""
+def unpack_image(bundle: dict, name: str) -> np.ndarray:
+    """Reassemble, as float64, an image stored by :func:`pack_image`."""
     channels = []
-    while f"{name}.c{len(channels)}" in bundle.entries:
-        channels.append(bundle.matrix(f"{name}.c{len(channels)}"))
+    while f"{name}.c{len(channels)}" in bundle:
+        channels.append(bundle[f"{name}.c{len(channels)}"])
     if not channels:
         raise ValidationError(f"bundle has no image channels named {name}.c*")
-    return np.stack(channels, axis=2)
+    return np.stack(channels, axis=2).astype(np.float64, copy=False)
 
 
-def pack_depth(bundle, name: str, depth: DepthMap) -> None:
-    """Store a depth map as ``name.depth`` plus a 0/1 ``name.mask`` entry."""
-    bundle.add(f"{name}.depth", depth.depth)
-    bundle.add(f"{name}.mask", depth.valid_mask.astype(np.float64))
+def pack_depth(bundle: dict, name: str, depth: DepthMap) -> None:
+    """Store a depth map in ``bundle`` as ``name.depth`` plus a 0/1 ``name.mask`` entry.
+
+    A name ``bundle`` already holds raises ``ValidationError`` and adds no entry.
+    """
+    _pack(bundle, {f"{name}.depth": depth.depth,
+                   f"{name}.mask": depth.valid_mask.astype(np.float64)})
 
 
-def unpack_depth(bundle, name: str) -> DepthMap:
-    depth = bundle.matrix(f"{name}.depth")
-    mask = bundle.matrix(f"{name}.mask") != 0.0
-    return DepthMap(depth, mask)
+def unpack_depth(bundle: dict, name: str) -> DepthMap:
+    """The depth map stored by :func:`pack_depth`; a missing entry raises ``KeyError``."""
+    return DepthMap(bundle[f"{name}.depth"], bundle[f"{name}.mask"] != 0.0)
 
 
 def compose_ssl(pe: float, smooth: float, reg: float, w: LossWeights) -> float:

@@ -169,15 +169,15 @@ def initialize_adapter(weight: np.ndarray, factors: SvdFactors, selected,
     ``B = U[:, sel] sqrt(S[sel])`` and ``A = sqrt(S[sel]) Vt[sel, :]``, with
     ``W0 = W - U[:, sel] S[sel] Vt[sel, :]`` so that ``W0 + B A == W`` up to
     rounding. ``W0`` is computed into the array that :func:`reconstruct`
-    returns, so the split allocates one m x n matrix, not two; ``weight``
+    returns, straight from ``weight``'s own dtype, so the split allocates
+    one m x n matrix, not two, also for a ``float32`` weight; ``weight``
     itself is not modified. Selected components with a zero singular value
     are legal but useless (their adapter column starts at zero) and trigger
     a warning.
     """
-    w = np.asarray(weight, dtype=np.float64)
-    if w.shape != (factors.m, factors.n):
+    if np.shape(weight) != (factors.m, factors.n):
         raise ValidationError(
-            f"weight shape {w.shape} does not match factors ({factors.m}, {factors.n})"
+            f"weight shape {np.shape(weight)} does not match factors ({factors.m}, {factors.n})"
         )
     plan = make_plan(factors, selected, cfg)
     idx0 = np.asarray(plan.selected, dtype=int) - 1
@@ -188,20 +188,19 @@ def initialize_adapter(weight: np.ndarray, factors: SvdFactors, selected,
     b = factors.u[:, idx0] * sqrt_s
     a = sqrt_s[:, None] * factors.vt[idx0, :]
     w0 = reconstruct(factors, plan.selected)
-    np.subtract(w, w0, out=w0)
+    np.subtract(weight, w0, out=w0)  # widening float32 to float64 is exact
     return AdaptedLayer(w0=w0, b=b, a=a, plan=plan, frozen_factors=factors)
 
 
 def adapt_layer(weight: np.ndarray, residual: np.ndarray, cfg: StmConfig) -> AdaptedLayer:
     """Analyze, select and initialize one layer from a single decomposition.
 
-    ``weight`` is widened and decomposed once, and those factors feed the
-    rank budget, the direction selection, the plan and the split.
+    ``weight`` is decomposed once, and those factors feed the rank budget,
+    the direction selection, the plan and the split.
     """
-    w = np.asarray(weight, dtype=np.float64)
-    factors = decompose(w)
+    factors = decompose(weight)
     selected = select_directions(factors, residual, select_rank(factors.sigma, cfg))
-    return initialize_adapter(w, factors, selected, cfg)
+    return initialize_adapter(weight, factors, selected, cfg)
 
 
 def protected_terms(layer: AdaptedLayer) -> tuple[np.ndarray, np.ndarray]:

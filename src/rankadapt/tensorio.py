@@ -7,10 +7,11 @@ with no embedded shape metadata; the manifest is the single source of
 truth. Supported dtypes are ``f32`` and ``f64``. Round trips are bit-exact,
 including the stored dtype. :func:`read_entries` is the one validator of a
 manifest; each :class:`BundleEntry` it returns holds no open file, and its
-:meth:`~BundleEntry.load` maps the payload as stored. Widening of ``f32``
-payloads to the library's ``float64`` compute precision happens in
-:meth:`MatrixBundle.matrix` and in the numerical functions that receive a
-matrix, so a caller that reads an entry decides when its widened copy exists.
+:meth:`~BundleEntry.load` maps the payload as stored. In memory a bundle
+is a plain ``{name: matrix}`` dict. Widening of ``f32`` payloads to the
+library's ``float64`` compute precision happens in the numerical functions
+that receive a matrix, so a caller that reads an entry decides when its
+widened copy exists.
 
 A bundle is written whole into the fresh directory of :func:`staged_bundle`,
 which then replaces the old bundle by rename, so the old one stays intact
@@ -31,7 +32,7 @@ import os
 import re
 import shutil
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -57,46 +58,22 @@ def _dtype_code(dtype: np.dtype) -> str:
     raise UnsupportedFormatError(f"unsupported matrix dtype {dtype}")
 
 
-def _check_name(name, taken) -> None:
+def _check_name(name, taken=()) -> None:
     if not isinstance(name, str) or not _NAME_PATTERN.match(name):
         raise ValidationError(f"invalid entry name {name!r}")
     if name in taken:
         raise ValidationError(f"duplicate entry name {name!r}")
 
 
-def _as_entry(name, matrix, taken=()) -> np.ndarray:
+def _as_entry(name, matrix) -> np.ndarray:
     """``matrix`` as a storable entry named ``name``; non-float input becomes float64."""
-    _check_name(name, taken)
+    _check_name(name)
     arr = np.asarray(matrix)
     if arr.ndim != 2 or arr.size == 0:
         raise ValidationError(f"entry {name!r} must be a non-empty 2-D matrix")
     if arr.dtype not in (np.float32, np.float64):
         arr = arr.astype(np.float64)
     return arr
-
-
-@dataclass
-class MatrixBundle:
-    """Ordered collection of uniquely named 2-D float matrices."""
-
-    entries: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def add(self, name: str, matrix: np.ndarray) -> None:
-        """Add a matrix under ``name``. Non-float input is cast to float64."""
-        self.entries[name] = _as_entry(name, matrix, self.entries)
-
-    def matrix(self, name: str) -> np.ndarray:
-        """Return entry ``name`` widened to float64 for computation.
-
-        A float64 entry of a bundle from :func:`read_bundle` comes back as
-        a read-only view of its memory map.
-        """
-        if name not in self.entries:
-            raise KeyError(name)
-        return np.asarray(self.entries[name], dtype=np.float64)
-
-    def names(self) -> list[str]:
-        return list(self.entries)
 
 
 def write_entry(path, name: str, matrix: np.ndarray) -> dict:
@@ -161,15 +138,16 @@ def staged_bundle(path):
         shutil.rmtree(staging, ignore_errors=True)
 
 
-def write_bundle(path, bundle: MatrixBundle) -> None:
-    """Write ``bundle`` to directory ``path`` through :func:`staged_bundle`.
+def write_bundle(path, matrices) -> None:
+    """Write the mapping ``matrices`` of name to matrix to directory ``path``.
 
-    A write that fails leaves the old bundle, if any, as it was; open
-    :func:`read_bundle` results keep their values either way.
+    Entries are written in the mapping's order through :func:`staged_bundle`
+    and :func:`write_entry`, so a bad name or matrix raises before anything
+    replaces ``path``. A write that fails leaves the old bundle, if any, as
+    it was; open :func:`read_bundle` results keep their values either way.
     """
     with staged_bundle(path) as root:
-        write_manifest(root, [write_entry(root, name, arr)
-                              for name, arr in bundle.entries.items()])
+        write_manifest(root, [write_entry(root, name, arr) for name, arr in matrices.items()])
 
 
 def _read_manifest(root: Path) -> list:
@@ -257,20 +235,18 @@ def read_entries(path) -> dict[str, BundleEntry]:
     return entries
 
 
-def read_bundle(path) -> MatrixBundle:
+def read_bundle(path) -> dict[str, np.memmap]:
     """Read a bundle directory written by :func:`write_bundle`.
 
-    Every entry is validated by :func:`read_entries` and memory-mapped
-    read-only: pages are read when a matrix is used. Each map holds one file
-    descriptor open until the bundle is dropped, so the bundle keeps its
-    values if the directory is rewritten meanwhile; a bundle with more
-    entries than the process may open files is read one
+    Returns ``{name: matrix}`` in manifest order. Every entry is validated
+    by :func:`read_entries` and memory-mapped read-only as stored, so an
+    ``f32`` entry stays float32; pages are read when a matrix is used. Each
+    map holds one file descriptor open until it is dropped, so the matrices
+    keep their values if the directory is rewritten meanwhile; a bundle with
+    more entries than the process may open files is read one
     :meth:`BundleEntry.load` at a time instead.
     """
-    bundle = MatrixBundle()
-    for name, entry in read_entries(path).items():
-        bundle.add(name, entry.load())
-    return bundle
+    return {name: entry.load() for name, entry in read_entries(path).items()}
 
 
 REPORT_KINDS = ("spectra", "ranks", "projections", "metrics")

@@ -41,7 +41,7 @@ from rankadapt.depthloss import (
     photometric_error,
     warp,
 )
-from rankadapt.tensorio import MatrixBundle, write_bundle
+from rankadapt.tensorio import write_bundle
 
 
 def _report(num: int, text: str) -> None:
@@ -249,12 +249,10 @@ def test_criterion_10_supervised_composition():
 
 def test_criterion_11_cli_determinism(tmp_path):
     rng = np.random.default_rng(20240111)
-    weights = MatrixBundle()
-    residuals = MatrixBundle()
+    weights, residuals = {}, {}
     for i in range(3):
-        w = rng.standard_normal((12, 9))
-        weights.add(f"layer{i}", w)
-        residuals.add(f"layer{i}", 0.1 * rng.standard_normal((12, 9)))
+        weights[f"layer{i}"] = rng.standard_normal((12, 9))
+        residuals[f"layer{i}"] = 0.1 * rng.standard_normal((12, 9))
     write_bundle(tmp_path / "w", weights)
     write_bundle(tmp_path / "r", residuals)
 

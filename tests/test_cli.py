@@ -16,7 +16,6 @@ from rankadapt.harness import make_synthetic_model
 from rankadapt.stm import StmConfig, StmPlan
 from rankadapt.tensorio import (
     BundleEntry,
-    MatrixBundle,
     read_bundle,
     read_entries,
     write_bundle,
@@ -28,13 +27,8 @@ from conftest import COMMIT_FAILURES, break_commit, count_svd_calls
 
 def write_pair(tmp_path, names_weights, names_residuals=None):
     wdir, rdir = tmp_path / "w", tmp_path / "r"
-    wb, rb = MatrixBundle(), MatrixBundle()
-    for name, mat in names_weights.items():
-        wb.add(name, mat)
-    for name, mat in (names_residuals or {}).items():
-        rb.add(name, mat)
-    write_bundle(wdir, wb)
-    write_bundle(rdir, rb)
+    write_bundle(wdir, names_weights)
+    write_bundle(rdir, names_residuals or {})
     return str(wdir), str(rdir)
 
 
@@ -143,9 +137,7 @@ class TestStmInit:
         assert plan["r"] == 2
         assert plan["selected"] == [2, 3]
         bundle = read_bundle(out)
-        w0 = bundle.matrix("layer.W0")
-        b = bundle.matrix("layer.B")
-        a = bundle.matrix("layer.A")
+        w0, b, a = bundle["layer.W0"], bundle["layer.B"], bundle["layer.A"]
         assert np.allclose(w0 + b @ a, w, atol=1e-10)
 
     def test_rerun_byte_identical(self, tmp_path):
@@ -168,8 +160,7 @@ class TestStmInit:
                      "--alpha", "0.4", "--output", str(out)]) == 0
         printed = int(capsys.readouterr().out.split("trainable parameters:")[1].split()[0])
         bundle = read_bundle(out)
-        total = sum(bundle.matrix(f"{n}.B").size + bundle.matrix(f"{n}.A").size
-                    for n in weights)
+        total = sum(bundle[f"{n}.B"].size + bundle[f"{n}.A"].size for n in weights)
         assert printed == total
 
     def test_non_finite_residual_exits_2(self, tmp_path):
@@ -220,7 +211,7 @@ class TestStmInit:
                          "--alpha", "0.5", "--output", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == [
             "a.A.bin", "a.B.bin", "a.W0.bin", "a.plan.json", "manifest.json"]
-        assert read_bundle(out).names() == ["a.W0", "a.B", "a.A"]
+        assert list(read_bundle(out)) == ["a.W0", "a.B", "a.A"]
         # the replaced bundle and the staging directory are gone too
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "a-b", "out"]
 
@@ -327,8 +318,8 @@ class TestSvdBudget:
         write_manifest(job_dir, records)
         job = read_bundle(job_dir)
         for name in self.SHAPES:
-            b, a = job.matrix(f"{name}.B"), job.matrix(f"{name}.A")
-            assert np.allclose(b @ a, written.matrix(f"{name}.B") @ written.matrix(f"{name}.A"))
+            b, a = job[f"{name}.B"], job[f"{name}.A"]
+            assert np.allclose(b @ a, written[f"{name}.B"] @ written[f"{name}.A"])
 
     def test_stm_init_job_returns_no_matrix(self, tmp_path):
         _, _, w, r = self.entries(tmp_path)
@@ -494,6 +485,16 @@ def test_negative_seed_exits_2(tmp_path, capsys, command):
     assert "argument --seed: must be a non-negative integer, got -1" in err
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_key_error_is_not_exit_2(monkeypatch):
+    # exit 2 is for validation; no package code raises KeyError on purpose
+    def broken_command(args):
+        raise KeyError("layer.W0")
+
+    monkeypatch.setattr(cli, "cmd_verify", broken_command)
+    with pytest.raises(KeyError):
+        main(["verify"])
 
 
 class TestVerify:

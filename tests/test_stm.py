@@ -26,6 +26,13 @@ def cfg(alpha=1.0, **kw):
     return StmConfig(alpha=alpha, **kw)
 
 
+def float64_then_float32(argname, values):
+    """``(value, dtype)`` cases: float64 under pytest's usual ids, then float32."""
+    return [pytest.param(value, dtype, id=f"{prefix}{argname}{i}")
+            for dtype, prefix in ((np.float64, ""), (np.float32, "float32-"))
+            for i, value in enumerate(values)]
+
+
 class TestSelectRank:
     def test_identity_half(self):
         assert select_rank(decompose(np.eye(8)).sigma, cfg(alpha=0.5)) == 4
@@ -138,9 +145,10 @@ class TestInitializeAdapter:
         with pytest.warns(UserWarning):
             initialize_adapter(w, decompose(w), {2}, cfg())
 
-    @pytest.mark.parametrize("shape", [(600, 200), (200, 600), (300, 300)])
-    def test_allocates_one_full_size_matrix(self, shape):
-        w = rand_matrix(5, *shape)
+    @pytest.mark.parametrize("shape, dtype", float64_then_float32(
+        "shape", [(600, 200), (200, 600), (300, 300)]))
+    def test_allocates_one_full_size_matrix(self, shape, dtype):
+        w = rand_matrix(5, *shape).astype(dtype)
         f = decompose(w)
         selected = range(1, f.k + 1, 10)
         tracemalloc.start()
@@ -150,10 +158,14 @@ class TestInitializeAdapter:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * (layer.w0.nbytes + layer.b.nbytes + layer.a.nbytes)
+        # W0 comes out as if the weight had been widened first
+        widened = initialize_adapter(w.astype(np.float64), f, selected, cfg())
+        assert layer.w0.tobytes() == widened.w0.tobytes()
 
-    @pytest.mark.parametrize("selected", [(), (1, 3, 4)])
-    def test_weight_not_modified(self, selected):
-        w = rand_matrix(6, 9, 7)
+    @pytest.mark.parametrize("selected, dtype", float64_then_float32(
+        "selected", [(), (1, 3, 4)]))
+    def test_weight_not_modified(self, selected, dtype):
+        w = rand_matrix(6, 9, 7).astype(dtype)
         before = w.tobytes()
         layer = initialize_adapter(w, decompose(w), selected, cfg())
         assert w.tobytes() == before

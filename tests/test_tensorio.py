@@ -14,7 +14,6 @@ from rankadapt.errors import (
     ValidationError,
 )
 from rankadapt.tensorio import (
-    MatrixBundle,
     Report,
     read_bundle,
     read_entries,
@@ -25,9 +24,7 @@ from conftest import COMMIT_FAILURES, break_commit
 
 
 def test_zero_matrix_layout(tmp_path):
-    bundle = MatrixBundle()
-    bundle.add("zero", np.zeros((1, 1)))
-    write_bundle(tmp_path, bundle)
+    write_bundle(tmp_path, {"zero": np.zeros((1, 1))})
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest == [
         {"name": "zero", "rows": 1, "cols": 1, "dtype": "f64", "data": "zero.bin"}
@@ -36,42 +33,38 @@ def test_zero_matrix_layout(tmp_path):
 
 
 def test_payload_is_exactly_rows_cols_itemsize(tmp_path):
-    bundle = MatrixBundle()
-    bundle.add("m", np.arange(6, dtype=np.float64).reshape(2, 3))
-    write_bundle(tmp_path, bundle)
+    write_bundle(tmp_path, {"m": np.arange(6, dtype=np.float64).reshape(2, 3)})
     assert (tmp_path / "m.bin").stat().st_size == 48
 
 
 def test_round_trip_bit_exact(tmp_path):
-    bundle = MatrixBundle()
-    bundle.add("w", np.random.default_rng(7).standard_normal((64, 64)))
+    bundle = {"w": np.random.default_rng(7).standard_normal((64, 64))}
     write_bundle(tmp_path, bundle)
     back = read_bundle(tmp_path)
-    assert back.names() == ["w"]
-    assert back.entries["w"].dtype == np.float64
-    assert np.array_equal(back.entries["w"], bundle.entries["w"])
+    assert type(back) is dict
+    assert list(back) == ["w"]
+    assert back["w"].dtype == np.float64
+    assert not back["w"].flags.writeable
+    assert np.array_equal(back["w"], bundle["w"])
 
 
 def test_round_trip_preserves_f32(tmp_path):
-    bundle = MatrixBundle()
-    bundle.add("small", np.random.default_rng(8).standard_normal((5, 4)).astype(np.float32))
+    bundle = {"small": np.random.default_rng(8).standard_normal((5, 4)).astype(np.float32)}
     write_bundle(tmp_path, bundle)
     back = read_bundle(tmp_path)
-    assert back.entries["small"].dtype == np.float32
-    assert np.array_equal(back.entries["small"], bundle.entries["small"])
-    # compute accessor widens, values unchanged (f32 embeds exactly in f64)
-    widened = back.matrix("small")
+    assert back["small"].dtype == np.float32
+    assert np.array_equal(back["small"], bundle["small"])
+    # widening leaves the values unchanged (f32 embeds exactly in f64)
+    widened = np.asarray(back["small"], dtype=np.float64)
     assert widened.dtype == np.float64
-    assert np.array_equal(widened.astype(np.float32), bundle.entries["small"])
+    assert np.array_equal(widened.astype(np.float32), bundle["small"])
 
 
-def test_duplicate_and_bad_names():
-    bundle = MatrixBundle()
-    bundle.add("w", np.ones((2, 2)))
-    with pytest.raises(ValidationError):
-        bundle.add("w", np.ones((2, 2)))
-    with pytest.raises(ValidationError):
-        bundle.add("../escape", np.ones((2, 2)))
+def test_bad_name_writes_nothing(tmp_path):
+    path = tmp_path / "bundle"
+    with pytest.raises(ValidationError, match="invalid entry name"):
+        write_bundle(path, {"w": np.ones((2, 2)), "../escape": np.ones((2, 2))})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_manifest(tmp_path):
@@ -143,20 +136,15 @@ def test_duplicate_manifest_name_rejected(tmp_path):
 
 def test_rewrite_leaves_open_bundle_unchanged(tmp_path):
     old_values = {"a": np.arange(12.0).reshape(3, 4), "b": np.ones((2, 2), dtype=np.float32)}
-    bundle = MatrixBundle()
-    for name, value in old_values.items():
-        bundle.add(name, value)
-    write_bundle(tmp_path, bundle)
+    write_bundle(tmp_path, old_values)
     old = read_bundle(tmp_path)
 
-    rewrite = MatrixBundle()
-    rewrite.add("a", -2.0 * old_values["a"])
-    write_bundle(tmp_path, rewrite)
+    write_bundle(tmp_path, {"a": -2.0 * old_values["a"]})
 
     for name, value in old_values.items():
-        assert np.array_equal(old.matrix(name), value)
-    assert read_bundle(tmp_path).names() == ["a"]
-    assert np.array_equal(read_bundle(tmp_path).matrix("a"), -2.0 * old_values["a"])
+        assert np.array_equal(old[name], value)
+    assert list(read_bundle(tmp_path)) == ["a"]
+    assert np.array_equal(read_bundle(tmp_path)["a"], -2.0 * old_values["a"])
     # no payload of the old bundle outlives the rewrite
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin", "manifest.json"]
 
@@ -164,39 +152,29 @@ def test_rewrite_leaves_open_bundle_unchanged(tmp_path):
 @pytest.mark.parametrize("failure", COMMIT_FAILURES)
 def test_failed_rewrite_keeps_old_bundle(tmp_path, monkeypatch, failure):
     path = tmp_path / "bundle"
-    old = MatrixBundle()
-    old.add("a", np.ones((2, 2)))
-    write_bundle(path, old)
+    write_bundle(path, {"a": np.ones((2, 2))})
     break_commit(monkeypatch, failure, "rankadapt.tensorio")
-    new = MatrixBundle()
-    new.add("a", np.zeros((2, 2)))
-    new.add("b", np.zeros((2, 2)))
     with pytest.raises(OSError, match="disk full"):
-        write_bundle(path, new)
+        write_bundle(path, {"a": np.zeros((2, 2)), "b": np.zeros((2, 2))})
     monkeypatch.undo()
     back = read_bundle(path)
-    assert back.names() == ["a"]
-    assert np.array_equal(back.matrix("a"), np.ones((2, 2)))
+    assert list(back) == ["a"]
+    assert np.array_equal(back["a"], np.ones((2, 2)))
     assert sorted(p.name for p in path.iterdir()) == ["a.bin", "manifest.json"]
     assert [p.name for p in tmp_path.iterdir()] == ["bundle"]
 
 
 def test_non_bundle_directory_is_not_replaced(tmp_path):
     (tmp_path / "notes.txt").write_text("keep me")
-    bundle = MatrixBundle()
-    bundle.add("a", np.ones((2, 2)))
     with pytest.raises(ValidationError, match="holds no bundle"):
-        write_bundle(tmp_path, bundle)
+        write_bundle(tmp_path, {"a": np.ones((2, 2))})
     assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
     assert not list(tmp_path.parent.glob(f".{tmp_path.name}.*"))
 
 
 def test_entry_load_maps_one_entry(tmp_path):
-    bundle = MatrixBundle()
-    bundle.add("keep", np.arange(6, dtype=np.float32).reshape(2, 3))
-    bundle.add("gone", np.ones((2, 2)))
-    bundle.add("cut", np.ones((2, 2)))
-    write_bundle(tmp_path, bundle)
+    write_bundle(tmp_path, {"keep": np.arange(6, dtype=np.float32).reshape(2, 3),
+                            "gone": np.ones((2, 2)), "cut": np.ones((2, 2))})
     entries = read_entries(tmp_path)
     assert {name: e.shape for name, e in entries.items()} == {
         "keep": (2, 3), "gone": (2, 2), "cut": (2, 2)}
