@@ -30,6 +30,7 @@ from .depthloss import (
     warp,
 )
 from .eranks import RankReport, entropy_rank, rank_report, stable_rank
+from .errors import RankadaptError
 from .harness import (
     PlantedDirections,
     ProxyTask,
@@ -76,6 +77,7 @@ __all__ = [
     "Pose",
     "ProxyTask",
     "RankReport",
+    "RankadaptError",
     "Report",
     "StmConfig",
     "StmPlan",

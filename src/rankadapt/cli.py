@@ -7,14 +7,14 @@ adaptation experiment against a baseline). ``spectra`` and ``stm-init``
 analyze the layers in worker processes, one per usable core, each with one
 BLAS thread; their outputs do not depend on the BLAS thread settings. A
 worker gets its layer's validated bundle entries, maps only that layer and,
-for ``stm-init``, writes that layer's adapter payloads itself into a
-:func:`~rankadapt.tensorio.staged_bundle` directory, so no process holds
-more than one layer. The CLI process adds the plan files and the manifest
-there; that directory replaces the output only once every layer has
-succeeded.
+for ``stm-init``, writes that layer's adapter payloads and plan file itself
+into a :func:`~rankadapt.tensorio.staged_bundle` directory, so no process
+holds more than one layer. The CLI process adds the manifest there; that
+directory replaces the output only once every layer has succeeded.
 
-Exit codes are a stable contract: 0 success, 1 I/O, 2 validation,
-3 property failure, 4 training divergence.
+Exit codes are a stable contract: 0 on success, else the ``exit_code`` of
+the error that ended the command, from the one table in
+:mod:`rankadapt.errors`.
 """
 
 import argparse
@@ -22,25 +22,25 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
+from pathlib import Path
 
 import numpy as np
 
 from . import harness
-from .adapter import merge
+from .adapter import merge, trainable_param_count
 from .eranks import check_gamma, entropy_rank, stable_rank
 from .errors import (
-    BundleCorruptionError,
-    BundleNotFoundError,
+    EXIT_IO,
+    EXIT_PROPERTY,
+    EXIT_VALIDATION,
     DegenerateSpectrumError,
-    NumericError,
-    TrainingDivergedError,
+    RankadaptError,
     ValidationError,
 )
 from .spectral import decompose, project_residual, singular_values
 from .stm import (
     StmConfig,
-    StmPlan,
     adapt_layer,
     initialize_adapter,
     maintaining_penalty,
@@ -49,10 +49,6 @@ from .stm import (
 from .tensorio import BundleEntry, Report, read_entries, staged_bundle, write_entry, write_manifest
 
 EXIT_OK = 0
-EXIT_IO = 1
-EXIT_VALIDATION = 2
-EXIT_PROPERTY = 3
-EXIT_DIVERGED = 4
 
 # Default synthetic stack for train-toy: a sharp shallow layer and a flat
 # deep layer, each with two planted task directions well above the noise.
@@ -124,8 +120,7 @@ def _map_layers(job, layers: dict, *args) -> list:
         for name in layers:
             try:
                 results.append(futures[name].result())
-            except (ValidationError, NumericError, BundleNotFoundError,
-                    BundleCorruptionError) as exc:
+            except RankadaptError as exc:
                 raise type(exc)(f"{name}: {exc}") from exc
             except BrokenProcessPool as exc:
                 raise OSError(f"a worker process ended abruptly: {exc}") from exc
@@ -157,14 +152,9 @@ def _add_stm_flags(p: argparse.ArgumentParser, require_alpha: bool,
     p.add_argument("--max-rank-fraction", type=float, default=0.5)
 
 
-def _stm_config(args) -> StmConfig:
-    return StmConfig(
-        alpha=args.alpha,
-        gamma=args.gamma,
-        protection_rule=args.protection_rule,
-        min_rank=args.min_rank,
-        max_rank_fraction=args.max_rank_fraction,
-    )
+def _config(cls, args):
+    """Dataclass ``cls`` from the parsed flags named like its fields, which ``cls`` checks."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
 def _load_f64(entry: BundleEntry) -> np.ndarray:
@@ -223,35 +213,33 @@ def cmd_spectra(args) -> int:
 
 
 def stm_init_layer(name: str, weight: BundleEntry, residual: BundleEntry, cfg: StmConfig,
-                   out_dir) -> tuple[list[dict], StmPlan]:
-    """Write the adapter matrices of layer ``name`` into directory ``out_dir``.
+                   out_dir) -> tuple[list[dict], int]:
+    """Write the whole adapter of layer ``name`` into directory ``out_dir``.
 
     The payloads of ``name.W0``, ``name.B`` and ``name.A`` are written with
-    :func:`write_entry`; their manifest records and the layer's plan are
-    returned, and no matrix is.
+    :func:`write_entry`, and the plan, with ``cfg``, as ``name.plan.json``.
+    Returns the payloads' manifest records and the layer's trainable
+    parameter count; no matrix and no plan.
     """
     # the residual stays as stored until the projection, after the SVD
     layer = adapt_layer(_load_f64(weight), residual.load(), cfg)
     records = [write_entry(out_dir, f"{name}.{part}", matrix)
                for part, matrix in (("W0", layer.w0), ("B", layer.b), ("A", layer.a))]
-    return records, layer.plan
+    with open(Path(out_dir) / f"{name}.plan.json", "x", encoding="utf-8") as fh:
+        json.dump({"name": name, **layer.plan.to_dict(), "config": asdict(cfg)}, fh, indent=2)
+        fh.write("\n")
+    return records, trainable_param_count([layer])
 
 
 def cmd_stm_init(args) -> int:
     layers = _layer_entries(args.weights, args.residuals)
-    cfg = _stm_config(args)
+    cfg = _config(StmConfig, args)
     if os.path.realpath(args.output) in map(os.path.realpath, (args.weights, args.residuals)):
         raise ValidationError("--output must not be the weight or residual bundle")
     with staged_bundle(args.output) as out:
         results = _map_layers(stm_init_layer, layers, cfg, out)
-        config = asdict(cfg)
-        for name, (_, plan) in zip(layers, results):
-            with open(out / f"{name}.plan.json", "w", encoding="utf-8") as fh:
-                json.dump({"name": name, **plan.to_dict(), "config": config}, fh, indent=2)
-                fh.write("\n")
         write_manifest(out, [record for records, _ in results for record in records])
-    trainable = sum(plan.r * sum(layers[n][0].shape) for n, (_, plan) in zip(layers, results))
-    print(f"trainable parameters: {trainable}")
+    print(f"trainable parameters: {sum(count for _, count in results)}")
     return EXIT_OK
 
 
@@ -313,21 +301,14 @@ def _verify_zero_penalty(seed: int, count: int):
 
 def _verify_penalty_gradient(seed: int, count: int):
     rng = np.random.default_rng(seed)
-    for t, _, layer in _sweep_layers(seed + 1, count):
-        layer.b = layer.b + 0.2 * rng.standard_normal(layer.b.shape)
-        layer.a = layer.a + 0.2 * rng.standard_normal(layer.a.shape)
+    for t, _, init in _sweep_layers(seed + 1, count):
+        layer = replace(init, b=init.b + 0.2 * rng.standard_normal(init.b.shape),
+                        a=init.a + 0.2 * rng.standard_normal(init.a.shape))
         grad_b, grad_a = maintaining_penalty_grad(layer)
-
-        def penalty_of(b=None, a=None):
-            saved_b, saved_a = layer.b, layer.a
-            layer.b = saved_b if b is None else b
-            layer.a = saved_a if a is None else a
-            value = maintaining_penalty([layer])
-            layer.b, layer.a = saved_b, saved_a
-            return value
-
-        err_b = harness.finite_difference_check(lambda b: penalty_of(b=b), layer.b, grad_b)
-        err_a = harness.finite_difference_check(lambda a: penalty_of(a=a), layer.a, grad_a)
+        err_b = harness.finite_difference_check(
+            lambda b: maintaining_penalty([replace(layer, b=b)]), layer.b, grad_b)
+        err_a = harness.finite_difference_check(
+            lambda a: maintaining_penalty([replace(layer, a=a)]), layer.a, grad_a)
         if max(err_b, err_a) > 1e-4:
             return ("penalty_gradient", False,
                     f"trial {t} (seed {seed}): max error {max(err_b, err_a):.3e}")
@@ -375,16 +356,8 @@ def cmd_train_toy(args) -> int:
     model = harness.make_synthetic_model(_TOY_LAYERS, seed=args.seed)
     task = harness.make_proxy_task(model, _TOY_PLANTED, n_samples=_TOY_SAMPLES,
                                    noise=_TOY_NOISE, seed=args.seed + 1)
-    stm_cfg = _stm_config(args)
-    train_cfg = harness.TrainConfig(
-        steps=args.steps,
-        learning_rate=args.learning_rate,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        baseline=args.baseline,
-        threshold_fraction=args.threshold_fraction,
-    )
-    report = harness.run_stm_experiment(model, task, stm_cfg, train_cfg,
+    report = harness.run_stm_experiment(model, task, _config(StmConfig, args),
+                                        _config(harness.TrainConfig, args),
                                         reg_weight=args.reg_weight)
     report.write(args.output, args.format)
     print(f"wrote {args.output}")
@@ -443,18 +416,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
     try:
         return args.func(args)
-    except (BundleNotFoundError, BundleCorruptionError, OSError) as exc:
+    except (RankadaptError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except TrainingDivergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROPERTY
+        return getattr(exc, "exit_code", EXIT_IO)
 
 
 if __name__ == "__main__":

@@ -71,9 +71,12 @@ class Pose:
 
     def __post_init__(self):
         self.rotation = np.asarray(self.rotation, dtype=np.float64)
-        self.translation = np.asarray(self.translation, dtype=np.float64).reshape(3)
+        self.translation = np.asarray(self.translation, dtype=np.float64)
         if self.rotation.shape != (3, 3):
             raise ValidationError("rotation must be 3x3")
+        if self.translation.size != 3:
+            raise ValidationError("translation must have 3 entries")
+        self.translation = self.translation.reshape(3)
         if not (np.all(np.isfinite(self.rotation)) and np.all(np.isfinite(self.translation))):
             raise ValidationError("pose contains non-finite values")
         err = np.max(np.abs(self.rotation.T @ self.rotation - np.eye(3)))
@@ -323,7 +326,10 @@ def pack_depth(bundle: dict, name: str, depth: DepthMap) -> None:
 
 
 def unpack_depth(bundle: dict, name: str) -> DepthMap:
-    """The depth map stored by :func:`pack_depth`; a missing entry raises ``KeyError``."""
+    """The depth map stored by :func:`pack_depth`; a missing entry raises ``ValidationError``."""
+    missing = [key for key in (f"{name}.depth", f"{name}.mask") if key not in bundle]
+    if missing:
+        raise ValidationError(f"bundle has no depth map entries {missing}")
     return DepthMap(bundle[f"{name}.depth"], bundle[f"{name}.mask"] != 0.0)
 
 

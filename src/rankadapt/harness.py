@@ -220,7 +220,7 @@ def full_finetune_proxy(model: SyntheticModel, task: ProxyTask,
         for w, g in zip(weights, grads):
             w -= cfg.learning_rate * g
         loss = task_loss(weights, model.activation, task)
-        if loss > 10.0 * max(loss0, 1e-30):
+        if not loss <= 10.0 * max(loss0, 1e-30):  # a NaN loss diverged too
             raise TrainingDivergedError(
                 f"full fine-tune diverged at step {step + 1}: {loss:.3e} vs start {loss0:.3e}"
             )
@@ -306,7 +306,7 @@ def _train_adapters(layers, model, task, train_cfg, reg_weight):
             layer.b -= train_cfg.learning_rate * grad_b
             layer.a -= train_cfg.learning_rate * grad_a
         loss = task_loss([merge(l) for l in layers], model.activation, task)
-        if loss > 10.0 * max(loss0, 1e-30):
+        if not loss <= 10.0 * max(loss0, 1e-30):  # a NaN loss diverged too
             raise TrainingDivergedError(
                 f"adapter training diverged at step {step + 1}: {loss:.3e} vs start {loss0:.3e}"
             )

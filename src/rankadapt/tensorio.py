@@ -51,11 +51,12 @@ _NAME_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.\-]*$")
 
 
 def _dtype_code(dtype: np.dtype) -> str:
-    if dtype == np.float32:
-        return "f32"
-    if dtype == np.float64:
-        return "f64"
-    raise UnsupportedFormatError(f"unsupported matrix dtype {dtype}")
+    """The code a matrix of ``dtype`` is stored as.
+
+    A 32-bit float matrix, in either byte order, is stored as ``f32``;
+    64-bit floats and every other dtype become ``f64``.
+    """
+    return "f32" if dtype.kind == "f" and dtype.itemsize == 4 else "f64"
 
 
 def _check_name(name, taken=()) -> None:
@@ -65,17 +66,6 @@ def _check_name(name, taken=()) -> None:
         raise ValidationError(f"duplicate entry name {name!r}")
 
 
-def _as_entry(name, matrix) -> np.ndarray:
-    """``matrix`` as a storable entry named ``name``; non-float input becomes float64."""
-    _check_name(name)
-    arr = np.asarray(matrix)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValidationError(f"entry {name!r} must be a non-empty 2-D matrix")
-    if arr.dtype not in (np.float32, np.float64):
-        arr = arr.astype(np.float64)
-    return arr
-
-
 def write_entry(path, name: str, matrix: np.ndarray) -> dict:
     """Write ``matrix`` as the payload of entry ``name`` in directory ``path``.
 
@@ -83,11 +73,15 @@ def write_entry(path, name: str, matrix: np.ndarray) -> dict:
     payload must not exist yet, as in a directory from :func:`staged_bundle`.
     The entry is not readable until a manifest lists it.
     """
-    arr = _as_entry(name, matrix)
+    _check_name(name)
+    arr = np.asarray(matrix)
+    if arr.ndim != 2 or arr.size == 0:
+        raise ValidationError(f"entry {name!r} must be a non-empty 2-D matrix")
     code = _dtype_code(arr.dtype)
+    payload = np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code])
     data_name = f"{name}.bin"
     with open(Path(path) / data_name, "xb") as fh:
-        fh.write(np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]))
+        fh.write(payload)
     return {
         "name": name,
         "rows": int(arr.shape[0]),

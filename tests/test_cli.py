@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import rankadapt.cli as cli
+import rankadapt.errors as errors
 import rankadapt.tensorio as tensorio
 from rankadapt.cli import _map_layers, main, spectra_layer, stm_init_layer
 from rankadapt.harness import make_synthetic_model
@@ -309,26 +310,31 @@ class TestSvdBudget:
         job_dir = tmp_path / "job"
         job_dir.mkdir()
         calls = count_svd_calls(monkeypatch)
-        records = []
+        records, counts = [], []
         for name in self.SHAPES:
-            layer_records, _ = stm_init_layer(name, w[name], r[name], StmConfig(alpha=0.5),
-                                              job_dir)
+            layer_records, count = stm_init_layer(name, w[name], r[name], StmConfig(alpha=0.5),
+                                                  job_dir)
             records += layer_records
+            counts.append(count)
         assert calls == {True: len(self.SHAPES), False: 0}
         write_manifest(job_dir, records)
         job = read_bundle(job_dir)
-        for name in self.SHAPES:
+        for name, count in zip(self.SHAPES, counts):
             b, a = job[f"{name}.B"], job[f"{name}.A"]
             assert np.allclose(b @ a, written[f"{name}.B"] @ written[f"{name}.A"])
+            assert count == b.size + a.size
+        # the jobs wrote every file of the CLI's output, byte for byte
+        assert dir_bytes(job_dir) == dir_bytes(out)
 
     def test_stm_init_job_returns_no_matrix(self, tmp_path):
         _, _, w, r = self.entries(tmp_path)
-        records, plan = stm_init_layer("l0", w["l0"], r["l0"], StmConfig(alpha=0.5), tmp_path)
-        assert isinstance(plan, StmPlan)
+        records, count = stm_init_layer("l0", w["l0"], r["l0"], StmConfig(alpha=0.5), tmp_path)
         assert [r["name"] for r in records] == ["l0.W0", "l0.B", "l0.A"]
-        values = [v for r in records for v in r.values()] + list(vars(plan).values())
+        values = [v for r in records for v in r.values()] + [count]
         assert not any(isinstance(v, np.ndarray) for v in values)
         assert all(type(v) in (str, int, float, tuple) for v in values)
+        plan = StmPlan.from_dict(json.loads((tmp_path / "l0.plan.json").read_text()))
+        assert count == plan.r * sum(self.SHAPES["l0"])
 
     def spectra_svd_calls(self, tmp_path, monkeypatch, residuals: bool) -> dict:
         """SVD calls of every spectra job, run in-process after the CLI."""
@@ -487,6 +493,40 @@ def test_negative_seed_exits_2(tmp_path, capsys, command):
     assert list(tmp_path.iterdir()) == []
 
 
+# the exit-code contract, by error class; every class in rankadapt.errors is listed
+EXIT_CODES = {
+    "RankadaptError": 1,
+    "BundleNotFoundError": 1,
+    "BundleCorruptionError": 1,
+    "OSError": 1,
+    "ValidationError": 2,
+    "DegenerateSpectrumError": 2,
+    "UnsupportedFormatError": 2,
+    "NumericError": 3,
+    "TrainingDivergedError": 4,
+}
+
+
+def test_exit_code_table_names_every_error_class():
+    classes = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, errors.RankadaptError)}
+    assert classes == set(EXIT_CODES) - {"OSError"}
+
+
+@pytest.mark.parametrize("error", sorted(EXIT_CODES))
+def test_exit_code_table(monkeypatch, capsys, error):
+    error_class = OSError if error == "OSError" else getattr(errors, error)
+
+    def failing_command(args):
+        raise error_class("probe failure")
+
+    monkeypatch.setattr(cli, "cmd_verify", failing_command)
+    assert main(["verify"]) == EXIT_CODES[error]
+    captured = capsys.readouterr()
+    assert captured.err == "error: probe failure\n"  # one line, no traceback
+    assert captured.out == ""
+
+
 def test_key_error_is_not_exit_2(monkeypatch):
     # exit 2 is for validation; no package code raises KeyError on purpose
     def broken_command(args):
@@ -553,3 +593,13 @@ class TestTrainToy:
     def test_divergence_exits_4(self, tmp_path):
         assert main(["train-toy", "--learning-rate", "1e6",
                      "--output", str(tmp_path / "x.csv")]) == 4
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_nan_loss_exits_4(self, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        assert main(["train-toy", "--reg-weight", "1e308", "--output", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: adapter training diverged at step ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []

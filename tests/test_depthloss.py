@@ -13,6 +13,7 @@ from rankadapt.depthloss import (
     pseudo_loss,
     smooth_loss,
     ssim,
+    unpack_depth,
     warp,
 )
 from rankadapt.errors import ValidationError
@@ -256,7 +257,7 @@ class TestBundlePacking:
 
     def test_depth_round_trip(self, tmp_path):
         from rankadapt.tensorio import read_bundle, write_bundle
-        from rankadapt.depthloss import pack_depth, unpack_depth
+        from rankadapt.depthloss import pack_depth
 
         rng = np.random.default_rng(21)
         depth = DepthMap(rng.uniform(1.0, 5.0, (6, 8)),
@@ -338,11 +339,15 @@ NAN, INF = float("nan"), float("inf")
     lambda: LossWeights(reg_weight=INF),
     lambda: Pose(np.eye(3), [NAN, 0.0, 0.0]),
     lambda: Pose(np.diag([NAN, 1.0, 1.0]), np.zeros(3)),
+    # malformed rather than non-finite input, rejected the same way
+    lambda: Pose(np.eye(3), [1.0, 2.0]),
+    lambda: unpack_depth({}, "x"),
 ], ids=["depth_nan", "depth_inf", "camera_fx_nan", "camera_cx_inf",
         "ssim_weight_nan", "smooth_weight_nan", "gt_weight_nan", "pseudo_weight_nan",
-        "reg_weight_nan", "reg_weight_inf", "pose_translation_nan", "pose_rotation_nan"])
+        "reg_weight_nan", "reg_weight_inf", "pose_translation_nan", "pose_rotation_nan",
+        "pose_translation_size", "unpack_depth_missing"])
 def test_non_finite_value_rejected(make):
-    with pytest.raises(ValidationError, match="finite|lie in"):
+    with pytest.raises(ValidationError, match="finite|lie in|3 entries|no depth map entries"):
         make()
 
 

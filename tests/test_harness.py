@@ -154,6 +154,16 @@ class TestRunStmExperiment:
         drift_on = run_stm_experiment(model, task, cfg, tc, reg_weight=1.0).records[0]["drift"]
         assert 0.0 < drift_on < drift_off
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_nan_loss_is_divergence(self):
+        # the penalty gradient overflows, so the loss turns NaN rather than large
+        model, task = _experiment_parts(2)
+        with pytest.raises(TrainingDivergedError, match="adapter training diverged at step"):
+            run_stm_experiment(model, task, StmConfig(alpha=0.5),
+                               TrainConfig(steps=20, learning_rate=0.5, seed=2),
+                               reg_weight=1e308)
+
     def test_baseline_rows_present(self):
         model, task = _experiment_parts(5)
         tc = TrainConfig(steps=80, learning_rate=0.5, seed=5, baseline="random_subset_lora")

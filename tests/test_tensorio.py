@@ -60,6 +60,16 @@ def test_round_trip_preserves_f32(tmp_path):
     assert np.array_equal(widened.astype(np.float32), bundle["small"])
 
 
+@pytest.mark.parametrize("dtype, code", [(">f4", "f32"), (">f8", "f64")])
+def test_round_trip_big_endian_keeps_width(tmp_path, dtype, code):
+    values = np.random.default_rng(9).standard_normal((2, 3)).astype(dtype)
+    write_bundle(tmp_path, {"x": values})
+    assert json.loads((tmp_path / "manifest.json").read_text())[0]["dtype"] == code
+    back = read_bundle(tmp_path)["x"]
+    assert back.dtype == np.dtype(dtype).newbyteorder("<")
+    assert np.array_equal(back, values)
+
+
 def test_bad_name_writes_nothing(tmp_path):
     path = tmp_path / "bundle"
     with pytest.raises(ValidationError, match="invalid entry name"):
