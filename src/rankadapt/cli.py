@@ -15,7 +15,14 @@ directory replaces the output only once every layer has succeeded.
 Exit codes are a stable contract: 0 on success, else the ``exit_code`` of
 the error that ended the command, from the one table in
 :mod:`rankadapt.errors`.
+
+At module level this file imports only the standard library and
+:mod:`rankadapt.errors`; each command, worker job and ``verify`` sweep
+imports the library names it uses, so ``--help``, an argument error and a
+worker process each skip the numpy and package imports they do not need.
 """
+
+from __future__ import annotations
 
 import argparse
 import json
@@ -24,12 +31,8 @@ import os
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import harness
-from .adapter import merge, trainable_param_count
-from .eranks import check_gamma, entropy_rank, stable_rank
 from .errors import (
     EXIT_IO,
     EXIT_PROPERTY,
@@ -38,25 +41,17 @@ from .errors import (
     RankadaptError,
     ValidationError,
 )
-from .spectral import decompose, project_residual, singular_values
-from .stm import (
-    StmConfig,
-    adapt_layer,
-    initialize_adapter,
-    maintaining_penalty,
-    maintaining_penalty_grad,
-)
-from .tensorio import BundleEntry, Report, read_entries, staged_bundle, write_entry, write_manifest
+
+if TYPE_CHECKING:  # names the annotations use
+    import numpy as np
+
+    from .stm import StmConfig
+    from .tensorio import BundleEntry
 
 EXIT_OK = 0
 
-# Default synthetic stack for train-toy: a sharp shallow layer and a flat
-# deep layer, each with two planted task directions well above the noise.
-_TOY_LAYERS = [(20, 16, 0.55), (12, 20, 0.85)]
-_TOY_PLANTED = [
-    harness.PlantedDirections(indices=(3, 6), amplitudes=(0.9, 0.7)),
-    harness.PlantedDirections(indices=(4, 8), amplitudes=(0.8, 0.6)),
-]
+# harness.BASELINES, written out so that building the parser imports no numpy
+_BASELINES = ("zero_init_lora", "random_subset_lora")
 _TOY_SAMPLES = 64
 _TOY_NOISE = 0.01
 
@@ -68,6 +63,8 @@ def _layer_entries(weights_dir, residuals_dir) -> dict:
 
     A residual bundle, if given, must hold the same names.
     """
+    from .tensorio import read_entries
+
     weights = read_entries(weights_dir)
     residuals = dict.fromkeys(weights) if residuals_dir is None else read_entries(residuals_dir)
     missing = sorted(set(weights) - set(residuals))
@@ -164,12 +161,17 @@ def _load_f64(entry: BundleEntry) -> np.ndarray:
     memory map close before the decomposition, the job's peak, so its pages
     are not resident on top of the SVD's own buffers.
     """
+    import numpy as np
+
     return np.asarray(entry.load(), dtype=np.float64)
 
 
 def spectra_layer(name: str, weight: BundleEntry, residual: BundleEntry | None,
                   gamma: float) -> list[dict]:
     """The ``spectra`` report records of layer ``name``, one per component."""
+    from .eranks import entropy_rank, stable_rank
+    from .spectral import decompose, project_residual, singular_values
+
     w = _load_f64(weight)
     factors = None if residual is None else decompose(w)  # vectors only to project dW
     sigma = singular_values(w) if factors is None else factors.sigma
@@ -204,6 +206,9 @@ def spectra_layer(name: str, weight: BundleEntry, residual: BundleEntry | None,
 
 
 def cmd_spectra(args) -> int:
+    from .eranks import check_gamma
+    from .tensorio import Report
+
     check_gamma(args.gamma)
     per_layer = _map_layers(spectra_layer, _layer_entries(args.weights, args.residuals),
                             args.gamma)
@@ -221,6 +226,10 @@ def stm_init_layer(name: str, weight: BundleEntry, residual: BundleEntry, cfg: S
     Returns the payloads' manifest records and the layer's trainable
     parameter count; no matrix and no plan.
     """
+    from .adapter import trainable_param_count
+    from .stm import adapt_layer
+    from .tensorio import write_entry
+
     # the residual stays as stored until the projection, after the SVD
     layer = adapt_layer(_load_f64(weight), residual.load(), cfg)
     records = [write_entry(out_dir, f"{name}.{part}", matrix)
@@ -232,6 +241,9 @@ def stm_init_layer(name: str, weight: BundleEntry, residual: BundleEntry, cfg: S
 
 
 def cmd_stm_init(args) -> int:
+    from .stm import StmConfig
+    from .tensorio import staged_bundle, write_manifest
+
     layers = _layer_entries(args.weights, args.residuals)
     cfg = _config(StmConfig, args)
     if os.path.realpath(args.output) in map(os.path.realpath, (args.weights, args.residuals)):
@@ -244,6 +256,10 @@ def cmd_stm_init(args) -> int:
 
 
 def _verify_lemma(seed: int, trials: int, inject_fault: bool):
+    import numpy as np
+
+    from .eranks import entropy_rank, stable_rank
+
     shapes = [(4, 4), (8, 16), (32, 32), (64, 128)]
     rng = np.random.default_rng(seed)
     for t in range(trials):
@@ -270,6 +286,11 @@ def _verify_lemma(seed: int, trials: int, inject_fault: bool):
 
 
 def _sweep_layers(seed: int, count: int):
+    import numpy as np
+
+    from .spectral import decompose
+    from .stm import StmConfig, initialize_adapter
+
     shapes = [(8, 8), (16, 8), (8, 16), (32, 16)]
     rng = np.random.default_rng(seed)
     cfg = StmConfig(alpha=1.0)
@@ -283,6 +304,10 @@ def _sweep_layers(seed: int, count: int):
 
 
 def _verify_init_exactness(seed: int, count: int):
+    import numpy as np
+
+    from .adapter import merge
+
     for t, w, layer in _sweep_layers(seed, count):
         err = np.linalg.norm(merge(layer) - w) / np.linalg.norm(w)
         if err > 1e-10:
@@ -291,6 +316,8 @@ def _verify_init_exactness(seed: int, count: int):
 
 
 def _verify_zero_penalty(seed: int, count: int):
+    from .stm import maintaining_penalty
+
     for t, _, layer in _sweep_layers(seed, count):
         penalty = maintaining_penalty([layer])
         if penalty > 1e-9:
@@ -300,6 +327,11 @@ def _verify_zero_penalty(seed: int, count: int):
 
 
 def _verify_penalty_gradient(seed: int, count: int):
+    import numpy as np
+
+    from . import harness
+    from .stm import maintaining_penalty, maintaining_penalty_grad
+
     rng = np.random.default_rng(seed)
     for t, _, init in _sweep_layers(seed + 1, count):
         layer = replace(init, b=init.b + 0.2 * rng.standard_normal(init.b.shape),
@@ -316,6 +348,8 @@ def _verify_penalty_gradient(seed: int, count: int):
 
 
 def _verify_task_gradient(seed: int, count: int):
+    from . import harness
+
     for t in range(count):
         model = harness.make_synthetic_model(
             [(6, 5, 0.6), (4, 6, 0.9)], seed=seed + 17 * t, activation="tanh")
@@ -353,8 +387,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_train_toy(args) -> int:
-    model = harness.make_synthetic_model(_TOY_LAYERS, seed=args.seed)
-    task = harness.make_proxy_task(model, _TOY_PLANTED, n_samples=_TOY_SAMPLES,
+    from . import harness
+    from .stm import StmConfig
+
+    # a sharp shallow layer and a flat deep layer, each with two planted task
+    # directions well above the noise
+    model = harness.make_synthetic_model([(20, 16, 0.55), (12, 20, 0.85)], seed=args.seed)
+    planted = [
+        harness.PlantedDirections(indices=(3, 6), amplitudes=(0.9, 0.7)),
+        harness.PlantedDirections(indices=(4, 8), amplitudes=(0.8, 0.6)),
+    ]
+    task = harness.make_proxy_task(model, planted, n_samples=_TOY_SAMPLES,
                                    noise=_TOY_NOISE, seed=args.seed + 1)
     report = harness.run_stm_experiment(model, task, _config(StmConfig, args),
                                         _config(harness.TrainConfig, args),
@@ -399,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learning-rate", type=float, default=0.5)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--reg-weight", type=float, default=0.0)
-    p.add_argument("--baseline", choices=harness.BASELINES, default="zero_init_lora")
+    p.add_argument("--baseline", choices=_BASELINES, default="zero_init_lora")
     p.add_argument("--threshold-fraction", type=float, default=0.25)
     p.add_argument("--output", required=True, help="metrics report file")
     p.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -213,17 +213,19 @@ def full_finetune_proxy(model: SyntheticModel, task: ProxyTask,
     weights = [w.copy() for w in model.layers]
     loss0 = task_loss(weights, model.activation, task)
     batches = _batches(task, cfg)
-    for step in range(cfg.steps):
-        sel = next(batches)
-        _, grads = mse_and_grads(weights, model.activation,
-                                  task.inputs[:, sel], task.targets[:, sel])
-        for w, g in zip(weights, grads):
-            w -= cfg.learning_rate * g
-        loss = task_loss(weights, model.activation, task)
-        if not loss <= 10.0 * max(loss0, 1e-30):  # a NaN loss diverged too
-            raise TrainingDivergedError(
-                f"full fine-tune diverged at step {step + 1}: {loss:.3e} vs start {loss0:.3e}"
-            )
+    # overflow and NaN are caught by the divergence check, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(cfg.steps):
+            sel = next(batches)
+            _, grads = mse_and_grads(weights, model.activation,
+                                      task.inputs[:, sel], task.targets[:, sel])
+            for w, g in zip(weights, grads):
+                w -= cfg.learning_rate * g
+            loss = task_loss(weights, model.activation, task)
+            if not loss <= 10.0 * max(loss0, 1e-30):  # a NaN loss diverged too
+                raise TrainingDivergedError(
+                    f"full fine-tune diverged at step {step + 1}: {loss:.3e} vs start {loss0:.3e}"
+                )
     return [w - w0 for w, w0 in zip(weights, model.layers)]
 
 
@@ -291,27 +293,30 @@ def _train_adapters(layers, model, task, train_cfg, reg_weight):
     threshold = train_cfg.threshold_fraction * loss0
     steps_to_threshold = None
     batches = _batches(task, train_cfg)
-    for step in range(train_cfg.steps):
-        sel = next(batches)
-        effective = [merge(l) for l in layers]
-        _, grads = mse_and_grads(effective, model.activation,
-                                  task.inputs[:, sel], task.targets[:, sel])
-        for layer, g in zip(layers, grads):
-            grad_b = g @ layer.a.T
-            grad_a = layer.b.T @ g
-            if reg_weight > 0:
-                pen_b, pen_a = maintaining_penalty_grad(layer)
-                grad_b = grad_b + (reg_weight / n_layers) * pen_b
-                grad_a = grad_a + (reg_weight / n_layers) * pen_a
-            layer.b -= train_cfg.learning_rate * grad_b
-            layer.a -= train_cfg.learning_rate * grad_a
-        loss = task_loss([merge(l) for l in layers], model.activation, task)
-        if not loss <= 10.0 * max(loss0, 1e-30):  # a NaN loss diverged too
-            raise TrainingDivergedError(
-                f"adapter training diverged at step {step + 1}: {loss:.3e} vs start {loss0:.3e}"
-            )
-        if steps_to_threshold is None and loss <= threshold:
-            steps_to_threshold = step + 1
+    # overflow and NaN are caught by the divergence check, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(train_cfg.steps):
+            sel = next(batches)
+            effective = [merge(l) for l in layers]
+            _, grads = mse_and_grads(effective, model.activation,
+                                      task.inputs[:, sel], task.targets[:, sel])
+            for layer, g in zip(layers, grads):
+                grad_b = g @ layer.a.T
+                grad_a = layer.b.T @ g
+                if reg_weight > 0:
+                    pen_b, pen_a = maintaining_penalty_grad(layer)
+                    grad_b = grad_b + (reg_weight / n_layers) * pen_b
+                    grad_a = grad_a + (reg_weight / n_layers) * pen_a
+                layer.b -= train_cfg.learning_rate * grad_b
+                layer.a -= train_cfg.learning_rate * grad_a
+            loss = task_loss([merge(l) for l in layers], model.activation, task)
+            if not loss <= 10.0 * max(loss0, 1e-30):  # a NaN loss diverged too
+                raise TrainingDivergedError(
+                    f"adapter training diverged at step {step + 1}: "
+                    f"{loss:.3e} vs start {loss0:.3e}"
+                )
+            if steps_to_threshold is None and loss <= threshold:
+                steps_to_threshold = step + 1
     return loss, steps_to_threshold
 
 

@@ -54,8 +54,12 @@ def _dtype_code(dtype: np.dtype) -> str:
     """The code a matrix of ``dtype`` is stored as.
 
     A 32-bit float matrix, in either byte order, is stored as ``f32``;
-    64-bit floats and every other dtype become ``f64``.
+    64-bit floats and every other real dtype become ``f64``. A complex
+    matrix raises ``ValidationError``: storing it would drop its imaginary
+    part.
     """
+    if dtype.kind == "c":
+        raise ValidationError(f"complex matrices cannot be stored, got dtype {dtype}")
     return "f32" if dtype.kind == "f" and dtype.itemsize == 4 else "f64"
 
 

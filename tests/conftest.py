@@ -29,18 +29,18 @@ def count_svd_calls(monkeypatch):
 COMMIT_FAILURES = ["rename_aside", "rename_in", "write_manifest"]
 
 
-def break_commit(monkeypatch, failure: str, module: str) -> None:
+def break_commit(monkeypatch, failure: str) -> None:
     """Make the next staged bundle commit fail with OSError at ``failure``.
 
     ``rename_aside`` and ``rename_in`` fail the swap's first and second
-    ``os.rename``; ``write_manifest`` fails ``module.write_manifest``, inside
-    the staged block.
+    ``os.rename``; ``write_manifest`` fails ``rankadapt.tensorio.write_manifest``,
+    where every writer looks it up at call time, inside the staged block.
     """
     def fail(*_):
         raise OSError("disk full")
 
     if failure == "write_manifest":
-        monkeypatch.setattr(f"{module}.write_manifest", fail)
+        monkeypatch.setattr("rankadapt.tensorio.write_manifest", fail)
         return
     rename = os.rename
     calls = []

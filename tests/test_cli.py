@@ -2,6 +2,7 @@ import csv
 import json
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import rankadapt.cli as cli
 import rankadapt.errors as errors
 import rankadapt.tensorio as tensorio
 from rankadapt.cli import _map_layers, main, spectra_layer, stm_init_layer
-from rankadapt.harness import make_synthetic_model
+from rankadapt.harness import BASELINES, make_synthetic_model
 from rankadapt.stm import StmConfig, StmPlan
 from rankadapt.tensorio import (
     BundleEntry,
@@ -188,7 +189,7 @@ class TestStmInit:
         assert main(args + ["--max-rank-fraction", "0.25", "--output", str(out)]) == 0
         before = dir_bytes(out)
 
-        break_commit(monkeypatch, failure, "rankadapt.cli")
+        break_commit(monkeypatch, failure)
         assert main(args + ["--output", str(out)]) == 1
         monkeypatch.undo()
         assert dir_bytes(out) == before
@@ -415,6 +416,27 @@ class TestLayerWorkers:
             _map_layers(exit_worker, layers)
         assert multiprocessing.active_children() == []
 
+    def test_worker_loads_only_its_modules(self, tmp_path):
+        rng = np.random.default_rng(6)
+        wdir, rdir = write_pair(tmp_path, {"l0": rng.standard_normal((8, 6))},
+                                {"l0": 0.1 * rng.standard_normal((8, 6))})
+        w, r = read_entries(wdir)["l0"], read_entries(rdir)["l0"]
+        out = tmp_path / "out"
+        out.mkdir()
+        # the jobs as a worker receives them: pickled with their entries and config
+        jobs = pickle.dumps([(stm_init_layer, ("l0", w, r, StmConfig(alpha=0.5), str(out))),
+                             (spectra_layer, ("l0", w, r, 1.0))])
+        script = ("import pickle, sys; jobs = pickle.load(sys.stdin.buffer); "
+                  "[job(*args) for job, args in jobs]; "
+                  "print(' '.join(m for m in sys.modules if m.startswith('rankadapt')))")
+        proc = subprocess.run([sys.executable, "-c", script], input=jobs, env=cli_env(),
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.decode().split())
+        assert {"rankadapt.cli", "rankadapt.stm", "rankadapt.tensorio"} <= loaded
+        assert not loaded & {"rankadapt.harness", "rankadapt.depthloss"}
+        assert (out / "l0.plan.json").exists()
+
     def test_more_layers_than_open_file_limit(self, tmp_path):
         names = [f"layer{i:03d}" for i in range(80)]
         wdir, rdir = write_pair(tmp_path, {n: np.eye(3) for n in names},
@@ -537,6 +559,27 @@ def test_key_error_is_not_exit_2(monkeypatch):
         main(["verify"])
 
 
+@pytest.mark.parametrize("code", [
+    "import rankadapt",
+    "import rankadapt.cli",
+    "from rankadapt.cli import main; assert main(['--help']) == 0",
+    "from rankadapt.cli import main; assert main(['stm-init']) == 2",
+], ids=["import_package", "import_cli", "help", "argument_error"])
+def test_start_up_loads_no_numpy(code):
+    script = (f"import sys; {code}; "
+              "print(' '.join(m for m in sys.modules if m == 'numpy' or 'rankadapt' in m))")
+    proc = subprocess.run([sys.executable, "-c", script], env=cli_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert loaded <= {"rankadapt", "rankadapt.cli", "rankadapt.errors"}
+
+
+def test_baseline_choices_are_the_harness_baselines():
+    # the parser lists them itself, so that building it imports no harness
+    assert cli._BASELINES == BASELINES
+
+
 class TestVerify:
     def test_default_sweep_passes(self):
         assert main(["verify"]) == 0  # default 1000 rank-ordering trials
@@ -594,12 +637,14 @@ class TestTrainToy:
         assert main(["train-toy", "--learning-rate", "1e6",
                      "--output", str(tmp_path / "x.csv")]) == 4
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
-    def test_nan_loss_exits_4(self, tmp_path, capsys):
-        out = tmp_path / "m.csv"
-        assert main(["train-toy", "--reg-weight", "1e308", "--output", str(out)]) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("error: adapter training diverged at step ")
-        assert err.count("\n") == 1
+    def test_nan_loss_exits_4(self, tmp_path):
+        # in a child process, so numpy's RuntimeWarnings would reach the real stderr
+        proc = subprocess.run(
+            [sys.executable, "-m", "rankadapt.cli", "train-toy", "--reg-weight", "1e308",
+             "--output", "m.csv"],
+            cwd=tmp_path, env=cli_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("error: adapter training diverged at step ")
+        assert proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
         assert list(tmp_path.iterdir()) == []

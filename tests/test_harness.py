@@ -85,6 +85,14 @@ class TestFullFinetuneProxy:
         with pytest.raises(TrainingDivergedError):
             full_finetune_proxy(model, task, TrainConfig(steps=100, learning_rate=500.0))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_is_divergence_without_warnings(self):
+        model = make_synthetic_model([(8, 6, 0.7)], seed=8)
+        task = make_proxy_task(model, [PlantedDirections((2,), (1.0,))],
+                               n_samples=32, noise=0.0, seed=9)
+        with pytest.raises(TrainingDivergedError, match="diverged at step 1: inf"):
+            full_finetune_proxy(model, task, TrainConfig(steps=100, learning_rate=1e308))
+
     def test_minibatch_path_deterministic(self):
         model = make_synthetic_model([(8, 6, 0.7)], seed=10)
         task = make_proxy_task(model, [PlantedDirections((1,), (0.5,))],
@@ -154,8 +162,7 @@ class TestRunStmExperiment:
         drift_on = run_stm_experiment(model, task, cfg, tc, reg_weight=1.0).records[0]["drift"]
         assert 0.0 < drift_on < drift_off
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_loss_is_divergence(self):
         # the penalty gradient overflows, so the loss turns NaN rather than large
         model, task = _experiment_parts(2)

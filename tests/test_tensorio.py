@@ -77,6 +77,14 @@ def test_bad_name_writes_nothing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("dtype", ["complex64", "complex128"])
+def test_complex_matrix_rejected(tmp_path, dtype):
+    path = tmp_path / "bundle"
+    with pytest.raises(ValidationError, match="complex"):
+        write_bundle(path, {"w": np.ones((2, 2)), "x": np.full((2, 2), 1j, dtype=dtype)})
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_manifest(tmp_path):
     with pytest.raises(BundleNotFoundError):
         read_bundle(tmp_path / "nowhere")
@@ -163,7 +171,7 @@ def test_rewrite_leaves_open_bundle_unchanged(tmp_path):
 def test_failed_rewrite_keeps_old_bundle(tmp_path, monkeypatch, failure):
     path = tmp_path / "bundle"
     write_bundle(path, {"a": np.ones((2, 2))})
-    break_commit(monkeypatch, failure, "rankadapt.tensorio")
+    break_commit(monkeypatch, failure)
     with pytest.raises(OSError, match="disk full"):
         write_bundle(path, {"a": np.zeros((2, 2)), "b": np.zeros((2, 2))})
     monkeypatch.undo()
