@@ -28,7 +28,7 @@ _EXPORTS = {
             "pack_depth", "pack_image", "photometric_error", "pseudo_loss", "smooth_loss",
             "ssim", "unpack_depth", "unpack_image", "warp",
         ),
-        "eranks": ("RankReport", "entropy_rank", "rank_report", "stable_rank"),
+        "eranks": ("entropy_rank", "stable_rank"),
         "errors": ("RankadaptError",),
         "harness": (
             "PlantedDirections", "ProxyTask", "SyntheticModel", "TrainConfig",

@@ -61,7 +61,7 @@ _BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS
 def _layer_entries(weights_dir, residuals_dir) -> dict:
     """Each layer's validated (weight, residual or None) entries, by sorted name.
 
-    A residual bundle, if given, must hold the same names.
+    A residual bundle, if given, must hold the same names and shapes.
     """
     from .tensorio import read_entries
 
@@ -73,7 +73,12 @@ def _layer_entries(weights_dir, residuals_dir) -> dict:
         raise ValidationError(
             f"weight/residual name mismatch: missing residuals {missing}, extra {extra}"
         )
-    return {name: (weights[name], residuals[name]) for name in sorted(weights)}
+    layers = {name: (weights[name], residuals[name]) for name in sorted(weights)}
+    for name, (weight, residual) in layers.items():
+        if residual is not None and residual.shape != weight.shape:
+            raise ValidationError(f"{name}: residual shape {residual.shape} does not match "
+                                  f"factors {weight.shape}")
+    return layers
 
 
 def _map_layers(job, layers: dict, *args) -> list:
@@ -246,6 +251,11 @@ def cmd_stm_init(args) -> int:
 
     layers = _layer_entries(args.weights, args.residuals)
     cfg = _config(StmConfig, args)
+    for name, (weight, _) in layers.items():
+        try:
+            cfg.max_rank(min(weight.shape))
+        except ValidationError as exc:
+            raise ValidationError(f"{name}: {exc}") from exc
     if os.path.realpath(args.output) in map(os.path.realpath, (args.weights, args.residuals)):
         raise ValidationError("--output must not be the weight or residual bundle")
     with staged_bundle(args.output) as out:
@@ -303,27 +313,24 @@ def _sweep_layers(seed: int, count: int):
         yield t, w, initialize_adapter(w, decompose(w), selected, cfg)
 
 
-def _verify_init_exactness(seed: int, count: int):
+def _verify_init(seed: int, count: int) -> list[tuple]:
+    """Init exactness and zero penalty at init, both checked on one sweep of layers."""
     import numpy as np
 
     from .adapter import merge
-
-    for t, w, layer in _sweep_layers(seed, count):
-        err = np.linalg.norm(merge(layer) - w) / np.linalg.norm(w)
-        if err > 1e-10:
-            return ("init_exactness", False, f"trial {t} (seed {seed}): residual {err:.3e}")
-    return ("init_exactness", True, f"{count} layers")
-
-
-def _verify_zero_penalty(seed: int, count: int):
     from .stm import maintaining_penalty
 
-    for t, _, layer in _sweep_layers(seed, count):
+    exact = zero_penalty = None  # the detail of each property's first failure
+    for t, w, layer in _sweep_layers(seed, count):
+        err = np.linalg.norm(merge(layer) - w) / np.linalg.norm(w)
+        if exact is None and err > 1e-10:
+            exact = f"trial {t} (seed {seed}): residual {err:.3e}"
         penalty = maintaining_penalty([layer])
-        if penalty > 1e-9:
-            return ("zero_penalty_at_init", False,
-                    f"trial {t} (seed {seed}): penalty {penalty:.3e}")
-    return ("zero_penalty_at_init", True, f"{count} layers")
+        if zero_penalty is None and penalty > 1e-9:
+            zero_penalty = f"trial {t} (seed {seed}): penalty {penalty:.3e}"
+    failures = {"init_exactness": exact, "zero_penalty_at_init": zero_penalty}
+    return [(name, detail is None, detail or f"{count} layers")
+            for name, detail in failures.items()]
 
 
 def _verify_penalty_gradient(seed: int, count: int):
@@ -374,8 +381,7 @@ def cmd_verify(args) -> int:
         raise ValidationError("trials must be positive")
     results = [
         _verify_lemma(args.seed, args.trials, args.inject_fault),
-        _verify_init_exactness(args.seed, 100),
-        _verify_zero_penalty(args.seed, 100),
+        *_verify_init(args.seed, 100),
         _verify_penalty_gradient(args.seed, 25),
         _verify_task_gradient(args.seed, 5),
     ]

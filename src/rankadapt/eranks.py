@@ -14,12 +14,9 @@ nonzero spectrum. With ``gamma = 1`` the stable rank never exceeds the
 entropy rank; the test suite sweeps this ordering as a property.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateSpectrumError, ValidationError
-from .spectral import singular_values
 
 
 def check_gamma(gamma: float) -> None:
@@ -56,21 +53,3 @@ def stable_rank(sigma, gamma: float = 1.0) -> float:
     s = _checked_spectrum(sigma, gamma)
     return float(np.sum((s / s[0]) ** gamma))
 
-
-@dataclass(frozen=True)
-class RankReport:
-    entropy_rank: float
-    stable_rank: float
-    gamma: float
-    k: int
-
-
-def rank_report(weight: np.ndarray, gamma: float = 1.0) -> RankReport:
-    """Both effective ranks of a weight matrix's singular spectrum."""
-    sigma = singular_values(weight)
-    return RankReport(
-        entropy_rank=entropy_rank(sigma, gamma),
-        stable_rank=stable_rank(sigma, gamma),
-        gamma=float(gamma),
-        k=int(sigma.shape[0]),
-    )

@@ -247,14 +247,7 @@ def read_bundle(path) -> dict[str, np.memmap]:
     return {name: entry.load() for name, entry in read_entries(path).items()}
 
 
-REPORT_KINDS = ("spectra", "ranks", "projections", "metrics")
-
-
-def _format_value(value) -> str:
-    # repr() round-trips floats exactly and always uses "." as separator
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+REPORT_KINDS = ("spectra", "metrics")
 
 
 @dataclass
@@ -282,8 +275,8 @@ class Report:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(columns)
-            for rec in self.records:
-                writer.writerow([_format_value(rec[c]) for c in columns])
+            # csv writes a float, numpy's too, in its shortest round-tripping form
+            writer.writerows([rec[c] for c in columns] for rec in self.records)
 
     def to_json(self, path) -> None:
         self._columns()

@@ -12,6 +12,7 @@ import pytest
 
 import rankadapt.cli as cli
 import rankadapt.errors as errors
+import rankadapt.spectral as spectral
 import rankadapt.tensorio as tensorio
 from rankadapt.cli import _map_layers, main, spectra_layer, stm_init_layer
 from rankadapt.harness import BASELINES, make_synthetic_model
@@ -505,6 +506,45 @@ def test_non_finite_flag_exits_2(tmp_path, capsys, argv):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["r", "w"]
 
 
+class TestRejectedBeforeWorkers:
+    """Errors the manifests already decide end a command before any layer runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_workers(self, monkeypatch):
+        def start_workers(*args):
+            raise AssertionError("a layer reached the workers")
+
+        monkeypatch.setattr(cli, "_map_layers", start_workers)
+
+    @pytest.mark.parametrize("command", [["stm-init", "--alpha", "0.5"], ["spectra"]],
+                             ids=lambda c: c[0])
+    def test_residual_shape_mismatch_exits_2(self, tmp_path, capsys, command):
+        rng = np.random.default_rng(11)
+        # manifest order c, b, a; both c and b mismatch, and b comes first by name
+        weights = {k: rng.standard_normal((6, 4)) for k in ("c", "b", "a")}
+        residuals = {"c": np.zeros((6, 5)), "b": np.zeros((4, 6)), "a": np.zeros((6, 4))}
+        wdir, rdir = write_pair(tmp_path, weights, residuals)
+        assert main([command[0], "--weights", wdir, "--residuals", rdir, *command[1:],
+                     "--output", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: b: residual shape (4, 6) does not match factors (6, 4)\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r", "w"]
+
+    def test_infeasible_rank_cap_exits_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(12)
+        # a 1 x N bias has rank cap floor(0.5 * 1) = 0 below min_rank 1
+        shapes = {"proj": (8, 6), "z.bias": (1, 4), "bias": (1, 8)}
+        wdir, rdir = write_pair(tmp_path, {k: rng.standard_normal(s) for k, s in shapes.items()},
+                                {k: rng.standard_normal(s) for k, s in shapes.items()})
+        assert main(["stm-init", "--weights", wdir, "--residuals", rdir, "--alpha", "0.5",
+                     "--output", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: bias: min_rank 1 exceeds rank cap 0 for K=1\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r", "w"]
+
+
 @pytest.mark.parametrize("command", ["verify", "train-toy"])
 def test_negative_seed_exits_2(tmp_path, capsys, command):
     assert main([command, "--seed", "-1", "--output", str(tmp_path / "x.csv")]
@@ -589,6 +629,14 @@ class TestVerify:
 
     def test_zero_trials_exits_2(self):
         assert main(["verify", "--trials", "0"]) == 2
+
+    def test_one_decomposition_per_sweep_layer(self, monkeypatch):
+        decompose = spectral.decompose
+        shapes = []
+        monkeypatch.setattr(spectral, "decompose",
+                            lambda w: shapes.append(w.shape) or decompose(w))
+        assert main(["verify", "--trials", "1"]) == 0  # the rank ordering sweep decomposes none
+        assert len(shapes) == 100 + 25  # the init sweep and the penalty gradient sweep
 
 
 class TestTrainToy:

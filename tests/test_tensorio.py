@@ -266,6 +266,7 @@ def test_report_csv_json_same_numbers(tmp_path):
     records = [
         {"name": "a", "value": 1.8898815748423097, "count": 3},
         {"name": "b", "value": 0.1, "count": 4},
+        {"name": "c", "value": np.float64(0.1), "count": 5},
     ]
     report = Report(kind="metrics", records=records)
     report.to_csv(tmp_path / "r.csv")
@@ -281,7 +282,7 @@ def test_report_csv_json_same_numbers(tmp_path):
 
 
 def test_report_header_row_mandatory(tmp_path):
-    report = Report(kind="ranks", records=[{"x": 1.5}])
+    report = Report(kind="spectra", records=[{"x": 1.5}])
     report.to_csv(tmp_path / "r.csv")
     first = (tmp_path / "r.csv").read_text().splitlines()[0]
     assert first == "x"
