@@ -122,7 +122,7 @@ def _map_layers(job, layers: dict, *args) -> list:
         for name in layers:
             try:
                 results.append(futures[name].result())
-            except RankadaptError as exc:
+            except (RankadaptError, OSError) as exc:
                 raise type(exc)(f"{name}: {exc}") from exc
             except BrokenProcessPool as exc:
                 raise OSError(f"a worker process ended abruptly: {exc}") from exc
@@ -269,6 +269,7 @@ def _verify_lemma(seed: int, trials: int, inject_fault: bool):
     import numpy as np
 
     from .eranks import entropy_rank, stable_rank
+    from .spectral import singular_values
 
     shapes = [(4, 4), (8, 16), (32, 32), (64, 128)]
     rng = np.random.default_rng(seed)
@@ -277,7 +278,7 @@ def _verify_lemma(seed: int, trials: int, inject_fault: bool):
         k = min(m, n)
         family = t % 3
         if family == 0:
-            sigma = np.linalg.svd(rng.standard_normal((m, n)), compute_uv=False)
+            sigma = singular_values(rng.standard_normal((m, n)))
         elif family == 1:
             ratio = rng.uniform(0.2, 0.98)
             sigma = ratio ** np.arange(k)
@@ -446,10 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=7)
     p.add_argument("--steps", type=int, default=150)
     p.add_argument("--learning-rate", type=float, default=0.5)
-    p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--reg-weight", type=float, default=0.0)
     p.add_argument("--baseline", choices=_BASELINES, default="zero_init_lora")
-    p.add_argument("--threshold-fraction", type=float, default=0.25)
     p.add_argument("--output", required=True, help="metrics report file")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_stm_flags(p, require_alpha=False, alpha_default=0.4)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .adapter import merge
 from .errors import NumericError, TrainingDivergedError, ValidationError
-from .spectral import as_component_indices, decompose
+from .spectral import as_component_indices, decompose, singular_values
 from .stm import (
     AdaptedLayer,
     StmConfig,
@@ -31,6 +31,9 @@ from .tensorio import Report
 
 BASELINES = ("zero_init_lora", "random_subset_lora")
 _ACTIVATIONS = ("identity", "tanh")
+# steps_to_threshold counts the descent steps until the full-task loss is at
+# most this fraction of its value at the start
+THRESHOLD_FRACTION = 0.25
 
 
 @dataclass
@@ -64,22 +67,16 @@ class ProxyTask:
 class TrainConfig:
     steps: int
     learning_rate: float
-    batch_size: int | None = None
     seed: int = 0
     baseline: str = "zero_init_lora"
-    threshold_fraction: float = 0.25
 
     def __post_init__(self):
         if self.steps < 1:
             raise ValidationError("steps must be positive")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValidationError("learning_rate must be positive and finite")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValidationError("batch_size must be positive when given")
         if self.baseline not in BASELINES:
             raise ValidationError(f"baseline must be one of {BASELINES}")
-        if not 0.0 < self.threshold_fraction <= 1.0:
-            raise ValidationError("threshold_fraction must lie in (0, 1]")
 
 
 def _random_orthonormal(rng, rows: int, cols: int) -> np.ndarray:
@@ -101,6 +98,8 @@ def resolve_spectrum(prescription, k: int) -> np.ndarray:
     sigma = np.asarray(prescription, dtype=np.float64).ravel()
     if sigma.shape[0] != k:
         raise ValidationError(f"spectrum has {sigma.shape[0]} values, layer needs {k}")
+    if not np.all(np.isfinite(sigma)):
+        raise ValidationError("prescribed spectrum must be finite")
     if np.any(sigma < 0) or np.any(np.diff(sigma) > 0):
         raise ValidationError("prescribed spectrum must be descending and non-negative")
     return sigma
@@ -125,7 +124,7 @@ def make_synthetic_model(layer_specs, seed: int, activation: str = "identity") -
         u = _random_orthonormal(rng, m, k)
         v = _random_orthonormal(rng, n, k)
         w = (u * sigma) @ v.T
-        measured = np.linalg.svd(w, compute_uv=False)
+        measured = singular_values(w)
         if not np.allclose(measured, sigma, rtol=0, atol=1e-9 * max(1.0, sigma[0])):
             raise NumericError("constructed layer does not reproduce its spectrum")
         layers.append(w)
@@ -194,38 +193,41 @@ def make_proxy_task(model: SyntheticModel, planted, n_samples: int,
     return ProxyTask(inputs=x, targets=y, planted=list(planted), noise=noise)
 
 
-def _batches(task: ProxyTask, cfg: TrainConfig):
-    """Deterministic batch index stream: full batch, or cycling windows."""
-    total = task.inputs.shape[1]
-    if cfg.batch_size is None or cfg.batch_size >= total:
-        while True:
-            yield slice(None)
-    else:
-        start = 0
-        while True:
-            yield np.arange(start, start + cfg.batch_size) % total
-            start = (start + cfg.batch_size) % total
+def _descend(effective, update, activation: str, task: ProxyTask, cfg: TrainConfig,
+             what: str) -> list[float]:
+    """Full-batch gradient descent on the task MSE; the loss at the start and after each step.
+
+    Each step makes one :func:`mse_and_grads` pass over the whole task on the
+    weights ``effective()`` returns and hands the gradients to ``update``.
+    Being full batch, that pass's loss is the task loss of those weights, so
+    the pass after the last update only scores it. ``what`` names the run
+    in the divergence message.
+    """
+    losses = []
+    # overflow and NaN are caught by the divergence check, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(cfg.steps + 1):
+            loss, grads = mse_and_grads(effective(), activation, task.inputs, task.targets)
+            if step and not loss <= 10.0 * max(losses[0], 1e-30):  # a NaN loss diverged too
+                raise TrainingDivergedError(
+                    f"{what} diverged at step {step}: {loss:.3e} vs start {losses[0]:.3e}"
+                )
+            losses.append(loss)
+            if step < cfg.steps:
+                update(grads)
+    return losses
 
 
 def full_finetune_proxy(model: SyntheticModel, task: ProxyTask,
                         cfg: TrainConfig) -> list[np.ndarray]:
     """Gradient-descend every weight on the task MSE; return per-layer residuals."""
     weights = [w.copy() for w in model.layers]
-    loss0 = task_loss(weights, model.activation, task)
-    batches = _batches(task, cfg)
-    # overflow and NaN are caught by the divergence check, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(cfg.steps):
-            sel = next(batches)
-            _, grads = mse_and_grads(weights, model.activation,
-                                      task.inputs[:, sel], task.targets[:, sel])
-            for w, g in zip(weights, grads):
-                w -= cfg.learning_rate * g
-            loss = task_loss(weights, model.activation, task)
-            if not loss <= 10.0 * max(loss0, 1e-30):  # a NaN loss diverged too
-                raise TrainingDivergedError(
-                    f"full fine-tune diverged at step {step + 1}: {loss:.3e} vs start {loss0:.3e}"
-                )
+
+    def update(grads):
+        for w, g in zip(weights, grads):
+            w -= cfg.learning_rate * g
+
+    _descend(lambda: weights, update, model.activation, task, cfg, "full fine-tune")
     return [w - w0 for w, w0 in zip(weights, model.layers)]
 
 
@@ -262,13 +264,10 @@ def _kaiming_uniform(rng, rows: int, cols: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(rows, cols))
 
 
-_METHOD_IDS = {"zero_init_lora": 1, "random_subset_lora": 2}
-
-
 def _baseline_adapters(model: SyntheticModel, stm_layers, method: str,
                        stm_cfg: StmConfig, seed: int) -> list[AdaptedLayer]:
     """Baseline adapters with the rank budget and base factors of ``stm_layers``."""
-    rng = np.random.default_rng([seed, _METHOD_IDS[method]])
+    rng = np.random.default_rng([seed, BASELINES.index(method) + 1])
     layers = []
     for w, stm_layer in zip(model.layers, stm_layers):
         r, factors = stm_layer.plan.r, stm_layer.frozen_factors
@@ -286,38 +285,23 @@ def _baseline_adapters(model: SyntheticModel, stm_layers, method: str,
     return layers
 
 
-def _train_adapters(layers, model, task, train_cfg, reg_weight):
-    """Adapter-only descent on task MSE + reg_weight * maintaining penalty."""
-    n_layers = len(layers)
-    loss0 = task_loss([merge(l) for l in layers], model.activation, task)
-    threshold = train_cfg.threshold_fraction * loss0
-    steps_to_threshold = None
-    batches = _batches(task, train_cfg)
-    # overflow and NaN are caught by the divergence check, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(train_cfg.steps):
-            sel = next(batches)
-            effective = [merge(l) for l in layers]
-            _, grads = mse_and_grads(effective, model.activation,
-                                      task.inputs[:, sel], task.targets[:, sel])
-            for layer, g in zip(layers, grads):
-                grad_b = g @ layer.a.T
-                grad_a = layer.b.T @ g
-                if reg_weight > 0:
-                    pen_b, pen_a = maintaining_penalty_grad(layer)
-                    grad_b = grad_b + (reg_weight / n_layers) * pen_b
-                    grad_a = grad_a + (reg_weight / n_layers) * pen_a
-                layer.b -= train_cfg.learning_rate * grad_b
-                layer.a -= train_cfg.learning_rate * grad_a
-            loss = task_loss([merge(l) for l in layers], model.activation, task)
-            if not loss <= 10.0 * max(loss0, 1e-30):  # a NaN loss diverged too
-                raise TrainingDivergedError(
-                    f"adapter training diverged at step {step + 1}: "
-                    f"{loss:.3e} vs start {loss0:.3e}"
-                )
-            if steps_to_threshold is None and loss <= threshold:
-                steps_to_threshold = step + 1
-    return loss, steps_to_threshold
+def _train_adapters(layers, model, task, train_cfg, reg_weight) -> list[float]:
+    """Adapter-only descent on task MSE + reg_weight * maintaining penalty; the losses."""
+    scale = reg_weight / len(layers)
+
+    def update(grads):
+        for layer, g in zip(layers, grads):
+            grad_b = g @ layer.a.T
+            grad_a = layer.b.T @ g
+            if reg_weight > 0:
+                pen_b, pen_a = maintaining_penalty_grad(layer)
+                grad_b = grad_b + scale * pen_b
+                grad_a = grad_a + scale * pen_a
+            layer.b -= train_cfg.learning_rate * grad_b
+            layer.a -= train_cfg.learning_rate * grad_a
+
+    return _descend(lambda: [merge(l) for l in layers], update, model.activation, task,
+                    train_cfg, "adapter training")
 
 
 def _selection_recall(layers, task) -> float | None:
@@ -368,12 +352,13 @@ def run_stm_experiment(model: SyntheticModel, task: ProxyTask, stm_cfg: StmConfi
 
     records = []
     for method, layers in (("stm", stm_layers), (train_cfg.baseline, baseline_layers)):
-        final_loss, steps_hit = _train_adapters(layers, model, adapter_task,
-                                                train_cfg, reg_weight)
+        losses = _train_adapters(layers, model, adapter_task, train_cfg, reg_weight)
+        threshold = THRESHOLD_FRACTION * losses[0]
+        steps_hit = next((s for s in range(1, len(losses)) if losses[s] <= threshold), None)
         recall = _selection_recall(layers, task) if method == "stm" else None
         records.append({
             "method": method,
-            "final_loss": final_loss,
+            "final_loss": losses[-1],
             "drift": _protected_drift(layers),
             "recall": "na" if recall is None else recall,
             "steps_to_threshold": "na" if steps_hit is None else steps_hit,

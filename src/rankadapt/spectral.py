@@ -103,8 +103,6 @@ def reconstruct(factors: SvdFactors, indices=None) -> np.ndarray:
     if indices is None:
         return (factors.u * factors.sigma) @ factors.vt
     idx = as_component_indices(indices, factors.k)
-    if idx.size == 0:
-        return np.zeros((factors.m, factors.n))
     return (factors.u[:, idx] * factors.sigma[idx]) @ factors.vt[idx, :]
 
 

@@ -32,8 +32,8 @@ def _apply_rule(value: float, rule: str) -> int:
         return int(math.ceil(v))
     if rule == "floor":
         return int(math.floor(v))
-    # "round": half away from zero
-    return int(math.floor(v + 0.5)) if v >= 0 else int(math.ceil(v - 0.5))
+    # "round": half up, which is half away from zero for the values >= 0 callers pass
+    return int(math.floor(v + 0.5))
 
 
 @dataclass(frozen=True)
@@ -210,8 +210,6 @@ def protected_terms(layer: AdaptedLayer) -> tuple[np.ndarray, np.ndarray]:
     largest magnitude is the worst drift into a protected direction.
     """
     idx0 = np.asarray(layer.plan.protected, dtype=int) - 1
-    if idx0.size == 0:
-        return np.zeros(0), np.zeros(0)
     f = layer.frozen_factors
     left = f.u[:, idx0].T @ layer.b          # (p, r)
     right = layer.a @ f.vt[idx0, :].T        # (r, p)
@@ -242,8 +240,6 @@ def maintaining_penalty_grad(layer: AdaptedLayer) -> tuple[np.ndarray, np.ndarra
     initialized adapter is a stationary point.
     """
     idx0 = np.asarray(layer.plan.protected, dtype=int) - 1
-    if idx0.size == 0:
-        return np.zeros_like(layer.b), np.zeros_like(layer.a)
     f = layer.frozen_factors
     terms, sigma = protected_terms(layer)
     coeff = sigma * np.sign(terms)  # zero where the term is exactly zero

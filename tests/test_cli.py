@@ -382,6 +382,11 @@ def exit_worker(name, weight, residual):
     os._exit(3)
 
 
+def permission_worker(name, weight, residual, *args):
+    """A layer job whose file access is refused, at a path that does not name its layer."""
+    raise PermissionError(13, "Permission denied", "/bundle/data.bin")
+
+
 def cli_env() -> dict:
     """The environment for a child process that imports rankadapt like this one."""
     return dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -408,6 +413,19 @@ class TestLayerWorkers:
         err = capsys.readouterr().err
         assert err == "error: block2.mlp: residual contains non-finite entries\n"
         # neither the output nor a staging directory is left behind
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r", "w"]
+        assert multiprocessing.active_children() == []
+
+    def test_os_error_names_its_layer(self, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(7)
+        names = ("block2.mlp", "block1.mlp")
+        wdir, rdir = write_pair(tmp_path, {n: rng.standard_normal((8, 6)) for n in names},
+                                {n: 0.1 * rng.standard_normal((8, 6)) for n in names})
+        monkeypatch.setattr(cli, "stm_init_layer", permission_worker)
+        assert main(["stm-init", "--weights", wdir, "--residuals", rdir, "--alpha", "0.5",
+                     "--output", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: block1.mlp: [Errno 13] Permission denied: '/bundle/data.bin'\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["r", "w"]
         assert multiprocessing.active_children() == []
 

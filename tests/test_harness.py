@@ -1,6 +1,11 @@
+import warnings
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import rankadapt.harness as harness
+from rankadapt.adapter import merge
 from rankadapt.eranks import entropy_rank, stable_rank
 from rankadapt.errors import TrainingDivergedError, ValidationError
 from rankadapt.harness import (
@@ -50,6 +55,15 @@ class TestMakeSyntheticModel:
         with pytest.raises(ValidationError):
             make_synthetic_model([(4, 4, 0.5)], seed=0, activation="relu")
 
+    @pytest.mark.parametrize("spectrum", [(1.0, np.nan, 0.5), (np.inf, 1.0, 0.5)],
+                             ids=["nan", "inf"])
+    def test_non_finite_spectrum_rejected(self, spectrum):
+        # rejected before the SVD, which would fail or warn on it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="must be finite"):
+                make_synthetic_model([(4, 3, spectrum)], seed=0)
+
 
 class TestFullFinetuneProxy:
     def test_fixed_point_when_nothing_planted(self):
@@ -92,15 +106,6 @@ class TestFullFinetuneProxy:
                                n_samples=32, noise=0.0, seed=9)
         with pytest.raises(TrainingDivergedError, match="diverged at step 1: inf"):
             full_finetune_proxy(model, task, TrainConfig(steps=100, learning_rate=1e308))
-
-    def test_minibatch_path_deterministic(self):
-        model = make_synthetic_model([(8, 6, 0.7)], seed=10)
-        task = make_proxy_task(model, [PlantedDirections((1,), (0.5,))],
-                               n_samples=32, noise=0.02, seed=11)
-        cfg = TrainConfig(steps=40, learning_rate=0.3, batch_size=8)
-        r1 = full_finetune_proxy(model, task, cfg)
-        r2 = full_finetune_proxy(model, task, cfg)
-        assert np.array_equal(r1[0], r2[0])
 
 
 class TestFiniteDifferenceCheck:
@@ -197,3 +202,26 @@ class TestRunStmExperiment:
         run_stm_experiment(model, task, StmConfig(alpha=0.5),
                            TrainConfig(steps=5, learning_rate=0.5, baseline=baseline))
         assert calls == {True: len(model.layers), False: 0}
+
+    @pytest.mark.parametrize("baseline", BASELINES)
+    def test_one_full_batch_pass_per_step(self, monkeypatch, baseline):
+        # a full-batch pass's loss is the task loss of the weights it
+        # differentiates, so S steps take S + 1 passes and no forward-only one
+        model = make_synthetic_model([(16, 12, 0.6), (10, 16, 0.8)], seed=7)
+        planted = [PlantedDirections((3,), (0.9,)), None]
+        task = make_proxy_task(model, planted, n_samples=32, noise=0.02, seed=8)
+        passes, forward_only, merges = [], [], Counter()
+        monkeypatch.setattr(harness, "mse_and_grads",
+                            lambda *args: passes.append(1) or mse_and_grads(*args))
+        monkeypatch.setattr(harness, "task_loss",
+                            lambda *args: forward_only.append(1) or task_loss(*args))
+        monkeypatch.setattr(harness, "merge",
+                            lambda layer: merges.update([id(layer)]) or merge(layer))
+        steps = 5
+        run_stm_experiment(model, task, StmConfig(alpha=0.5),
+                           TrainConfig(steps=steps, learning_rate=0.5, baseline=baseline))
+        runs = 3  # the full fine-tune, then stm and the baseline
+        assert len(passes) == runs * (steps + 1)
+        assert forward_only == []
+        # each adapted layer merges once per pass, then once for its update norm
+        assert list(merges.values()) == [steps + 2] * 2 * len(model.layers)

@@ -261,6 +261,21 @@ class TestMaintainingPenalty:
         with pytest.raises(ValidationError):
             maintaining_penalty([])
 
+    def test_nothing_protected(self):
+        # stable rank 14/9 gives cutoff 2, and both leading directions are selected
+        w = np.diag([3.0, 2.0, 1.0])
+        layer = initialize_adapter(w, decompose(w), {1, 2}, cfg())
+        assert layer.plan.protect_cutoff == 2 and layer.plan.protected == ()
+        rng = np.random.default_rng(0)
+        layer.b = layer.b + rng.standard_normal(layer.b.shape)
+        layer.a = layer.a + rng.standard_normal(layer.a.shape)
+        terms, sigma = protected_terms(layer)
+        assert terms.shape == sigma.shape == (0,) and terms.dtype == np.float64
+        assert maintaining_penalty([layer]) == 0.0
+        grad_b, grad_a = maintaining_penalty_grad(layer)
+        assert grad_b.shape == (3, 2) and grad_a.shape == (2, 3)
+        assert not grad_b.any() and not grad_a.any()
+
 
 class TestMaintainingPenaltyGrad:
     def _perturbed_layer(self, seed_):
