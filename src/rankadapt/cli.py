@@ -81,6 +81,29 @@ def _layer_entries(weights_dir, residuals_dir) -> dict:
     return layers
 
 
+def _check_output(output, layers: dict, *bundle_dirs) -> None:
+    """Reject an ``output`` that is one of the input bundles or one of their files.
+
+    ``layers`` are the bundles' validated entries from :func:`_layer_entries`;
+    a ``bundle_dirs`` item may be None, for a bundle not given. Writing to
+    such an ``output`` would replace a bundle directory, its manifest or a
+    payload the layers are about to read.
+    """
+    from .tensorio import MANIFEST_NAME
+
+    try:
+        target = os.stat(output)
+    except OSError:  # nothing there, so nothing an input would lose
+        return
+    dirs = [Path(d) for d in bundle_dirs if d is not None]
+    files = [d / MANIFEST_NAME for d in dirs]
+    files += [entry.path for pair in layers.values() for entry in pair if entry is not None]
+    for paths, what in ((dirs, "the weight or residual bundle"),
+                        (files, "a file of the weight or residual bundle")):
+        if any(os.path.samestat(target, os.stat(p)) for p in paths):
+            raise ValidationError(f"--output must not be {what}")
+
+
 def _map_layers(job, layers: dict, *args) -> list:
     """``[job(name, *layers[name], *args) for name in layers]``, one worker per usable core.
 
@@ -215,8 +238,9 @@ def cmd_spectra(args) -> int:
     from .tensorio import Report
 
     check_gamma(args.gamma)
-    per_layer = _map_layers(spectra_layer, _layer_entries(args.weights, args.residuals),
-                            args.gamma)
+    layers = _layer_entries(args.weights, args.residuals)
+    _check_output(args.output, layers, args.weights, args.residuals)
+    per_layer = _map_layers(spectra_layer, layers, args.gamma)
     records = [rec for layer_records in per_layer for rec in layer_records]
     Report(kind="spectra", records=records).write(args.output, args.format)
     return EXIT_OK
@@ -256,8 +280,7 @@ def cmd_stm_init(args) -> int:
             cfg.max_rank(min(weight.shape))
         except ValidationError as exc:
             raise ValidationError(f"{name}: {exc}") from exc
-    if os.path.realpath(args.output) in map(os.path.realpath, (args.weights, args.residuals)):
-        raise ValidationError("--output must not be the weight or residual bundle")
+    _check_output(args.output, layers, args.weights, args.residuals)
     with staged_bundle(args.output) as out:
         results = _map_layers(stm_init_layer, layers, cfg, out)
         write_manifest(out, [record for records, _ in results for record in records])

@@ -168,18 +168,22 @@ def task_loss(weights, activation: str, task: ProxyTask) -> float:
 def make_proxy_task(model: SyntheticModel, planted, n_samples: int,
                     noise: float, seed: int) -> ProxyTask:
     """Draw Gaussian inputs and label them with a secretly perturbed teacher."""
-    if noise < 0:
-        raise ValidationError("noise level must be non-negative")
+    if not (math.isfinite(noise) and noise >= 0):
+        raise ValidationError(f"noise level must be finite and non-negative, got {noise}")
     if len(planted) != len(model.layers):
         raise ValidationError("need one planted entry (or None) per layer")
+    for plant in filter(None, planted):
+        if len(plant.indices) != len(plant.amplitudes):
+            raise ValidationError("planted indices and amplitudes differ in length")
+        for c in plant.amplitudes:
+            if not math.isfinite(c):
+                raise ValidationError(f"planted amplitudes must be finite, got {c}")
     rng = np.random.default_rng(seed)
     teacher = []
     for w, plant in zip(model.layers, planted):
         if plant is None or len(plant.indices) == 0:
             teacher.append(w.copy())
             continue
-        if len(plant.indices) != len(plant.amplitudes):
-            raise ValidationError("planted indices and amplitudes differ in length")
         f = decompose(w)
         idx0 = as_component_indices(plant.indices, f.k)
         bump = np.zeros_like(w)

@@ -120,5 +120,8 @@ def project_residual(factors: SvdFactors, residual: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(r)):
         raise ValidationError("residual contains non-finite entries")
     # d_i is the i-th diagonal entry of U^T residual V: one GEMM for
-    # residual V, then a column-wise dot product with U
-    return np.abs(np.einsum("mi,mi->i", factors.u, r @ factors.vt.T))
+    # U^T residual, then a row-wise dot product with Vt. The GEMM's left
+    # operand has K rows, not m: OpenBLAS keeps the pack buffer of a left
+    # operand's rows mapped, about m x 3 KiB for a tall residual @ V, and a
+    # worker's next layer would carry those pages into its SVD peak.
+    return np.abs(np.einsum("in,in->i", factors.u.T @ r, factors.vt))

@@ -456,6 +456,37 @@ class TestLayerWorkers:
         assert not loaded & {"rankadapt.harness", "rankadapt.depthloss"}
         assert (out / "l0.plan.json").exists()
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc")
+    def test_peak_does_not_grow_with_layers_run(self, tmp_path):
+        # a decaying spectrum keeps the residual's selected rank small, as on
+        # real weights, so the layer's peak is its SVD, not its split
+        rng = np.random.default_rng(21)
+        q1, _ = np.linalg.qr(rng.standard_normal((3072, 768)))
+        q2, _ = np.linalg.qr(rng.standard_normal((768, 768)))
+        wdir, rdir = write_pair(
+            tmp_path, {"l0": ((q1 * 0.98 ** np.arange(768)) @ q2.T).astype(np.float32)},
+            {"l0": (0.1 * rng.standard_normal((3072, 768))).astype(np.float32)})
+        outs = [tmp_path / "out0", tmp_path / "out1"]
+        for out in outs:
+            out.mkdir()
+        job = pickle.dumps((read_entries(wdir)["l0"], read_entries(rdir)["l0"],
+                            StmConfig(alpha=0.5), [str(out) for out in outs]))
+        # one worker running the same layer twice, its peak RSS in KiB after
+        # each run; ru_maxrss would report this test process's peak, which a
+        # child process inherits at exec
+        script = ("import pickle, sys; from rankadapt.cli import stm_init_layer\n"
+                  "w, r, cfg, outs = pickle.load(sys.stdin.buffer)\n"
+                  "for out in outs:\n"
+                  "    stm_init_layer('l0', w, r, cfg, out)\n"
+                  "    with open('/proc/self/status') as fh:\n"
+                  "        print(next(ln for ln in fh if ln.startswith('VmHWM:')).split()[1])\n")
+        proc = subprocess.run([sys.executable, "-c", script], input=job,
+                              env=dict(cli_env(), **dict.fromkeys(THREAD_VARS, "1")),
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        first, second = map(int, proc.stdout.split())
+        assert second <= first + 2048, f"peak grew from {first} to {second} KiB"
+
     def test_more_layers_than_open_file_limit(self, tmp_path):
         names = [f"layer{i:03d}" for i in range(80)]
         wdir, rdir = write_pair(tmp_path, {n: np.eye(3) for n in names},
@@ -547,6 +578,23 @@ class TestRejectedBeforeWorkers:
         captured = capsys.readouterr()
         assert captured.err == "error: b: residual shape (4, 6) does not match factors (6, 4)\n"
         assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r", "w"]
+
+    @pytest.mark.parametrize("command", [["stm-init", "--alpha", "0.5"], ["spectra"]],
+                             ids=lambda c: c[0])
+    @pytest.mark.parametrize("bundle", ["w", "r"])
+    @pytest.mark.parametrize("file", ["manifest.json", "a.bin"])
+    def test_input_file_as_output_exits_2(self, tmp_path, capsys, command, bundle, file):
+        rng = np.random.default_rng(14)
+        wdir, rdir = write_pair(tmp_path, {"a": rng.standard_normal((6, 4))},
+                                {"a": 0.1 * rng.standard_normal((6, 4))})
+        before = {name: dir_bytes(tmp_path / name) for name in ("w", "r")}
+        assert main([command[0], "--weights", wdir, "--residuals", rdir, *command[1:],
+                     "--output", str(tmp_path / bundle / file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: --output must not be a file of the weight or residual bundle\n")
+        assert {name: dir_bytes(tmp_path / name) for name in ("w", "r")} == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["r", "w"]
 
     def test_infeasible_rank_cap_exits_2(self, tmp_path, capsys):

@@ -65,6 +65,23 @@ class TestMakeSyntheticModel:
                 make_synthetic_model([(4, 3, spectrum)], seed=0)
 
 
+class TestMakeProxyTask:
+    @pytest.mark.parametrize("noise", [np.nan, np.inf, -0.1])
+    def test_bad_noise_rejected(self, noise):
+        model = make_synthetic_model([(6, 5, 0.6)], seed=0)
+        with pytest.raises(ValidationError, match=f"finite and non-negative, got {noise}$"):
+            make_proxy_task(model, [None], n_samples=8, noise=noise, seed=1)
+
+    @pytest.mark.parametrize("amplitude", [np.nan, np.inf, -np.inf])
+    def test_non_finite_amplitude_rejected_before_any_svd(self, amplitude, monkeypatch):
+        model = make_synthetic_model([(6, 5, 0.6), (4, 6, 0.9)], seed=0)
+        planted = [PlantedDirections((2,), (1.0,)), PlantedDirections((1, 3), (0.5, amplitude))]
+        calls = count_svd_calls(monkeypatch)
+        with pytest.raises(ValidationError, match=f"amplitudes must be finite, got {amplitude}$"):
+            make_proxy_task(model, planted, n_samples=8, noise=0.0, seed=1)
+        assert calls == {True: 0, False: 0}
+
+
 class TestFullFinetuneProxy:
     def test_fixed_point_when_nothing_planted(self):
         model = make_synthetic_model([(8, 6, 0.7)], seed=2)
