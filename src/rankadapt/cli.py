@@ -61,11 +61,14 @@ _BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS
 def _layer_entries(weights_dir, residuals_dir) -> dict:
     """Each layer's validated (weight, residual or None) entries, by sorted name.
 
-    A residual bundle, if given, must hold the same names and shapes.
+    The weight bundle must not be empty, and a residual bundle, if given,
+    must hold the same names and shapes.
     """
     from .tensorio import read_entries
 
     weights = read_entries(weights_dir)
+    if not weights:
+        raise ValidationError(f"weight bundle {weights_dir} holds no matrices")
     residuals = dict.fromkeys(weights) if residuals_dir is None else read_entries(residuals_dir)
     missing = sorted(set(weights) - set(residuals))
     extra = sorted(set(residuals) - set(weights))
@@ -118,8 +121,6 @@ def _map_layers(job, layers: dict, *args) -> list:
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    if not layers:
-        return []
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on macOS or Windows
@@ -288,7 +289,7 @@ def cmd_stm_init(args) -> int:
     return EXIT_OK
 
 
-def _verify_lemma(seed: int, trials: int, inject_fault: bool):
+def _verify_lemma(seed: int, trials: int):
     import numpy as np
 
     from .eranks import entropy_rank, stable_rank
@@ -310,72 +311,54 @@ def _verify_lemma(seed: int, trials: int, inject_fault: bool):
             sigma[0] = 1.0
         st = stable_rank(sigma, 1.0)
         ent = entropy_rank(sigma, 1.0)
-        ok = st <= ent + 1e-9
-        if inject_fault:
-            ok = not ok
-        if not ok:
+        if not st <= ent + 1e-9:
             return ("rank_ordering", False,
                     f"trial {t} (seed {seed}): stable {st:.9f} vs entropy {ent:.9f}")
     return ("rank_ordering", True, f"{trials} trials")
 
 
-def _sweep_layers(seed: int, count: int):
+def _verify_layers(seed: int) -> list[tuple]:
+    """Init exactness, zero penalty at init and, on the first layers, the penalty gradient."""
     import numpy as np
 
+    from . import harness
+    from .adapter import merge
     from .spectral import decompose
-    from .stm import StmConfig, initialize_adapter
+    from .stm import StmConfig, initialize_adapter, maintaining_penalty, maintaining_penalty_grad
 
+    counts = {"init_exactness": 100, "zero_penalty_at_init": 100, "penalty_gradient": 25}
+    failures = {}  # the detail of each property's first failure
     shapes = [(8, 8), (16, 8), (8, 16), (32, 16)]
-    rng = np.random.default_rng(seed)
+    rng, perturb = np.random.default_rng(seed), np.random.default_rng(seed + 1)
     cfg = StmConfig(alpha=1.0)
-    for t in range(count):
+    for t in range(counts["init_exactness"]):
         m, n = shapes[t % len(shapes)]
         k = min(m, n)
         w = rng.standard_normal((m, n))
         r = int(rng.integers(1, max(2, k // 2)))
         selected = sorted(int(i) + 1 for i in rng.choice(k, size=r, replace=False))
-        yield t, w, initialize_adapter(w, decompose(w), selected, cfg)
-
-
-def _verify_init(seed: int, count: int) -> list[tuple]:
-    """Init exactness and zero penalty at init, both checked on one sweep of layers."""
-    import numpy as np
-
-    from .adapter import merge
-    from .stm import maintaining_penalty
-
-    exact = zero_penalty = None  # the detail of each property's first failure
-    for t, w, layer in _sweep_layers(seed, count):
+        layer = initialize_adapter(w, decompose(w), selected, cfg)
         err = np.linalg.norm(merge(layer) - w) / np.linalg.norm(w)
-        if exact is None and err > 1e-10:
-            exact = f"trial {t} (seed {seed}): residual {err:.3e}"
+        if err > 1e-10:
+            failures.setdefault("init_exactness", f"trial {t} (seed {seed}): residual {err:.3e}")
         penalty = maintaining_penalty([layer])
-        if zero_penalty is None and penalty > 1e-9:
-            zero_penalty = f"trial {t} (seed {seed}): penalty {penalty:.3e}"
-    failures = {"init_exactness": exact, "zero_penalty_at_init": zero_penalty}
-    return [(name, detail is None, detail or f"{count} layers")
-            for name, detail in failures.items()]
-
-
-def _verify_penalty_gradient(seed: int, count: int):
-    import numpy as np
-
-    from . import harness
-    from .stm import maintaining_penalty, maintaining_penalty_grad
-
-    rng = np.random.default_rng(seed)
-    for t, _, init in _sweep_layers(seed + 1, count):
-        layer = replace(init, b=init.b + 0.2 * rng.standard_normal(init.b.shape),
-                        a=init.a + 0.2 * rng.standard_normal(init.a.shape))
-        grad_b, grad_a = maintaining_penalty_grad(layer)
-        err_b = harness.finite_difference_check(
-            lambda b: maintaining_penalty([replace(layer, b=b)]), layer.b, grad_b)
-        err_a = harness.finite_difference_check(
-            lambda a: maintaining_penalty([replace(layer, a=a)]), layer.a, grad_a)
-        if max(err_b, err_a) > 1e-4:
-            return ("penalty_gradient", False,
-                    f"trial {t} (seed {seed}): max error {max(err_b, err_a):.3e}")
-    return ("penalty_gradient", True, f"{count} layers")
+        if penalty > 1e-9:
+            failures.setdefault("zero_penalty_at_init",
+                                f"trial {t} (seed {seed}): penalty {penalty:.3e}")
+        if t < counts["penalty_gradient"]:
+            layer = replace(layer, b=layer.b + 0.2 * perturb.standard_normal(layer.b.shape),
+                            a=layer.a + 0.2 * perturb.standard_normal(layer.a.shape))
+            grad_b, grad_a = maintaining_penalty_grad(layer)
+            err_b = harness.finite_difference_check(
+                lambda b: maintaining_penalty([replace(layer, b=b)]), layer.b, grad_b)
+            err_a = harness.finite_difference_check(
+                lambda a: maintaining_penalty([replace(layer, a=a)]), layer.a, grad_a)
+            err = max(err_b, err_a)
+            if err > 1e-4:
+                failures.setdefault("penalty_gradient",
+                                    f"trial {t} (seed {seed}): max error {err:.3e}")
+    return [(name, name not in failures, failures.get(name, f"{count} layers"))
+            for name, count in counts.items()]
 
 
 def _verify_task_gradient(seed: int, count: int):
@@ -391,7 +374,7 @@ def _verify_task_gradient(seed: int, count: int):
         for li in range(len(weights)):
             def loss_of(wl, li=li):
                 trial = [wl if j == li else weights[j] for j in range(len(weights))]
-                return harness.task_loss(trial, "tanh", task)
+                return harness.mse_and_grads(trial, "tanh", task.inputs, task.targets)[0]
 
             err = harness.finite_difference_check(loss_of, weights[li], grads[li])
             if err > 1e-5:
@@ -404,9 +387,8 @@ def cmd_verify(args) -> int:
     if args.trials < 1:
         raise ValidationError("trials must be positive")
     results = [
-        _verify_lemma(args.seed, args.trials, args.inject_fault),
-        *_verify_init(args.seed, 100),
-        _verify_penalty_gradient(args.seed, 25),
+        _verify_lemma(args.seed, args.trials),
+        *_verify_layers(args.seed),
         _verify_task_gradient(args.seed, 5),
     ]
     failed = False
@@ -462,8 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the seeded property sweeps")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--inject-fault", action="store_true",
-                   help="self-test: flip the rank ordering check so it must fail")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("train-toy", help="synthetic adaptation experiment vs a baseline")

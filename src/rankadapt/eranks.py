@@ -25,8 +25,8 @@ def check_gamma(gamma: float) -> None:
         raise ValidationError(f"gamma must be positive and finite, got {gamma}")
 
 
-def _checked_spectrum(sigma, gamma: float) -> np.ndarray:
-    check_gamma(gamma)
+def check_spectrum(sigma) -> np.ndarray:
+    """``sigma`` as a float64 vector; raises unless it is a spectrum with effective ranks."""
     s = np.asarray(sigma, dtype=np.float64).ravel()
     if s.size == 0:
         raise ValidationError("empty spectrum")
@@ -41,7 +41,8 @@ def _checked_spectrum(sigma, gamma: float) -> np.ndarray:
 
 def entropy_rank(sigma, gamma: float = 1.0) -> float:
     """exp of the entropy of the gamma-normalized spectrum."""
-    s = _checked_spectrum(sigma, gamma)
+    check_gamma(gamma)
+    s = check_spectrum(sigma)
     t = (s / s[0]) ** gamma  # normalize before powering to avoid overflow
     p = t / np.sum(t)
     nz = p[p > 0.0]
@@ -50,6 +51,7 @@ def entropy_rank(sigma, gamma: float = 1.0) -> float:
 
 def stable_rank(sigma, gamma: float = 1.0) -> float:
     """Sum of singular values relative to the largest, each raised to gamma."""
-    s = _checked_spectrum(sigma, gamma)
+    check_gamma(gamma)
+    s = check_spectrum(sigma)
     return float(np.sum((s / s[0]) ** gamma))
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .adapter import merge
+from .eranks import check_spectrum
 from .errors import NumericError, TrainingDivergedError, ValidationError
 from .spectral import as_component_indices, decompose, singular_values
 from .stm import (
@@ -88,20 +89,17 @@ def resolve_spectrum(prescription, k: int) -> np.ndarray:
     """Expand a prescription into k descending singular values.
 
     A scalar ratio q in (0, 1] means geometric decay ``q**i`` starting at 1
-    (q = 1 gives a uniform spectrum); anything array-like is taken verbatim.
+    (q = 1 gives a uniform spectrum); anything array-like is taken verbatim
+    if :func:`~rankadapt.eranks.check_spectrum` accepts it.
     """
     if np.isscalar(prescription):
         q = float(prescription)
         if not 0.0 < q <= 1.0:
             raise ValidationError(f"decay ratio must lie in (0, 1], got {q}")
         return q ** np.arange(k, dtype=np.float64)
-    sigma = np.asarray(prescription, dtype=np.float64).ravel()
+    sigma = check_spectrum(prescription)
     if sigma.shape[0] != k:
         raise ValidationError(f"spectrum has {sigma.shape[0]} values, layer needs {k}")
-    if not np.all(np.isfinite(sigma)):
-        raise ValidationError("prescribed spectrum must be finite")
-    if np.any(sigma < 0) or np.any(np.diff(sigma) > 0):
-        raise ValidationError("prescribed spectrum must be descending and non-negative")
     return sigma
 
 
@@ -159,12 +157,6 @@ def mse_and_grads(weights, activation: str, x, y):
     return float(np.mean(resid * resid)), grads
 
 
-def task_loss(weights, activation: str, task: ProxyTask) -> float:
-    """Mean-squared error of the network on the whole task, forward pass only."""
-    resid = _forward(weights, activation, task.inputs) - task.targets
-    return float(np.mean(resid * resid))
-
-
 def make_proxy_task(model: SyntheticModel, planted, n_samples: int,
                     noise: float, seed: int) -> ProxyTask:
     """Draw Gaussian inputs and label them with a secretly perturbed teacher."""
@@ -178,6 +170,9 @@ def make_proxy_task(model: SyntheticModel, planted, n_samples: int,
         for c in plant.amplitudes:
             if not math.isfinite(c):
                 raise ValidationError(f"planted amplitudes must be finite, got {c}")
+        for n, i in enumerate(plant.indices):
+            if i in plant.indices[:n]:
+                raise ValidationError(f"planted index {i} is repeated")
     rng = np.random.default_rng(seed)
     teacher = []
     for w, plant in zip(model.layers, planted):
@@ -185,10 +180,10 @@ def make_proxy_task(model: SyntheticModel, planted, n_samples: int,
             teacher.append(w.copy())
             continue
         f = decompose(w)
-        idx0 = as_component_indices(plant.indices, f.k)
+        amplitude = {int(i): c for i, c in zip(plant.indices, plant.amplitudes)}
         bump = np.zeros_like(w)
-        for j, c in zip(idx0, plant.amplitudes):
-            bump += c * np.outer(f.u[:, j], f.vt[j, :])
+        for j in as_component_indices(plant.indices, f.k):  # ascending
+            bump += amplitude[j + 1] * np.outer(f.u[:, j], f.vt[j, :])
         teacher.append(w + bump)
     x = rng.standard_normal((model.layers[0].shape[1], n_samples))
     y = _forward(teacher, model.activation, x)

@@ -23,6 +23,7 @@ elsewhere, such as one worker process per layer, calls them itself.
 
 Reports are flat tables of records that serialize to CSV (header row
 mandatory, ``.`` decimal separator) or JSON with identical numeric content.
+A report file, too, replaces the old one by rename only once it is complete.
 """
 
 import csv
@@ -247,6 +248,23 @@ def read_bundle(path) -> dict[str, np.memmap]:
     return {name: entry.load() for name, entry in read_entries(path).items()}
 
 
+@contextmanager
+def _replaced_file(path):
+    """Yield a text file that replaces ``path`` by rename on a clean exit.
+
+    It is the sibling ``.<name>.tmp-<pid>``, removed however the block ends.
+    """
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.tmp-{os.getpid()}")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.lexists(tmp):
+            os.remove(tmp)
+
+
 REPORT_KINDS = ("spectra", "metrics")
 
 
@@ -272,7 +290,7 @@ class Report:
 
     def to_csv(self, path) -> None:
         columns = self._columns()
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with _replaced_file(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(columns)
             # csv writes a float, numpy's too, in its shortest round-tripping form
@@ -280,7 +298,7 @@ class Report:
 
     def to_json(self, path) -> None:
         self._columns()
-        with open(path, "w", encoding="utf-8") as fh:
+        with _replaced_file(path) as fh:
             json.dump({"kind": self.kind, "records": self.records}, fh, indent=2)
             fh.write("\n")
 

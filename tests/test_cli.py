@@ -10,13 +10,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rankadapt.adapter as adapter
 import rankadapt.cli as cli
+import rankadapt.eranks as eranks
 import rankadapt.errors as errors
+import rankadapt.harness as harness
 import rankadapt.spectral as spectral
+import rankadapt.stm as stm
 import rankadapt.tensorio as tensorio
 from rankadapt.cli import _map_layers, main, spectra_layer, stm_init_layer
 from rankadapt.harness import BASELINES, make_synthetic_model
-from rankadapt.stm import StmConfig, StmPlan
+from rankadapt.stm import StmConfig, StmPlan, adapt_layer
 from rankadapt.tensorio import (
     BundleEntry,
     read_bundle,
@@ -275,6 +279,29 @@ class TestStmInit:
                      "--alpha", "0.5", "--output", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: b: missing data file ")
         assert not out.exists()
+
+    def test_every_stm_flag_reaches_the_plan(self, tmp_path):
+        rng = np.random.default_rng(23)
+        shapes = {"attn": (16, 16), "mlp.down": (10, 24), "mlp.up": (24, 10)}
+        weights = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        weights["attn"] = weights["attn"].astype(np.float32)
+        residuals = {k: 0.1 * rng.standard_normal(s) for k, s in shapes.items()}
+        wdir, rdir = write_pair(tmp_path, weights, residuals)
+        flags = {"alpha": 0.5, "gamma": 0.5, "protection_rule": "floor", "min_rank": 2,
+                 "max_rank_fraction": 0.25}
+        out = tmp_path / "adapters"
+        argv = [arg for field, value in flags.items()
+                for arg in ("--" + field.replace("_", "-"), str(value))]
+        assert main(["stm-init", "--weights", wdir, "--residuals", rdir, *argv,
+                     "--output", str(out)]) == 0
+        stored_weights, stored_residuals = read_bundle(wdir), read_bundle(rdir)
+        for name, shape in shapes.items():
+            record = json.loads((out / f"{name}.plan.json").read_text())
+            assert record["config"] == flags
+            w = np.asarray(stored_weights[name], dtype=np.float64)
+            expected = adapt_layer(w, stored_residuals[name], StmConfig(**flags)).plan
+            assert StmPlan.from_dict(record) == expected
+            assert 2 <= expected.r <= int(0.25 * min(shape))
 
     def test_missing_residual_exits_2(self, tmp_path):
         wdir, rdir = write_pair(tmp_path, {"a": np.eye(3), "b": np.eye(3)},
@@ -597,6 +624,17 @@ class TestRejectedBeforeWorkers:
         assert {name: dir_bytes(tmp_path / name) for name in ("w", "r")} == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["r", "w"]
 
+    @pytest.mark.parametrize("command", [["stm-init", "--alpha", "0.5"], ["spectra"]],
+                             ids=lambda c: c[0])
+    def test_empty_bundle_exits_2(self, tmp_path, capsys, command):
+        wdir, rdir = write_pair(tmp_path, {}, {})
+        assert main([command[0], "--weights", wdir, "--residuals", rdir, *command[1:],
+                     "--output", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: weight bundle {wdir} holds no matrices\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r", "w"]
+
     def test_infeasible_rank_cap_exits_2(self, tmp_path, capsys):
         rng = np.random.default_rng(12)
         # a 1 x N bias has rank cap floor(0.5 * 1) = 0 below min_rank 1
@@ -686,12 +724,40 @@ def test_baseline_choices_are_the_harness_baselines():
     assert cli._BASELINES == BASELINES
 
 
+def _scaled_gradients(mse_and_grads):
+    def broken(*args):
+        loss, grads = mse_and_grads(*args)
+        return loss, [1.01 * g for g in grads]
+
+    return broken
+
+
 class TestVerify:
     def test_default_sweep_passes(self):
         assert main(["verify"]) == 0  # default 1000 rank-ordering trials
 
-    def test_injected_fault_exits_3(self):
-        assert main(["verify", "--trials", "8", "--inject-fault"]) == 3
+    @pytest.mark.parametrize("module, name, break_it", [
+        pytest.param(eranks, "stable_rank", lambda f: lambda *a: f(*a) + 1.0,
+                     id="rank_ordering"),
+        pytest.param(adapter, "merge", lambda f: lambda layer: f(layer) + 1e-6,
+                     id="init_exactness"),
+        # an offset leaves the finite differences of the penalty gradient check alone
+        pytest.param(stm, "maintaining_penalty", lambda f: lambda layers: f(layers) + 1e-6,
+                     id="zero_penalty_at_init"),
+        pytest.param(stm, "maintaining_penalty_grad",
+                     lambda f: lambda layer: tuple(1.01 * g for g in f(layer)),
+                     id="penalty_gradient"),
+        pytest.param(harness, "mse_and_grads", _scaled_gradients, id="task_gradient"),
+    ])
+    def test_each_property_can_fail(self, request, monkeypatch, capsys, module, name, break_it):
+        # the library function that the property checks is wrong; that property alone fails
+        prop = request.node.callspec.id
+        monkeypatch.setattr(module, name, break_it(getattr(module, name)))
+        assert main(["verify", "--trials", "8"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line for line in lines if not line.startswith("PASS ")]
+        assert len(lines) == 5 and len(failed) == 1
+        assert failed[0].startswith(f"FAIL {prop}: trial ")
 
     def test_zero_trials_exits_2(self):
         assert main(["verify", "--trials", "0"]) == 2
@@ -702,7 +768,7 @@ class TestVerify:
         monkeypatch.setattr(spectral, "decompose",
                             lambda w: shapes.append(w.shape) or decompose(w))
         assert main(["verify", "--trials", "1"]) == 0  # the rank ordering sweep decomposes none
-        assert len(shapes) == 100 + 25  # the init sweep and the penalty gradient sweep
+        assert len(shapes) == 100  # one sweep serves init, zero penalty and penalty gradient
 
 
 class TestTrainToy:

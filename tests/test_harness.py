@@ -7,7 +7,7 @@ import pytest
 import rankadapt.harness as harness
 from rankadapt.adapter import merge
 from rankadapt.eranks import entropy_rank, stable_rank
-from rankadapt.errors import TrainingDivergedError, ValidationError
+from rankadapt.errors import DegenerateSpectrumError, TrainingDivergedError, ValidationError
 from rankadapt.harness import (
     BASELINES,
     PlantedDirections,
@@ -18,7 +18,6 @@ from rankadapt.harness import (
     make_synthetic_model,
     mse_and_grads,
     run_stm_experiment,
-    task_loss,
 )
 from rankadapt.spectral import decompose, project_residual
 from rankadapt.stm import StmConfig
@@ -54,6 +53,8 @@ class TestMakeSyntheticModel:
             make_synthetic_model([(4, 4, (1.0, 0.5))], seed=0)
         with pytest.raises(ValidationError):
             make_synthetic_model([(4, 4, 0.5)], seed=0, activation="relu")
+        with pytest.raises(DegenerateSpectrumError):  # exit 2, like the rest
+            make_synthetic_model([(4, 3, (0.0, 0.0, 0.0))], seed=0)
 
     @pytest.mark.parametrize("spectrum", [(1.0, np.nan, 0.5), (np.inf, 1.0, 0.5)],
                              ids=["nan", "inf"])
@@ -81,6 +82,22 @@ class TestMakeProxyTask:
             make_proxy_task(model, planted, n_samples=8, noise=0.0, seed=1)
         assert calls == {True: 0, False: 0}
 
+    @pytest.mark.parametrize("indices", [(5, 2), (2, 5)])
+    def test_amplitudes_pair_with_their_own_index(self, indices):
+        model = make_synthetic_model([(8, 6, 0.7)], seed=3)
+        amplitudes = {5: 0.9, 2: 0.1}
+        plant = PlantedDirections(indices, tuple(amplitudes[i] for i in indices))
+        task = make_proxy_task(model, [plant], n_samples=16, noise=0.0, seed=4)
+        teacher = task.targets @ np.linalg.pinv(task.inputs)
+        d = project_residual(decompose(model.layers[0]), teacher - model.layers[0])
+        assert np.allclose(d, [0.0, 0.1, 0.0, 0.0, 0.9, 0.0], atol=1e-10)
+
+    def test_repeated_index_rejected(self):
+        model = make_synthetic_model([(8, 6, 0.7)], seed=3)
+        with pytest.raises(ValidationError, match="planted index 2 is repeated$"):
+            make_proxy_task(model, [PlantedDirections((2, 5, 2), (0.9, 0.3, 0.1))],
+                            n_samples=16, noise=0.0, seed=4)
+
 
 class TestFullFinetuneProxy:
     def test_fixed_point_when_nothing_planted(self):
@@ -105,7 +122,7 @@ class TestFullFinetuneProxy:
         for li in range(2):
             def loss_of(wl, li=li):
                 trial = [wl if j == li else weights[j] for j in range(2)]
-                return task_loss(trial, "tanh", task)
+                return mse_and_grads(trial, "tanh", task.inputs, task.targets)[0]
 
             assert finite_difference_check(loss_of, weights[li], grads[li]) <= 1e-5
 
@@ -223,15 +240,13 @@ class TestRunStmExperiment:
     @pytest.mark.parametrize("baseline", BASELINES)
     def test_one_full_batch_pass_per_step(self, monkeypatch, baseline):
         # a full-batch pass's loss is the task loss of the weights it
-        # differentiates, so S steps take S + 1 passes and no forward-only one
+        # differentiates, so S steps take S + 1 passes
         model = make_synthetic_model([(16, 12, 0.6), (10, 16, 0.8)], seed=7)
         planted = [PlantedDirections((3,), (0.9,)), None]
         task = make_proxy_task(model, planted, n_samples=32, noise=0.02, seed=8)
-        passes, forward_only, merges = [], [], Counter()
+        passes, merges = [], Counter()
         monkeypatch.setattr(harness, "mse_and_grads",
                             lambda *args: passes.append(1) or mse_and_grads(*args))
-        monkeypatch.setattr(harness, "task_loss",
-                            lambda *args: forward_only.append(1) or task_loss(*args))
         monkeypatch.setattr(harness, "merge",
                             lambda layer: merges.update([id(layer)]) or merge(layer))
         steps = 5
@@ -239,6 +254,5 @@ class TestRunStmExperiment:
                            TrainConfig(steps=steps, learning_rate=0.5, baseline=baseline))
         runs = 3  # the full fine-tune, then stm and the baseline
         assert len(passes) == runs * (steps + 1)
-        assert forward_only == []
         # each adapted layer merges once per pass, then once for its update norm
         assert list(merges.values()) == [steps + 2] * 2 * len(model.layers)

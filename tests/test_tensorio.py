@@ -295,3 +295,31 @@ def test_report_validation():
         Report(kind="metrics", records=[]).to_csv("/dev/null")
     with pytest.raises(ValidationError):
         Report(kind="metrics", records=[{"a": 1}, {"b": 2}]).to_csv("/dev/null")
+
+
+class _FullDisk:
+    """A report value whose CSV cell cannot be written, as on a full disk."""
+
+    def __str__(self):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("fmt, error", [("csv", OSError), ("json", TypeError)])
+def test_failed_report_write_keeps_old_report(tmp_path, fmt, error):
+    path = tmp_path / f"report.{fmt}"
+    Report(kind="metrics", records=[{"name": "old", "value": 1.0}]).write(path, fmt)
+    old = path.read_bytes()
+    # the second row fails once the first is written
+    records = [{"name": "a", "value": 1.0}, {"name": "b", "value": _FullDisk()}]
+    with pytest.raises(error):
+        Report(kind="metrics", records=records).write(path, fmt)
+    assert path.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [path]  # no temporary file is left
+
+
+def test_report_write_replaces_old_report(tmp_path):
+    path = tmp_path / "report.csv"
+    for value in (1.0, 2.5):
+        Report(kind="metrics", records=[{"value": value}]).write(path, "csv")
+    assert path.read_bytes() == b"value\r\n2.5\r\n"
+    assert list(tmp_path.iterdir()) == [path]
