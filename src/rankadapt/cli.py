@@ -257,11 +257,13 @@ def stm_init_layer(name: str, weight: BundleEntry, residual: BundleEntry, cfg: S
     parameter count; no matrix and no plan.
     """
     from .adapter import trainable_param_count
+    from .spectral import decompose
     from .stm import adapt_layer
     from .tensorio import write_entry
 
+    w = _load_f64(weight)
     # the residual stays as stored until the projection, after the SVD
-    layer = adapt_layer(_load_f64(weight), residual.load(), cfg)
+    layer = adapt_layer(w, decompose(w), residual.load(), cfg)
     records = [write_entry(out_dir, f"{name}.{part}", matrix)
                for part, matrix in (("W0", layer.w0), ("B", layer.b), ("A", layer.a))]
     with open(Path(out_dir) / f"{name}.plan.json", "x", encoding="utf-8") as fh:

@@ -25,7 +25,6 @@ from .stm import (
     adapt_layer,
     initialize_adapter,
     maintaining_penalty_grad,
-    make_plan,
     protected_terms,
 )
 from .tensorio import Report
@@ -263,24 +262,20 @@ def _kaiming_uniform(rng, rows: int, cols: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(rows, cols))
 
 
-def _baseline_adapters(model: SyntheticModel, stm_layers, method: str,
+def _baseline_adapters(model: SyntheticModel, factors, ranks, method: str,
                        stm_cfg: StmConfig, seed: int) -> list[AdaptedLayer]:
-    """Baseline adapters with the rank budget and base factors of ``stm_layers``."""
+    """Baseline adapters over the layers' ``factors``, with rank budgets ``ranks``."""
     rng = np.random.default_rng([seed, BASELINES.index(method) + 1])
     layers = []
-    for w, stm_layer in zip(model.layers, stm_layers):
-        r, factors = stm_layer.plan.r, stm_layer.frozen_factors
+    for w, f, r in zip(model.layers, factors, ranks):
         if method == "random_subset_lora":
-            selected = tuple(sorted(int(i) + 1 for i in rng.choice(factors.k, size=r, replace=False)))
-            layers.append(initialize_adapter(w, factors, selected, stm_cfg))
+            selected = tuple(sorted(int(i) + 1 for i in rng.choice(f.k, size=r, replace=False)))
+            layers.append(initialize_adapter(w, f, selected, stm_cfg))
         else:  # zero_init_lora: B = 0, A random, base left untouched
-            layers.append(AdaptedLayer(
-                w0=w.copy(),
-                b=np.zeros((w.shape[0], r)),
-                a=_kaiming_uniform(rng, r, w.shape[1]),
-                plan=replace(make_plan(factors, (), stm_cfg), r=r),
-                frozen_factors=factors,
-            ))
+            layer = initialize_adapter(w, f, (), stm_cfg)
+            layers.append(replace(layer, b=np.zeros((w.shape[0], r)),
+                                  a=_kaiming_uniform(rng, r, w.shape[1]),
+                                  plan=replace(layer.plan, r=r)))
     return layers
 
 
@@ -318,7 +313,7 @@ def _selection_recall(layers, task) -> float | None:
 def _protected_drift(layers) -> float:
     worst = 0.0
     for layer in layers:
-        terms, _ = protected_terms(layer)
+        terms = protected_terms(layer)
         if terms.size:
             worst = max(worst, float(np.max(np.abs(terms))))
     return worst
@@ -333,25 +328,25 @@ def _update_norm(layers, model) -> float:
 
 
 def run_stm_experiment(model: SyntheticModel, task: ProxyTask, stm_cfg: StmConfig,
-                       train_cfg: TrainConfig, reg_weight: float = 0.0,
-                       adapter_task: ProxyTask | None = None) -> Report:
+                       train_cfg: TrainConfig, reg_weight: float = 0.0) -> Report:
     """Full pipeline against one baseline; metrics for both as a report.
 
     The residual driving direction selection is produced by full fine-tuning
-    on ``task``; the adapters themselves train on ``adapter_task`` when given
-    (defaults to the same samples).
+    on ``task``. Each layer is decomposed once, and both methods' adapters
+    are built from those factors.
     """
     if not (math.isfinite(reg_weight) and reg_weight >= 0):
         raise ValidationError("reg_weight must be non-negative and finite")
-    adapter_task = adapter_task if adapter_task is not None else task
     residuals = full_finetune_proxy(model, task, train_cfg)
-    stm_layers = [adapt_layer(w, dw, stm_cfg) for w, dw in zip(model.layers, residuals)]
-    baseline_layers = _baseline_adapters(model, stm_layers, train_cfg.baseline,
-                                         stm_cfg, train_cfg.seed)
+    factors = [decompose(w) for w in model.layers]
+    stm_layers = [adapt_layer(w, f, dw, stm_cfg)
+                  for w, f, dw in zip(model.layers, factors, residuals)]
+    baseline_layers = _baseline_adapters(model, factors, [l.plan.r for l in stm_layers],
+                                         train_cfg.baseline, stm_cfg, train_cfg.seed)
 
     records = []
     for method, layers in (("stm", stm_layers), (train_cfg.baseline, baseline_layers)):
-        losses = _train_adapters(layers, model, adapter_task, train_cfg, reg_weight)
+        losses = _train_adapters(layers, model, task, train_cfg, reg_weight)
         threshold = THRESHOLD_FRACTION * losses[0]
         steps_hit = next((s for s in range(1, len(losses)) if losses[s] <= threshold), None)
         recall = _selection_recall(layers, task) if method == "stm" else None

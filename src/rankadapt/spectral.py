@@ -16,6 +16,7 @@ Tiny singular values are never truncated; rank-like behavior is the job of
 the effective-rank functionals downstream.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,11 @@ class SvdFactors:
 
 
 def as_component_indices(indices, k: int) -> np.ndarray:
-    """Validate 1-based component indices and return them 0-based, sorted."""
-    idx = np.asarray(sorted(set(int(i) for i in indices)), dtype=int)
+    """Validate 1-based integer component indices and return them 0-based, sorted."""
+    try:  # operator.index rejects 2.7 instead of truncating it to 2
+        idx = np.asarray(sorted({operator.index(i) for i in indices}), dtype=int)
+    except TypeError as exc:
+        raise ValidationError(f"component indices must be integers: {exc}") from exc
     if idx.size and (idx[0] < 1 or idx[-1] > k):
         bad = idx[0] if idx[0] < 1 else idx[-1]
         raise ValidationError(f"component index {bad} outside 1..{k}")

@@ -6,8 +6,9 @@ singular directions of ``W`` on which ``dW`` projects most strongly, splits
 those directions out of the frozen base into an exactly-initialized adapter
 ``W = W0 + B @ A``, and scores a penalty that keeps training away from the
 leading (stable-rank protected) directions that were not selected.
-Every step after the decomposition consumes the factors of ``W``;
-:func:`adapt_layer` runs the whole per-layer chain from one decomposition.
+Every step consumes the factors of ``W`` from one decomposition that the
+caller makes; :func:`adapt_layer` runs the whole per-layer chain on them,
+and the adapted layer keeps only the protected components the penalty reads.
 
 Component indices are 1-based, consistent with :mod:`rankadapt.spectral`.
 """
@@ -20,7 +21,7 @@ import numpy as np
 
 from .eranks import check_gamma, entropy_rank, stable_rank
 from .errors import ValidationError
-from .spectral import SvdFactors, as_component_indices, decompose, project_residual, reconstruct
+from .spectral import SvdFactors, as_component_indices, project_residual, reconstruct
 
 PROTECTION_RULES = ("ceil", "floor", "round")
 
@@ -93,34 +94,36 @@ class StmPlan:
         """The plan recorded by :meth:`to_dict`.
 
         Keys that are not plan fields, such as the ``name`` and ``config`` of
-        a ``*.plan.json`` file, are ignored.
+        a ``*.plan.json`` file, are ignored. ``r``, ``protect_cutoff`` and the
+        indices must be integers, the index sets lists and the ranks numbers.
         """
         try:
-            return cls(
-                r=int(data["r"]),
-                selected=tuple(int(i) for i in data["selected"]),
-                protected=tuple(int(i) for i in data["protected"]),
-                protect_cutoff=int(data["protect_cutoff"]),
-                entropy_rank=float(data["entropy_rank"]),
-                stable_rank=float(data["stable_rank"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            r, cutoff = data["r"], data["protect_cutoff"]
+            sets = data["selected"], data["protected"]
+            ranks = data["entropy_rank"], data["stable_rank"]
+        except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed plan record: {exc!r}") from exc
+        if not (all(isinstance(s, (list, tuple)) for s in sets)  # a str is no index set
+                and all(type(i) is int for i in (r, cutoff, *sets[0], *sets[1]))  # no bool
+                and all(type(x) is not bool and isinstance(x, (int, float)) for x in ranks)):
+            raise ValidationError(f"malformed plan record: {data!r}")
+        return cls(r, tuple(sets[0]), tuple(sets[1]), cutoff, float(ranks[0]), float(ranks[1]))
 
 
 @dataclass
 class AdaptedLayer:
     """A frozen base plus a tunable low-rank branch: effective weight W0 + B A.
 
-    ``frozen_factors`` are the factors of the ORIGINAL pretrained weight (not
-    of ``w0``); the maintaining penalty is defined against them.
+    ``protected`` holds the components of the ORIGINAL pretrained weight (not
+    of ``w0``) that ``plan.protected`` lists, in that order; the maintaining
+    penalty is defined against them.
     """
 
     w0: np.ndarray  # (m, n), frozen
     b: np.ndarray   # (m, r), tunable
     a: np.ndarray   # (r, n), tunable
     plan: StmPlan
-    frozen_factors: SvdFactors
+    protected: SvdFactors  # (m, p), (p,), (p, n) with p = len(plan.protected)
 
 
 def select_rank(sigma: np.ndarray, cfg: StmConfig) -> int:
@@ -171,9 +174,10 @@ def initialize_adapter(weight: np.ndarray, factors: SvdFactors, selected,
     rounding. ``W0`` is computed into the array that :func:`reconstruct`
     returns, straight from ``weight``'s own dtype, so the split allocates
     one m x n matrix, not two, also for a ``float32`` weight; ``weight``
-    itself is not modified. Selected components with a zero singular value
-    are legal but useless (their adapter column starts at zero) and trigger
-    a warning.
+    itself is not modified. The layer keeps copies of the protected
+    components of ``factors``, not ``factors`` itself. Selected components
+    with a zero singular value are legal but useless (their adapter column
+    starts at zero) and trigger a warning.
     """
     if np.shape(weight) != (factors.m, factors.n):
         raise ValidationError(
@@ -187,34 +191,34 @@ def initialize_adapter(weight: np.ndarray, factors: SvdFactors, selected,
     sqrt_s = np.sqrt(factors.sigma[idx0])
     b = factors.u[:, idx0] * sqrt_s
     a = sqrt_s[:, None] * factors.vt[idx0, :]
+    p0 = np.asarray(plan.protected, dtype=int) - 1
+    protected = SvdFactors(u=factors.u[:, p0], sigma=factors.sigma[p0], vt=factors.vt[p0, :])
+    # the full-size matrix last, so that the split's peak is the layer itself
     w0 = reconstruct(factors, plan.selected)
     np.subtract(weight, w0, out=w0)  # widening float32 to float64 is exact
-    return AdaptedLayer(w0=w0, b=b, a=a, plan=plan, frozen_factors=factors)
+    return AdaptedLayer(w0=w0, b=b, a=a, plan=plan, protected=protected)
 
 
-def adapt_layer(weight: np.ndarray, residual: np.ndarray, cfg: StmConfig) -> AdaptedLayer:
-    """Analyze, select and initialize one layer from a single decomposition.
+def adapt_layer(weight: np.ndarray, factors: SvdFactors, residual: np.ndarray,
+                cfg: StmConfig) -> AdaptedLayer:
+    """Select the rank and directions of one layer and split it, all from ``factors``.
 
-    ``weight`` is decomposed once, and those factors feed the rank budget,
-    the direction selection, the plan and the split.
+    ``factors`` must be the decomposition of ``weight``.
     """
-    factors = decompose(weight)
     selected = select_directions(factors, residual, select_rank(factors.sigma, cfg))
     return initialize_adapter(weight, factors, selected, cfg)
 
 
-def protected_terms(layer: AdaptedLayer) -> tuple[np.ndarray, np.ndarray]:
-    """Signed values sigma_i * u_i^T (B A) v_i over the protected set, plus sigma.
+def protected_terms(layer: AdaptedLayer) -> np.ndarray:
+    """Signed values sigma_i * u_i^T (B A) v_i over the protected set.
 
-    The maintaining penalty sums the magnitudes of the first array; its
-    largest magnitude is the worst drift into a protected direction.
+    The maintaining penalty sums their magnitudes; the largest magnitude is
+    the worst drift into a protected direction.
     """
-    idx0 = np.asarray(layer.plan.protected, dtype=int) - 1
-    f = layer.frozen_factors
-    left = f.u[:, idx0].T @ layer.b          # (p, r)
-    right = layer.a @ f.vt[idx0, :].T        # (r, p)
-    vals = np.einsum("pr,rp->p", left, right)
-    return f.sigma[idx0] * vals, f.sigma[idx0]
+    f = layer.protected
+    left = f.u.T @ layer.b          # (p, r)
+    right = layer.a @ f.vt.T        # (r, p)
+    return f.sigma * np.einsum("pr,rp->p", left, right)
 
 
 def maintaining_penalty(layers: list[AdaptedLayer]) -> float:
@@ -228,8 +232,7 @@ def maintaining_penalty(layers: list[AdaptedLayer]) -> float:
         raise ValidationError("need at least one adapted layer")
     total = 0.0
     for layer in layers:
-        terms, _ = protected_terms(layer)
-        total += float(np.sum(np.abs(terms)))
+        total += float(np.sum(np.abs(protected_terms(layer))))
     return total / len(layers)
 
 
@@ -239,12 +242,8 @@ def maintaining_penalty_grad(layer: AdaptedLayer) -> tuple[np.ndarray, np.ndarra
     Uses subgradient 0 where a term sits exactly at zero, so a freshly
     initialized adapter is a stationary point.
     """
-    idx0 = np.asarray(layer.plan.protected, dtype=int) - 1
-    f = layer.frozen_factors
-    terms, sigma = protected_terms(layer)
-    coeff = sigma * np.sign(terms)  # zero where the term is exactly zero
-    u = f.u[:, idx0]                # (m, p)
-    v = f.vt[idx0, :]               # (p, n)
+    u, sigma, v = layer.protected.u, layer.protected.sigma, layer.protected.vt
+    coeff = sigma * np.sign(protected_terms(layer))  # zero where the term is exactly zero
     av = layer.a @ v.T              # (r, p), columns A v_i
     bu = layer.b.T @ u              # (r, p), columns B^T u_i
     grad_b = (u * coeff) @ av.T     # sum_i coeff_i u_i (A v_i)^T

@@ -299,7 +299,8 @@ class TestStmInit:
             record = json.loads((out / f"{name}.plan.json").read_text())
             assert record["config"] == flags
             w = np.asarray(stored_weights[name], dtype=np.float64)
-            expected = adapt_layer(w, stored_residuals[name], StmConfig(**flags)).plan
+            expected = adapt_layer(w, spectral.decompose(w), stored_residuals[name],
+                                   StmConfig(**flags)).plan
             assert StmPlan.from_dict(record) == expected
             assert 2 <= expected.r <= int(0.25 * min(shape))
 

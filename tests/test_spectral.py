@@ -116,6 +116,8 @@ def test_reconstruct_partial():
         reconstruct(f, {4})
     with pytest.raises(ValidationError):
         reconstruct(f, {0})
+    with pytest.raises(ValidationError):  # not truncated to component 1
+        reconstruct(f, {1.5})
 
 
 def test_project_residual_zero():

@@ -26,6 +26,16 @@ def cfg(alpha=1.0, **kw):
     return StmConfig(alpha=alpha, **kw)
 
 
+PLAN_RECORD = {"r": 1, "selected": [1], "protected": [], "protect_cutoff": 0,
+               "entropy_rank": 1.0, "stable_rank": 1.0}
+
+
+def owned_nbytes(layer) -> int:
+    """Bytes of every array ``layer`` holds."""
+    f = layer.protected
+    return sum(x.nbytes for x in (layer.w0, layer.b, layer.a, f.u, f.sigma, f.vt))
+
+
 def float64_then_float32(argname, values):
     """``(value, dtype)`` cases: float64 under pytest's usual ids, then float32."""
     return [pytest.param(value, dtype, id=f"{prefix}{argname}{i}")
@@ -157,7 +167,7 @@ class TestInitializeAdapter:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * (layer.w0.nbytes + layer.b.nbytes + layer.a.nbytes)
+        assert peak <= 1.25 * owned_nbytes(layer)
         # W0 comes out as if the weight had been widened first
         widened = initialize_adapter(w.astype(np.float64), f, selected, cfg())
         assert layer.w0.tobytes() == widened.w0.tobytes()
@@ -170,7 +180,7 @@ class TestInitializeAdapter:
         layer = initialize_adapter(w, decompose(w), selected, cfg())
         assert w.tobytes() == before
         assert layer.w0.flags.c_contiguous and not np.shares_memory(layer.w0, w)
-        layer = adapt_layer(w, 0.1 * rand_matrix(7, 9, 7), cfg(0.5))
+        layer = adapt_layer(w, decompose(w), 0.1 * rand_matrix(7, 9, 7), cfg(0.5))
         assert w.tobytes() == before
         assert layer.w0.flags.c_contiguous and not np.shares_memory(layer.w0, w)
 
@@ -179,6 +189,30 @@ class TestInitializeAdapter:
         w = rand_matrix(3, 5, 6)
         with pytest.raises(ValidationError, match="does not match factors"):
             initialize_adapter(w, decompose(rand_matrix(4, *other)), (1,), cfg())
+
+    def test_non_integral_index_rejected(self):
+        # 2.7 is not truncated to component 2
+        w = rand_matrix(8, 6, 5)
+        with pytest.raises(ValidationError, match="must be integers"):
+            initialize_adapter(w, decompose(w), (2.7,), cfg())
+
+    @pytest.mark.parametrize("shape", [(14, 9), (9, 14)])
+    def test_layer_holds_only_the_protected_components(self, shape):
+        w = rand_matrix(45, *shape)
+        f = decompose(w)
+        layer = adapt_layer(w, f, 0.1 * rand_matrix(46, *shape), cfg(0.5))
+        p = len(layer.plan.protected)
+        assert p > 0
+        assert layer.protected.u.shape == (shape[0], p)
+        assert layer.protected.sigma.shape == (p,)
+        assert layer.protected.vt.shape == (p, shape[1])
+        idx0 = np.asarray(layer.plan.protected) - 1
+        assert np.array_equal(layer.protected.u, f.u[:, idx0])
+        assert np.array_equal(layer.protected.sigma, f.sigma[idx0])
+        assert np.array_equal(layer.protected.vt, f.vt[idx0, :])
+        for held in (layer.protected.u, layer.protected.sigma, layer.protected.vt):
+            for full in (f.u, f.sigma, f.vt):
+                assert not np.shares_memory(held, full)
 
 
 class TestAdaptLayer:
@@ -204,7 +238,7 @@ class TestAdaptLayer:
         dw = (0.1 * rand_matrix(42, m, n)).astype(dtype)
         c = cfg(**self.CONFIGS[config])
 
-        fast = adapt_layer(w, dw, c)
+        fast = adapt_layer(w, decompose(w), dw, c)
         f = decompose(w)
         ref = initialize_adapter(w, f, select_directions(f, dw, select_rank(f.sigma, c)), c)
 
@@ -212,13 +246,14 @@ class TestAdaptLayer:
         for attr in ("w0", "b", "a"):
             assert np.array_equal(getattr(fast, attr), getattr(ref, attr)), attr
         for attr in ("u", "sigma", "vt"):
-            assert np.array_equal(getattr(fast.frozen_factors, attr),
-                                  getattr(ref.frozen_factors, attr)), attr
+            assert np.array_equal(getattr(fast.protected, attr),
+                                  getattr(ref.protected, attr)), attr
 
 
 class TestStmPlanRecord:
     def test_round_trip_through_json(self):
-        plan = adapt_layer(rand_matrix(43, 12, 9), 0.1 * rand_matrix(44, 12, 9), cfg(0.5)).plan
+        w = rand_matrix(43, 12, 9)
+        plan = adapt_layer(w, decompose(w), 0.1 * rand_matrix(44, 12, 9), cfg(0.5)).plan
         record = plan.to_dict()
         assert list(record) == ["r", "selected", "protected", "protect_cutoff",
                                 "entropy_rank", "stable_rank"]
@@ -227,12 +262,26 @@ class TestStmPlanRecord:
         # a plan file's extra keys are not plan fields
         assert StmPlan.from_dict({"name": "w", **record, "config": {"alpha": 0.5}}) == plan
 
+    def test_well_formed_record_accepted(self):
+        # each malformed case differs from this record in one field
+        assert StmPlan.from_dict(PLAN_RECORD) == StmPlan(1, (1,), (), 0, 1.0, 1.0)
+        assert StmPlan.from_dict({**PLAN_RECORD, "entropy_rank": 1}).entropy_rank == 1.0
+
     @pytest.mark.parametrize("record", [
         {"r": 1, "selected": [1]},
         {"r": 1, "selected": 1, "protected": [], "protect_cutoff": 0,
          "entropy_rank": 1.0, "stable_rank": 1.0},
         {"r": "one", "selected": [1], "protected": [], "protect_cutoff": 0,
          "entropy_rank": 1.0, "stable_rank": 1.0},
+        {**PLAN_RECORD, "r": "2"},
+        {**PLAN_RECORD, "r": True},
+        {**PLAN_RECORD, "r": 2.9},
+        {**PLAN_RECORD, "r": 2, "selected": [1.7, 2]},
+        {**PLAN_RECORD, "r": 2, "selected": "12"},
+        {**PLAN_RECORD, "protected": [True]},
+        {**PLAN_RECORD, "protect_cutoff": 1.0},
+        {**PLAN_RECORD, "entropy_rank": True},
+        {**PLAN_RECORD, "stable_rank": "1.0"},
     ])
     def test_malformed_record_rejected(self, record):
         with pytest.raises(ValidationError):
@@ -269,7 +318,7 @@ class TestMaintainingPenalty:
         rng = np.random.default_rng(0)
         layer.b = layer.b + rng.standard_normal(layer.b.shape)
         layer.a = layer.a + rng.standard_normal(layer.a.shape)
-        terms, sigma = protected_terms(layer)
+        terms, sigma = protected_terms(layer), layer.protected.sigma
         assert terms.shape == sigma.shape == (0,) and terms.dtype == np.float64
         assert maintaining_penalty([layer]) == 0.0
         grad_b, grad_a = maintaining_penalty_grad(layer)
@@ -285,6 +334,26 @@ class TestMaintainingPenaltyGrad:
         layer.b = layer.b + 0.25 * rng.standard_normal(layer.b.shape)
         layer.a = layer.a + 0.25 * rng.standard_normal(layer.a.shape)
         return layer
+
+    @pytest.mark.parametrize("shape", [(10, 7), (7, 10)])
+    def test_matches_full_factor_reference_bit_for_bit(self, shape):
+        rng = np.random.default_rng(12)
+        w = rng.standard_normal(shape)
+        layer = initialize_adapter(w, decompose(w), (2, 6), cfg())
+        layer.b = layer.b + 0.25 * rng.standard_normal(layer.b.shape)
+        layer.a = layer.a + 0.25 * rng.standard_normal(layer.a.shape)
+        # the terms and gradient over the protected columns of the full factors
+        f = decompose(w)
+        idx0 = np.asarray(layer.plan.protected, dtype=int) - 1
+        assert idx0.size
+        u, sigma, vt = f.u[:, idx0], f.sigma[idx0], f.vt[idx0, :]
+        terms = sigma * np.einsum("pr,rp->p", u.T @ layer.b, layer.a @ vt.T)
+        coeff = sigma * np.sign(terms)
+        grad_b = (u * coeff) @ (layer.a @ vt.T).T
+        grad_a = ((layer.b.T @ u) * coeff) @ vt
+        assert np.array_equal(protected_terms(layer), terms)
+        got_b, got_a = maintaining_penalty_grad(layer)
+        assert np.array_equal(got_b, grad_b) and np.array_equal(got_a, grad_a)
 
     def test_zero_gradient_at_init(self):
         w = rand_matrix(4, 9, 6)
@@ -315,10 +384,10 @@ class TestMaintainingPenaltyGrad:
 
     def test_homogeneity_in_b(self):
         layer = self._perturbed_layer(3)
-        terms1, _ = protected_terms(layer)
+        terms1 = protected_terms(layer)
         grad_a1 = maintaining_penalty_grad(layer)[1]
         layer.b = 2.0 * layer.b
-        terms2, _ = protected_terms(layer)
+        terms2 = protected_terms(layer)
         grad_a2 = maintaining_penalty_grad(layer)[1]
         assert np.allclose(terms2, 2.0 * terms1, atol=1e-12)
         # signs unchanged, so grad_a scales like B: same direction, doubled
