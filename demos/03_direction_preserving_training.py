@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Toy adaptation runs: task-aware init vs zero init, with and without the
-direction-preserving penalty.
+"""Toy adaptation runs: task-aware init vs the zero-init and random-subset
+baselines, with and without the direction-preserving penalty.
 
 The harness plants a known low-rank perturbation into a hidden teacher,
 full-fine-tunes a copy of the model to expose the residual, then trains

@@ -3,7 +3,7 @@
 Subcommands: ``spectra`` (singular spectra, effective ranks, residual
 projections), ``stm-init`` (adapter initialization from weight/residual
 bundles), ``verify`` (seeded property sweeps), ``train-toy`` (synthetic
-adaptation experiment against a baseline). ``spectra`` and ``stm-init``
+adaptation experiment against every baseline). ``spectra`` and ``stm-init``
 analyze the layers in worker processes, one per usable core, each with one
 BLAS thread; their outputs do not depend on the BLAS thread settings. A
 worker gets its layer's validated bundle entries, maps only that layer and,
@@ -50,8 +50,6 @@ if TYPE_CHECKING:  # names the annotations use
 
 EXIT_OK = 0
 
-# harness.BASELINES, written out so that building the parser imports no numpy
-_BASELINES = ("zero_init_lora", "random_subset_lora")
 _TOY_SAMPLES = 64
 _TOY_NOISE = 0.01
 
@@ -448,12 +446,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("train-toy", help="synthetic adaptation experiment vs a baseline")
+    p = sub.add_parser("train-toy", help="synthetic adaptation experiment against every baseline")
     p.add_argument("--seed", type=_seed, default=7)
     p.add_argument("--steps", type=int, default=150)
     p.add_argument("--learning-rate", type=float, default=0.5)
     p.add_argument("--reg-weight", type=float, default=0.0)
-    p.add_argument("--baseline", choices=_BASELINES, default="zero_init_lora")
     p.add_argument("--output", required=True, help="metrics report file")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_stm_flags(p, require_alpha=False, alpha_default=0.4)

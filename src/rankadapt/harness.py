@@ -42,7 +42,6 @@ class SyntheticModel:
 
     layers: list[np.ndarray]
     activation: str = "identity"
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,6 @@ class ProxyTask:
     inputs: np.ndarray   # (n_in, samples)
     targets: np.ndarray  # (m_out, samples)
     planted: list         # one PlantedDirections or None per layer
-    noise: float
 
 
 @dataclass(frozen=True)
@@ -68,15 +66,12 @@ class TrainConfig:
     steps: int
     learning_rate: float
     seed: int = 0
-    baseline: str = "zero_init_lora"
 
     def __post_init__(self):
         if self.steps < 1:
             raise ValidationError("steps must be positive")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValidationError("learning_rate must be positive and finite")
-        if self.baseline not in BASELINES:
-            raise ValidationError(f"baseline must be one of {BASELINES}")
 
 
 def _random_orthonormal(rng, rows: int, cols: int) -> np.ndarray:
@@ -125,7 +120,7 @@ def make_synthetic_model(layer_specs, seed: int, activation: str = "identity") -
         if not np.allclose(measured, sigma, rtol=0, atol=1e-9 * max(1.0, sigma[0])):
             raise NumericError("constructed layer does not reproduce its spectrum")
         layers.append(w)
-    return SyntheticModel(layers=layers, activation=activation, seed=seed)
+    return SyntheticModel(layers=layers, activation=activation)
 
 
 def _forward(weights, activation: str, x: np.ndarray, inputs=None) -> np.ndarray:
@@ -188,7 +183,7 @@ def make_proxy_task(model: SyntheticModel, planted, n_samples: int,
     y = _forward(teacher, model.activation, x)
     if noise > 0:
         y = y + noise * rng.standard_normal(y.shape)
-    return ProxyTask(inputs=x, targets=y, planted=list(planted), noise=noise)
+    return ProxyTask(inputs=x, targets=y, planted=list(planted))
 
 
 def _descend(effective, update, activation: str, task: ProxyTask, cfg: TrainConfig,
@@ -329,11 +324,12 @@ def _update_norm(layers, model) -> float:
 
 def run_stm_experiment(model: SyntheticModel, task: ProxyTask, stm_cfg: StmConfig,
                        train_cfg: TrainConfig, reg_weight: float = 0.0) -> Report:
-    """Full pipeline against one baseline; metrics for both as a report.
+    """Full pipeline against every baseline; one metrics record per method.
 
+    The records are ``stm``'s, then those of :data:`BASELINES` in that order.
     The residual driving direction selection is produced by full fine-tuning
-    on ``task``. Each layer is decomposed once, and both methods' adapters
-    are built from those factors.
+    on ``task``. Each layer is decomposed once, and every method's adapters
+    are built from those factors, each baseline with the STM layers' ranks.
     """
     if not (math.isfinite(reg_weight) and reg_weight >= 0):
         raise ValidationError("reg_weight must be non-negative and finite")
@@ -341,11 +337,12 @@ def run_stm_experiment(model: SyntheticModel, task: ProxyTask, stm_cfg: StmConfi
     factors = [decompose(w) for w in model.layers]
     stm_layers = [adapt_layer(w, f, dw, stm_cfg)
                   for w, f, dw in zip(model.layers, factors, residuals)]
-    baseline_layers = _baseline_adapters(model, factors, [l.plan.r for l in stm_layers],
-                                         train_cfg.baseline, stm_cfg, train_cfg.seed)
+    ranks = [l.plan.r for l in stm_layers]
 
     records = []
-    for method, layers in (("stm", stm_layers), (train_cfg.baseline, baseline_layers)):
+    for method in ("stm", *BASELINES):
+        layers = stm_layers if method == "stm" else _baseline_adapters(
+            model, factors, ranks, method, stm_cfg, train_cfg.seed)
         losses = _train_adapters(layers, model, task, train_cfg, reg_weight)
         threshold = THRESHOLD_FRACTION * losses[0]
         steps_hit = next((s for s in range(1, len(losses)) if losses[s] <= threshold), None)

@@ -14,6 +14,7 @@ Component indices are 1-based, consistent with :mod:`rankadapt.spectral`.
 """
 
 import math
+import sys
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -94,8 +95,9 @@ class StmPlan:
         """The plan recorded by :meth:`to_dict`.
 
         Keys that are not plan fields, such as the ``name`` and ``config`` of
-        a ``*.plan.json`` file, are ignored. ``r``, ``protect_cutoff`` and the
-        indices must be integers, the index sets lists and the ranks numbers.
+        a ``*.plan.json`` file, are ignored. ``r`` and ``protect_cutoff`` must
+        be non-negative integers, the index sets lists of integers of at least
+        1 and the ranks numbers within the range of finite floats.
         """
         try:
             r, cutoff = data["r"], data["protect_cutoff"]
@@ -105,7 +107,10 @@ class StmPlan:
             raise ValidationError(f"malformed plan record: {exc!r}") from exc
         if not (all(isinstance(s, (list, tuple)) for s in sets)  # a str is no index set
                 and all(type(i) is int for i in (r, cutoff, *sets[0], *sets[1]))  # no bool
-                and all(type(x) is not bool and isinstance(x, (int, float)) for x in ranks)):
+                and min(r, cutoff) >= 0 and all(i >= 1 for s in sets for i in s)
+                # False for NaN; exact for an int, so one beyond a float fails, not overflows
+                and all(type(x) is not bool and isinstance(x, (int, float))
+                        and abs(x) <= sys.float_info.max for x in ranks)):
             raise ValidationError(f"malformed plan record: {data!r}")
         return cls(r, tuple(sets[0]), tuple(sets[1]), cutoff, float(ranks[0]), float(ranks[1]))
 

@@ -19,7 +19,7 @@ import rankadapt.spectral as spectral
 import rankadapt.stm as stm
 import rankadapt.tensorio as tensorio
 from rankadapt.cli import _map_layers, main, spectra_layer, stm_init_layer
-from rankadapt.harness import BASELINES, make_synthetic_model
+from rankadapt.harness import make_synthetic_model
 from rankadapt.stm import StmConfig, StmPlan, adapt_layer
 from rankadapt.tensorio import (
     BundleEntry,
@@ -720,11 +720,6 @@ def test_start_up_loads_no_numpy(code):
     assert loaded <= {"rankadapt", "rankadapt.cli", "rankadapt.errors"}
 
 
-def test_baseline_choices_are_the_harness_baselines():
-    # the parser lists them itself, so that building it imports no harness
-    assert cli._BASELINES == BASELINES
-
-
 def _scaled_gradients(mse_and_grads):
     def broken(*args):
         loss, grads = mse_and_grads(*args)
@@ -777,12 +772,12 @@ class TestTrainToy:
         out = tmp_path / "metrics.csv"
         assert main(["train-toy", "--seed", "7", "--output", str(out)]) == 0
         rows = read_csv(out)
-        assert [row["method"] for row in rows] == ["stm", "zero_init_lora"]
+        assert [row["method"] for row in rows] == ["stm", "zero_init_lora", "random_subset_lora"]
         for row in rows:
             for col in ("final_loss", "drift", "recall", "steps_to_threshold"):
                 assert row[col] != ""
         assert float(rows[0]["recall"]) == 1.0
-        assert rows[1]["recall"] == "na"
+        assert [row["recall"] for row in rows[1:]] == ["na", "na"]  # only stm selects
 
     def test_regularization_lowers_drift(self, tmp_path):
         out0, out1 = tmp_path / "r0.csv", tmp_path / "r1.csv"
@@ -795,11 +790,10 @@ class TestTrainToy:
 
     def test_random_subset_baseline_recall_na(self, tmp_path):
         out = tmp_path / "metrics.csv"
-        assert main(["train-toy", "--baseline", "random_subset_lora",
-                     "--output", str(out)]) == 0
-        rows = read_csv(out)
-        assert rows[0]["method"] == "stm" and rows[0]["recall"] != "na"
-        assert rows[1]["method"] == "random_subset_lora" and rows[1]["recall"] == "na"
+        assert main(["train-toy", "--output", str(out)]) == 0
+        rows = {row["method"]: row for row in read_csv(out)}
+        assert rows["stm"]["recall"] != "na"
+        assert rows["random_subset_lora"]["recall"] == "na"
 
     def test_rerun_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -812,7 +806,8 @@ class TestTrainToy:
         out = tmp_path / "metrics.csv"
         assert main(["train-toy", "--alpha", "1e308", "--steps", "20",
                      "--output", str(out)]) == 0
-        assert [row["method"] for row in read_csv(out)] == ["stm", "zero_init_lora"]
+        assert [row["method"] for row in read_csv(out)] == ["stm", "zero_init_lora",
+                                                            "random_subset_lora"]
 
     def test_divergence_exits_4(self, tmp_path):
         assert main(["train-toy", "--learning-rate", "1e6",

@@ -212,11 +212,12 @@ class TestRunStmExperiment:
 
     def test_baseline_rows_present(self):
         model, task = _experiment_parts(5)
-        tc = TrainConfig(steps=80, learning_rate=0.5, seed=5, baseline="random_subset_lora")
+        tc = TrainConfig(steps=80, learning_rate=0.5, seed=5)
         rep = run_stm_experiment(model, task, StmConfig(alpha=0.5), tc)
         methods = [rec["method"] for rec in rep.records]
-        assert methods == ["stm", "random_subset_lora"]
-        assert rep.records[1]["recall"] == "na"  # scored for the selecting method only
+        assert methods == ["stm", *BASELINES]
+        for rec in rep.records[1:]:
+            assert rec["recall"] == "na"  # scored for the selecting method only
 
     @pytest.mark.parametrize("baseline", BASELINES)
     def test_one_svd_per_layer(self, monkeypatch, baseline):
@@ -225,8 +226,18 @@ class TestRunStmExperiment:
         planted = [PlantedDirections((3,), (0.9,)), None]
         task = make_proxy_task(model, planted, n_samples=32, noise=0.02, seed=8)
         calls = count_svd_calls(monkeypatch)
+        built, build = {}, harness._baseline_adapters
+
+        def counting_build(model, factors, ranks, method, *rest):
+            before = dict(calls)
+            layers = build(model, factors, ranks, method, *rest)
+            built[method] = {k: calls[k] - before[k] for k in calls}
+            return layers
+
+        monkeypatch.setattr(harness, "_baseline_adapters", counting_build)
         run_stm_experiment(model, task, StmConfig(alpha=0.5),
-                           TrainConfig(steps=5, learning_rate=0.5, baseline=baseline))
+                           TrainConfig(steps=5, learning_rate=0.5))
+        assert built[baseline] == {True: 0, False: 0}
         assert calls == {True: len(model.layers), False: 0}
 
     @pytest.mark.parametrize("baseline", BASELINES)
@@ -241,10 +252,19 @@ class TestRunStmExperiment:
                             lambda *args: passes.append(1) or mse_and_grads(*args))
         monkeypatch.setattr(harness, "merge",
                             lambda layer: merges.update([id(layer)]) or merge(layer))
+        # holding every method's layers keeps their ids from being reused
+        adapted, build = {}, harness._baseline_adapters
+
+        def recording_build(model, factors, ranks, method, *rest):
+            adapted[method] = build(model, factors, ranks, method, *rest)
+            return adapted[method]
+
+        monkeypatch.setattr(harness, "_baseline_adapters", recording_build)
         steps = 5
         run_stm_experiment(model, task, StmConfig(alpha=0.5),
-                           TrainConfig(steps=steps, learning_rate=0.5, baseline=baseline))
-        runs = 3  # the full fine-tune, then stm and the baseline
+                           TrainConfig(steps=steps, learning_rate=0.5))
+        runs = 2 + len(BASELINES)  # the full fine-tune, then stm and every baseline
         assert len(passes) == runs * (steps + 1)
         # each adapted layer merges once per pass, then once for its update norm
-        assert list(merges.values()) == [steps + 2] * 2 * len(model.layers)
+        assert [merges[id(l)] for l in adapted[baseline]] == [steps + 2] * len(model.layers)
+        assert list(merges.values()) == [steps + 2] * (1 + len(BASELINES)) * len(model.layers)

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -282,6 +283,12 @@ class TestStmPlanRecord:
         {**PLAN_RECORD, "protect_cutoff": 1.0},
         {**PLAN_RECORD, "entropy_rank": True},
         {**PLAN_RECORD, "stable_rank": "1.0"},
+        {**PLAN_RECORD, "entropy_rank": 10**400},  # beyond float, so no OverflowError
+        {**PLAN_RECORD, "stable_rank": math.nan},
+        {**PLAN_RECORD, "entropy_rank": math.inf},
+        {**PLAN_RECORD, "r": -3},
+        {**PLAN_RECORD, "protect_cutoff": -1},
+        {**PLAN_RECORD, "selected": [0]},
     ])
     def test_malformed_record_rejected(self, record):
         with pytest.raises(ValidationError):
