@@ -44,7 +44,7 @@ selected = select_directions(factors, residual, r)
 print("projection magnitudes:", np.array2string(d, precision=3))
 print(f"selected directions (1-based): {selected}")
 
-layer = initialize_adapter(weight, factors, selected, cfg)
+layer = initialize_adapter(weight, factors, selected)
 exact = np.linalg.norm(merge(layer) - weight) / np.linalg.norm(weight)
 print(f"\n||W0 + BA - W|| / ||W|| = {exact:.2e}  (exact split)")
 print(f"plan: r={layer.plan.r}, protected={layer.plan.protected}, "

@@ -11,6 +11,8 @@ for ``stm-init``, writes that layer's adapter payloads and plan file itself
 into a :func:`~rankadapt.tensorio.staged_bundle` directory, so no process
 holds more than one layer. The CLI process adds the manifest there; that
 directory replaces the output only once every layer has succeeded.
+``stm-init`` and ``train-toy`` take one STM option, ``--alpha``; a layer with
+rank cap ``floor(K/2) = 0`` ends ``stm-init`` before any worker starts.
 
 Exit codes are a stable contract: 0 on success, else the ``exit_code`` of
 the error that ended the command, from the one table in
@@ -52,6 +54,7 @@ EXIT_OK = 0
 
 _TOY_SAMPLES = 64
 _TOY_NOISE = 0.01
+_ALPHA_HELP = "rank scaling factor applied to the entropy rank"
 
 _BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -164,18 +167,6 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _add_stm_flags(p: argparse.ArgumentParser, require_alpha: bool,
-                   alpha_default: float | None = None) -> None:
-    p.add_argument("--alpha", type=float, required=require_alpha, default=alpha_default,
-                   help="rank scaling factor applied to the entropy rank")
-    p.add_argument("--gamma", type=float, default=1.0,
-                   help="spectrum exponent for both effective ranks")
-    p.add_argument("--protection-rule", choices=("ceil", "floor", "round"),
-                   default="ceil", help="integerization of the stable-rank cutoff")
-    p.add_argument("--min-rank", type=int, default=1)
-    p.add_argument("--max-rank-fraction", type=float, default=0.5)
-
-
 def _config(cls, args):
     """Dataclass ``cls`` from the parsed flags named like its fields, which ``cls`` checks."""
     return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
@@ -193,8 +184,7 @@ def _load_f64(entry: BundleEntry) -> np.ndarray:
     return np.asarray(entry.load(), dtype=np.float64)
 
 
-def spectra_layer(name: str, weight: BundleEntry, residual: BundleEntry | None,
-                  gamma: float) -> list[dict]:
+def spectra_layer(name: str, weight: BundleEntry, residual: BundleEntry | None) -> list[dict]:
     """The ``spectra`` report records of layer ``name``, one per component."""
     from .eranks import entropy_rank, stable_rank
     from .spectral import decompose, project_residual, singular_values
@@ -202,16 +192,16 @@ def spectra_layer(name: str, weight: BundleEntry, residual: BundleEntry | None,
     w = _load_f64(weight)
     factors = None if residual is None else decompose(w)  # vectors only to project dW
     sigma = singular_values(w) if factors is None else factors.sigma
-    ent = entropy_rank(sigma, gamma)
-    st = stable_rank(sigma, gamma)
+    ent = entropy_rank(sigma)
+    st = stable_rank(sigma)
     if residual is not None:
         # widened once here, since both the projection and the spectrum use it
         dw = _load_f64(residual)
         proj = project_residual(factors, dw)
         res_sigma = singular_values(dw)
         try:
-            res_ent = entropy_rank(res_sigma, gamma)
-            res_st = stable_rank(res_sigma, gamma)
+            res_ent = entropy_rank(res_sigma)
+            res_st = stable_rank(res_sigma)
         except DegenerateSpectrumError:
             res_ent = res_st = "na"  # zero residual is legitimate data
     records = []
@@ -233,13 +223,11 @@ def spectra_layer(name: str, weight: BundleEntry, residual: BundleEntry | None,
 
 
 def cmd_spectra(args) -> int:
-    from .eranks import check_gamma
     from .tensorio import Report
 
-    check_gamma(args.gamma)
     layers = _layer_entries(args.weights, args.residuals)
     _check_output(args.output, layers, args.weights, args.residuals)
-    per_layer = _map_layers(spectra_layer, layers, args.gamma)
+    per_layer = _map_layers(spectra_layer, layers)
     records = [rec for layer_records in per_layer for rec in layer_records]
     Report(kind="spectra", records=records).write(args.output, args.format)
     return EXIT_OK
@@ -271,14 +259,14 @@ def stm_init_layer(name: str, weight: BundleEntry, residual: BundleEntry, cfg: S
 
 
 def cmd_stm_init(args) -> int:
-    from .stm import StmConfig
+    from .stm import StmConfig, max_rank
     from .tensorio import staged_bundle, write_manifest
 
     layers = _layer_entries(args.weights, args.residuals)
     cfg = _config(StmConfig, args)
     for name, (weight, _) in layers.items():
         try:
-            cfg.max_rank(min(weight.shape))
+            max_rank(min(weight.shape))
         except ValidationError as exc:
             raise ValidationError(f"{name}: {exc}") from exc
     _check_output(args.output, layers, args.weights, args.residuals)
@@ -309,8 +297,8 @@ def _verify_lemma(seed: int, trials: int):
         else:
             sigma = np.full(k, 1e-4)
             sigma[0] = 1.0
-        st = stable_rank(sigma, 1.0)
-        ent = entropy_rank(sigma, 1.0)
+        st = stable_rank(sigma)
+        ent = entropy_rank(sigma)
         if not st <= ent + 1e-9:
             return ("rank_ordering", False,
                     f"trial {t} (seed {seed}): stable {st:.9f} vs entropy {ent:.9f}")
@@ -324,20 +312,19 @@ def _verify_layers(seed: int) -> list[tuple]:
     from . import harness
     from .adapter import merge
     from .spectral import decompose
-    from .stm import StmConfig, initialize_adapter, maintaining_penalty, maintaining_penalty_grad
+    from .stm import initialize_adapter, maintaining_penalty, maintaining_penalty_grad
 
     counts = {"init_exactness": 100, "zero_penalty_at_init": 100, "penalty_gradient": 25}
     failures = {}  # the detail of each property's first failure
     shapes = [(8, 8), (16, 8), (8, 16), (32, 16)]
     rng, perturb = np.random.default_rng(seed), np.random.default_rng(seed + 1)
-    cfg = StmConfig(alpha=1.0)
     for t in range(counts["init_exactness"]):
         m, n = shapes[t % len(shapes)]
         k = min(m, n)
         w = rng.standard_normal((m, n))
         r = int(rng.integers(1, max(2, k // 2)))
         selected = sorted(int(i) + 1 for i in rng.choice(k, size=r, replace=False))
-        layer = initialize_adapter(w, decompose(w), selected, cfg)
+        layer = initialize_adapter(w, decompose(w), selected)
         err = np.linalg.norm(merge(layer) - w) / np.linalg.norm(w)
         if err > 1e-10:
             failures.setdefault("init_exactness", f"trial {t} (seed {seed}): residual {err:.3e}")
@@ -429,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectra", help="singular spectra, effective ranks, projections")
     p.add_argument("--weights", required=True, help="bundle directory of weight matrices")
     p.add_argument("--residuals", help="optional bundle of residuals with matching names")
-    p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--output", required=True, help="report file to write")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_spectra)
@@ -438,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True)
     p.add_argument("--residuals", required=True)
     p.add_argument("--output", required=True, help="output bundle directory")
-    _add_stm_flags(p, require_alpha=True)
+    p.add_argument("--alpha", type=float, required=True, help=_ALPHA_HELP)
     p.set_defaults(func=cmd_stm_init)
 
     p = sub.add_parser("verify", help="run the seeded property sweeps")
@@ -453,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reg-weight", type=float, default=0.0)
     p.add_argument("--output", required=True, help="metrics report file")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_stm_flags(p, require_alpha=False, alpha_default=0.4)
+    p.add_argument("--alpha", type=float, default=0.4, help=_ALPHA_HELP)
     p.set_defaults(func=cmd_train_toy)
     return parser
 

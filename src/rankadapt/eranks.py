@@ -4,25 +4,19 @@ Two real-valued relaxations of matrix rank, both functions of the singular
 values alone:
 
 * entropy rank: ``exp(H)`` where ``H = -sum_i p_i log p_i`` is the Shannon
-  entropy of ``p_i = sigma_i**gamma / sum_j sigma_j**gamma`` (natural log;
+  entropy of ``p_i = sigma_i / sum_j sigma_j`` (natural log;
   ``0 log 0 := 0``). Large when the spectrum is evenly spread.
-* stable rank: ``sum_i (sigma_i / sigma_1)**gamma``. Small when energy
+* stable rank: ``sum_i sigma_i / sigma_1``. Small when energy
   concentrates in the leading directions.
 
 Both are invariant to rescaling the spectrum and lie in ``[1, K]`` for any
-nonzero spectrum. With ``gamma = 1`` the stable rank never exceeds the
-entropy rank; the test suite sweeps this ordering as a property.
+nonzero spectrum. The stable rank never exceeds the entropy rank; the test
+suite sweeps this ordering as a property.
 """
 
 import numpy as np
 
 from .errors import DegenerateSpectrumError, ValidationError
-
-
-def check_gamma(gamma: float) -> None:
-    """Raise ``ValidationError`` unless the spectrum exponent is positive and finite."""
-    if not (np.isfinite(gamma) and gamma > 0):
-        raise ValidationError(f"gamma must be positive and finite, got {gamma}")
 
 
 def check_spectrum(sigma) -> np.ndarray:
@@ -39,19 +33,17 @@ def check_spectrum(sigma) -> np.ndarray:
     return s
 
 
-def entropy_rank(sigma, gamma: float = 1.0) -> float:
-    """exp of the entropy of the gamma-normalized spectrum."""
-    check_gamma(gamma)
+def entropy_rank(sigma) -> float:
+    """exp of the entropy of the normalized spectrum."""
     s = check_spectrum(sigma)
-    t = (s / s[0]) ** gamma  # normalize before powering to avoid overflow
+    t = s / s[0]  # relative to the largest first, so the sum cannot overflow
     p = t / np.sum(t)
     nz = p[p > 0.0]
     return float(np.exp(-np.sum(nz * np.log(nz))))
 
 
-def stable_rank(sigma, gamma: float = 1.0) -> float:
-    """Sum of singular values relative to the largest, each raised to gamma."""
-    check_gamma(gamma)
+def stable_rank(sigma) -> float:
+    """Sum of singular values relative to the largest."""
     s = check_spectrum(sigma)
-    return float(np.sum((s / s[0]) ** gamma))
+    return float(np.sum(s / s[0]))
 

@@ -258,16 +258,16 @@ def _kaiming_uniform(rng, rows: int, cols: int) -> np.ndarray:
 
 
 def _baseline_adapters(model: SyntheticModel, factors, ranks, method: str,
-                       stm_cfg: StmConfig, seed: int) -> list[AdaptedLayer]:
+                       seed: int) -> list[AdaptedLayer]:
     """Baseline adapters over the layers' ``factors``, with rank budgets ``ranks``."""
     rng = np.random.default_rng([seed, BASELINES.index(method) + 1])
     layers = []
     for w, f, r in zip(model.layers, factors, ranks):
         if method == "random_subset_lora":
             selected = tuple(sorted(int(i) + 1 for i in rng.choice(f.k, size=r, replace=False)))
-            layers.append(initialize_adapter(w, f, selected, stm_cfg))
+            layers.append(initialize_adapter(w, f, selected))
         else:  # zero_init_lora: B = 0, A random, base left untouched
-            layer = initialize_adapter(w, f, (), stm_cfg)
+            layer = initialize_adapter(w, f, ())
             layers.append(replace(layer, b=np.zeros((w.shape[0], r)),
                                   a=_kaiming_uniform(rng, r, w.shape[1]),
                                   plan=replace(layer.plan, r=r)))
@@ -342,7 +342,7 @@ def run_stm_experiment(model: SyntheticModel, task: ProxyTask, stm_cfg: StmConfi
     records = []
     for method in ("stm", *BASELINES):
         layers = stm_layers if method == "stm" else _baseline_adapters(
-            model, factors, ranks, method, stm_cfg, train_cfg.seed)
+            model, factors, ranks, method, train_cfg.seed)
         losses = _train_adapters(layers, model, task, train_cfg, reg_weight)
         threshold = THRESHOLD_FRACTION * losses[0]
         steps_hit = next((s for s in range(1, len(losses)) if losses[s] <= threshold), None)

@@ -1,11 +1,12 @@
 """Selecting-Tuning-Maintaining core for low-rank adaptation.
 
 Given a pretrained weight ``W`` and a full-fine-tuned residual ``dW``, this
-module picks a per-layer rank budget from the entropy rank, picks the
+module picks a per-layer rank budget, ``alpha`` (:class:`StmConfig`, the one
+knob) times the entropy rank clamped to ``[1, floor(K/2)]``, picks the
 singular directions of ``W`` on which ``dW`` projects most strongly, splits
 those directions out of the frozen base into an exactly-initialized adapter
 ``W = W0 + B @ A``, and scores a penalty that keeps training away from the
-leading (stable-rank protected) directions that were not selected.
+leading directions, up to the ceiling of the stable rank, that were not selected.
 Every step consumes the factors of ``W`` from one decomposition that the
 caller makes; :func:`adapt_layer` runs the whole per-layer chain on them,
 and the adapted layer keeps only the protected components the penalty reads.
@@ -20,58 +21,31 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .eranks import check_gamma, entropy_rank, stable_rank
+from .eranks import entropy_rank, stable_rank
 from .errors import ValidationError
 from .spectral import SvdFactors, as_component_indices, project_residual, reconstruct
 
-PROTECTION_RULES = ("ceil", "floor", "round")
-
-
-def _apply_rule(value: float, rule: str) -> int:
-    # Snap away float fuzz first so e.g. ceil(2 + 1e-16) stays 2.
-    v = round(value, 12)
-    if rule == "ceil":
-        return int(math.ceil(v))
-    if rule == "floor":
-        return int(math.floor(v))
-    # "round": half up, which is half away from zero for the values >= 0 callers pass
-    return int(math.floor(v + 0.5))
+# Real-valued ranks are rounded to this many decimals before they become
+# integers, so float noise such as ceil(2 + 1e-16) does not add a direction.
+_SNAP_DIGITS = 12
 
 
 @dataclass(frozen=True)
 class StmConfig:
-    """Knobs for rank selection and direction protection.
-
-    ``alpha`` scales the entropy rank into a rank budget. ``protection_rule``
-    turns the real-valued stable rank into the integer protection cutoff.
-    ``min_rank`` and ``max_rank_fraction`` clamp the budget to
-    ``[min_rank, floor(max_rank_fraction * K)]`` per layer.
-    """
+    """The one STM knob: ``alpha`` scales the entropy rank into a rank budget."""
 
     alpha: float
-    gamma: float = 1.0
-    protection_rule: str = "ceil"
-    min_rank: int = 1
-    max_rank_fraction: float = 0.5
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValidationError(f"alpha must be positive and finite, got {self.alpha}")
-        check_gamma(self.gamma)
-        if self.protection_rule not in PROTECTION_RULES:
-            raise ValidationError(f"protection_rule must be one of {PROTECTION_RULES}")
-        if self.min_rank < 1:
-            raise ValidationError("min_rank must be at least 1")
-        if not 0.0 < self.max_rank_fraction <= 1.0:
-            raise ValidationError("max_rank_fraction must lie in (0, 1]")
 
-    def max_rank(self, k: int) -> int:
-        cap = int(math.floor(self.max_rank_fraction * k))
-        if self.min_rank > cap:
-            raise ValidationError(
-                f"min_rank {self.min_rank} exceeds rank cap {cap} for K={k}"
-            )
-        return cap
+
+def max_rank(k: int) -> int:
+    """The rank cap ``floor(k / 2)`` of a layer with ``k`` components; raises if it is 0."""
+    if k < 2:
+        raise ValidationError(f"rank cap floor(K/2) = 0 for K={k} leaves no rank budget")
+    return k // 2
 
 
 @dataclass(frozen=True)
@@ -97,22 +71,28 @@ class StmPlan:
         Keys that are not plan fields, such as the ``name`` and ``config`` of
         a ``*.plan.json`` file, are ignored. ``r`` and ``protect_cutoff`` must
         be non-negative integers, the index sets lists of integers of at least
-        1 and the ranks numbers within the range of finite floats.
+        1 and the ranks numbers within the range of finite floats; ``r`` must count
+        ``selected``, and the index sets ascend strictly, are disjoint and protect
+        nothing above ``protect_cutoff``.
         """
         try:
             r, cutoff = data["r"], data["protect_cutoff"]
-            sets = data["selected"], data["protected"]
+            sets = selected, protected = data["selected"], data["protected"]
             ranks = data["entropy_rank"], data["stable_rank"]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed plan record: {exc!r}") from exc
         if not (all(isinstance(s, (list, tuple)) for s in sets)  # a str is no index set
-                and all(type(i) is int for i in (r, cutoff, *sets[0], *sets[1]))  # no bool
+                and all(type(i) is int for i in (r, cutoff, *selected, *protected))  # no bool
                 and min(r, cutoff) >= 0 and all(i >= 1 for s in sets for i in s)
                 # False for NaN; exact for an int, so one beyond a float fails, not overflows
                 and all(type(x) is not bool and isinstance(x, (int, float))
-                        and abs(x) <= sys.float_info.max for x in ranks)):
+                        and abs(x) <= sys.float_info.max for x in ranks)
+                and r == len(selected)
+                and all(a < b for s in sets for a, b in zip(s, s[1:]))
+                and not set(selected) & set(protected)
+                and all(i <= cutoff for i in protected)):
             raise ValidationError(f"malformed plan record: {data!r}")
-        return cls(r, tuple(sets[0]), tuple(sets[1]), cutoff, float(ranks[0]), float(ranks[1]))
+        return cls(r, tuple(selected), tuple(protected), cutoff, float(ranks[0]), float(ranks[1]))
 
 
 @dataclass
@@ -132,12 +112,12 @@ class AdaptedLayer:
 
 
 def select_rank(sigma: np.ndarray, cfg: StmConfig) -> int:
-    """Entropy-rank-proportional rank budget for spectrum ``sigma``, rounded and clamped."""
-    budget = cfg.alpha * entropy_rank(sigma, cfg.gamma)
-    cap = cfg.max_rank(len(sigma))
+    """``alpha`` times the entropy rank of ``sigma``, rounded half up into ``[1, floor(K/2)]``."""
+    budget = cfg.alpha * entropy_rank(sigma)
+    cap = max_rank(len(sigma))
     # Clamping before rounding changes no finite budget, since round(x) >= cap
     # whenever x > cap, and keeps a product that overflows to inf roundable.
-    return max(cfg.min_rank, _apply_rule(min(budget, cap), "round"))
+    return max(1, math.floor(round(min(budget, cap), _SNAP_DIGITS) + 0.5))
 
 
 def select_directions(factors: SvdFactors, residual: np.ndarray, r: int) -> tuple[int, ...]:
@@ -153,24 +133,23 @@ def select_directions(factors: SvdFactors, residual: np.ndarray, r: int) -> tupl
     return tuple(sorted(int(i) + 1 for i in order[:r]))
 
 
-def make_plan(factors: SvdFactors, selected, cfg: StmConfig) -> StmPlan:
-    """Record selection plus the protected leading directions of ``factors``."""
+def make_plan(factors: SvdFactors, selected) -> StmPlan:
+    """Record ``selected`` and the unselected directions up to the ceiling of the stable rank."""
     sel = tuple(int(i) + 1 for i in as_component_indices(selected, factors.k))
-    st = stable_rank(factors.sigma, cfg.gamma)
-    cutoff = max(0, min(_apply_rule(st, cfg.protection_rule), factors.k))
+    st = stable_rank(factors.sigma)
+    cutoff = min(math.ceil(round(st, _SNAP_DIGITS)), factors.k)
     protected = tuple(i for i in range(1, cutoff + 1) if i not in set(sel))
     return StmPlan(
         r=len(sel),
         selected=sel,
         protected=protected,
         protect_cutoff=cutoff,
-        entropy_rank=entropy_rank(factors.sigma, cfg.gamma),
+        entropy_rank=entropy_rank(factors.sigma),
         stable_rank=st,
     )
 
 
-def initialize_adapter(weight: np.ndarray, factors: SvdFactors, selected,
-                       cfg: StmConfig) -> AdaptedLayer:
+def initialize_adapter(weight: np.ndarray, factors: SvdFactors, selected) -> AdaptedLayer:
     """Split the selected components of ``factors`` out of ``weight`` into an exact adapter.
 
     ``factors`` must be the decomposition of ``weight``.
@@ -188,7 +167,7 @@ def initialize_adapter(weight: np.ndarray, factors: SvdFactors, selected,
         raise ValidationError(
             f"weight shape {np.shape(weight)} does not match factors ({factors.m}, {factors.n})"
         )
-    plan = make_plan(factors, selected, cfg)
+    plan = make_plan(factors, selected)
     idx0 = np.asarray(plan.selected, dtype=int) - 1
     if np.any(factors.sigma[idx0] == 0.0):
         warnings.warn("selected a direction with zero singular value; its adapter "
@@ -211,7 +190,7 @@ def adapt_layer(weight: np.ndarray, factors: SvdFactors, residual: np.ndarray,
     ``factors`` must be the decomposition of ``weight``.
     """
     selected = select_directions(factors, residual, select_rank(factors.sigma, cfg))
-    return initialize_adapter(weight, factors, selected, cfg)
+    return initialize_adapter(weight, factors, selected)
 
 
 def protected_terms(layer: AdaptedLayer) -> np.ndarray:

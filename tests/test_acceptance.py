@@ -63,8 +63,8 @@ def test_criterion_01_rank_ordering_sweep():
     for trial in range(1000):
         m, n = shapes[trial % 4]
         sigma = np.linalg.svd(rng.standard_normal((m, n)), compute_uv=False)
-        st = stable_rank(sigma, 1.0)
-        en = entropy_rank(sigma, 1.0)
+        st = stable_rank(sigma)
+        en = entropy_rank(sigma)
         assert st <= en + 1e-9, f"ordering violated at trial {trial}"
     elapsed = time.perf_counter() - start
     assert elapsed <= 10.0, f"sweep took {elapsed:.1f}s"
@@ -86,11 +86,10 @@ def test_criterion_02_effective_rank_exactness():
 def _hundred_random_layers():
     rng = np.random.default_rng(20240103)
     shapes = [(8, 8), (16, 8), (8, 16), (32, 16), (24, 24)]
-    cfg = StmConfig(alpha=1.0)
     layers = []
     for _ in range(100):
         w, selected = _random_layer_and_selection(rng, shapes)
-        layers.append((w, initialize_adapter(w, decompose(w), selected, cfg)))
+        layers.append((w, initialize_adapter(w, decompose(w), selected)))
     return layers
 
 
@@ -105,7 +104,7 @@ def test_criterion_04_zero_penalty_at_init():
     for _, layer in _hundred_random_layers():
         assert maintaining_penalty([layer]) <= 1e-9
     w = np.diag([3.0, 2.0, 1.0])
-    layer = initialize_adapter(w, decompose(w), {3}, StmConfig(alpha=1.0))
+    layer = initialize_adapter(w, decompose(w), {3})
     layer.b = np.diag([0.1, 0.2, 0.5])
     layer.a = np.eye(3)
     assert abs(maintaining_penalty([layer]) - 0.7) <= 1e-12
@@ -116,10 +115,9 @@ def test_criterion_05_gradient_fidelity():
     start = time.perf_counter()
     rng = np.random.default_rng(20240105)
     shapes = [(10, 7), (8, 9), (12, 6)]
-    cfg = StmConfig(alpha=1.0)
     for _ in range(100):
         w, selected = _random_layer_and_selection(rng, shapes)
-        layer = initialize_adapter(w, decompose(w), selected, cfg)
+        layer = initialize_adapter(w, decompose(w), selected)
         layer.b = layer.b + 0.25 * rng.standard_normal(layer.b.shape)
         layer.a = layer.a + 0.25 * rng.standard_normal(layer.a.shape)
         grad_b, grad_a = maintaining_penalty_grad(layer)

@@ -131,15 +131,14 @@ class TestSpectra:
 
 class TestStmInit:
     def test_worked_example_plan(self, tmp_path):
-        w = np.diag([3.0, 2.0, 1.0])
-        dw = np.diag([0.0, 0.5, 0.9])
+        w = np.diag([3.0, 2.0, 1.0, 0.5, 0.25, 0.125])
+        dw = np.diag([0.0, 0.5, 0.9, 0.0, 0.0, 0.0])
         wdir, rdir = write_pair(tmp_path, {"layer": w}, {"layer": dw})
         out = tmp_path / "adapters"
-        # entropy rank of (3,2,1) is ~2.75; alpha 0.73 rounds to r=2 once the
-        # cap is lifted to the full spectrum
+        # entropy rank of (3,2,1,1/2,1/4,1/8) is ~4.00; alpha 0.5 rounds to
+        # r=2, below the cap floor(6/2)=3
         assert main(["stm-init", "--weights", wdir, "--residuals", rdir,
-                     "--alpha", "0.73", "--max-rank-fraction", "1.0",
-                     "--output", str(out)]) == 0
+                     "--alpha", "0.5", "--output", str(out)]) == 0
         plan = json.loads((out / "layer.plan.json").read_text())
         assert plan["r"] == 2
         assert plan["selected"] == [2, 3]
@@ -188,10 +187,11 @@ class TestStmInit:
             tmp_path,
             {k: rng.standard_normal(s) for k, s in shapes.items()},
             {k: 0.1 * rng.standard_normal(s) for k, s in shapes.items()})
-        args = ["stm-init", "--weights", wdir, "--residuals", rdir, "--alpha", "0.5"]
+        inputs = ["stm-init", "--weights", wdir, "--residuals", rdir]
+        args = inputs + ["--alpha", "0.5"]
         out = tmp_path / "out"
-        # an earlier, valid bundle in the output directory
-        assert main(args + ["--max-rank-fraction", "0.25", "--output", str(out)]) == 0
+        # an earlier, valid bundle of smaller adapters in the output directory
+        assert main(inputs + ["--alpha", "0.1", "--output", str(out)]) == 0
         before = dir_bytes(out)
 
         break_commit(monkeypatch, failure)
@@ -287,8 +287,7 @@ class TestStmInit:
         weights["attn"] = weights["attn"].astype(np.float32)
         residuals = {k: 0.1 * rng.standard_normal(s) for k, s in shapes.items()}
         wdir, rdir = write_pair(tmp_path, weights, residuals)
-        flags = {"alpha": 0.5, "gamma": 0.5, "protection_rule": "floor", "min_rank": 2,
-                 "max_rank_fraction": 0.25}
+        flags = {"alpha": 0.37}
         out = tmp_path / "adapters"
         argv = [arg for field, value in flags.items()
                 for arg in ("--" + field.replace("_", "-"), str(value))]
@@ -302,7 +301,7 @@ class TestStmInit:
             expected = adapt_layer(w, spectral.decompose(w), stored_residuals[name],
                                    StmConfig(**flags)).plan
             assert StmPlan.from_dict(record) == expected
-            assert 2 <= expected.r <= int(0.25 * min(shape))
+            assert 1 <= expected.r <= min(shape) // 2
 
     def test_missing_residual_exits_2(self, tmp_path):
         wdir, rdir = write_pair(tmp_path, {"a": np.eye(3), "b": np.eye(3)},
@@ -374,7 +373,7 @@ class TestSvdBudget:
                      "--output", str(out)]) == 0
         calls = count_svd_calls(monkeypatch)
         records = [rec for name in sorted(self.SHAPES)
-                   for rec in spectra_layer(name, w[name], r[name] if residuals else None, 1.0)]
+                   for rec in spectra_layer(name, w[name], r[name] if residuals else None)]
         assert [r["name"] for r in records] == [row["name"] for row in read_csv(out)]
         return calls
 
@@ -394,8 +393,8 @@ class TestSvdBudget:
                             lambda root: reads.append(root) or read_manifest(root))
         for name in self.SHAPES:
             stm_init_layer(name, w[name], r[name], StmConfig(alpha=0.5), tmp_path)
-            spectra_layer(name, w[name], r[name], 1.0)
-            spectra_layer(name, w[name], None, 1.0)
+            spectra_layer(name, w[name], r[name])
+            spectra_layer(name, w[name], None)
         assert reads == []
         # the counter does see a read
         read_entries(tmp_path / "w")
@@ -472,7 +471,7 @@ class TestLayerWorkers:
         out.mkdir()
         # the jobs as a worker receives them: pickled with their entries and config
         jobs = pickle.dumps([(stm_init_layer, ("l0", w, r, StmConfig(alpha=0.5), str(out))),
-                             (spectra_layer, ("l0", w, r, 1.0))])
+                             (spectra_layer, ("l0", w, r))])
         script = ("import pickle, sys; jobs = pickle.load(sys.stdin.buffer); "
                   "[job(*args) for job, args in jobs]; "
                   "print(' '.join(m for m in sys.modules if m.startswith('rankadapt')))")
@@ -561,10 +560,6 @@ class TestLayerWorkers:
 @pytest.mark.parametrize("argv", [
     ["stm-init", "--alpha", "nan"],
     ["stm-init", "--alpha", "inf"],
-    ["stm-init", "--alpha", "0.5", "--gamma", "nan"],
-    ["spectra", "--gamma", "nan"],
-    ["spectra", "--gamma", "inf"],
-    ["spectra", "--gamma", "0"],
     ["train-toy", "--reg-weight", "nan"],
     ["train-toy", "--reg-weight", "inf"],
     ["train-toy", "--learning-rate", "nan"],
@@ -577,8 +572,26 @@ def test_non_finite_flag_exits_2(tmp_path, capsys, argv):
     assert main([*argv, *bundles, "--output", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
-    if argv[0] == "spectra":  # rejected before any layer runs, so no layer prefix
-        assert captured.err == f"error: gamma must be positive and finite, got {float(argv[2])}\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r", "w"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["stm-init", "--alpha", "0.5", "--gamma", "2"],
+    ["stm-init", "--alpha", "0.5", "--protection-rule", "floor"],
+    ["stm-init", "--alpha", "0.5", "--min-rank", "2"],
+    ["stm-init", "--alpha", "0.5", "--max-rank-fraction", "1.0"],
+    ["train-toy", "--gamma", "2"],
+    ["spectra", "--gamma", "2"],
+], ids="_".join)
+def test_removed_flag_exits_2(tmp_path, capsys, argv):
+    rng = np.random.default_rng(2)
+    wdir, rdir = write_pair(tmp_path, {"w": rng.standard_normal((6, 5))},
+                            {"w": 0.1 * rng.standard_normal((6, 5))})
+    bundles = [] if argv[0] == "train-toy" else ["--weights", wdir, "--residuals", rdir]
+    assert main([*argv, *bundles, "--output", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert f"error: unrecognized arguments: {' '.join(argv[-2:])}\n" in captured.err
     assert captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["r", "w"]
 
@@ -638,14 +651,15 @@ class TestRejectedBeforeWorkers:
 
     def test_infeasible_rank_cap_exits_2(self, tmp_path, capsys):
         rng = np.random.default_rng(12)
-        # a 1 x N bias has rank cap floor(0.5 * 1) = 0 below min_rank 1
+        # a 1 x N bias has rank cap floor(1/2) = 0, so no budget of at least 1
         shapes = {"proj": (8, 6), "z.bias": (1, 4), "bias": (1, 8)}
         wdir, rdir = write_pair(tmp_path, {k: rng.standard_normal(s) for k, s in shapes.items()},
                                 {k: rng.standard_normal(s) for k, s in shapes.items()})
         assert main(["stm-init", "--weights", wdir, "--residuals", rdir, "--alpha", "0.5",
                      "--output", str(tmp_path / "out")]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: bias: min_rank 1 exceeds rank cap 0 for K=1\n"
+        assert captured.err == (
+            "error: bias: rank cap floor(K/2) = 0 for K=1 leaves no rank budget\n")
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["r", "w"]
 

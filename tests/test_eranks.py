@@ -30,15 +30,11 @@ def test_two_value_spectrum():
     assert stable_rank([2.0, 1.0]) == pytest.approx(1.5, abs=1e-12)
 
 
-def test_degenerate_and_bad_gamma():
+def test_degenerate_and_malformed_spectra():
     with pytest.raises(DegenerateSpectrumError):
         entropy_rank([0.0, 0.0])
     with pytest.raises(DegenerateSpectrumError):
         stable_rank([0.0])
-    with pytest.raises(ValidationError):
-        entropy_rank([1.0], gamma=0.0)
-    with pytest.raises(ValidationError):
-        stable_rank([1.0], gamma=-2.0)
     with pytest.raises(ValidationError):
         entropy_rank([1.0, 2.0])  # not descending
     with pytest.raises(ValidationError):
@@ -95,7 +91,7 @@ def _spectra(min_size=1, max_size=12):
 @settings(max_examples=300, deadline=None)
 @given(sigma=_spectra())
 def test_rank_ordering_property(sigma):
-    assert stable_rank(sigma, 1.0) <= entropy_rank(sigma, 1.0) + 1e-9
+    assert stable_rank(sigma) <= entropy_rank(sigma) + 1e-9
 
 
 @seed(2024)

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rankadapt.eranks import entropy_rank
 from rankadapt.errors import ValidationError
 from rankadapt.harness import finite_difference_check
 from rankadapt.spectral import decompose
@@ -15,6 +16,7 @@ from rankadapt.stm import (
     initialize_adapter,
     maintaining_penalty,
     maintaining_penalty_grad,
+    max_rank,
     protected_terms,
     select_directions,
     select_rank,
@@ -23,8 +25,8 @@ from rankadapt.stm import (
 from conftest import rand_matrix
 
 
-def cfg(alpha=1.0, **kw):
-    return StmConfig(alpha=alpha, **kw)
+def cfg(alpha=1.0):
+    return StmConfig(alpha=alpha)
 
 
 PLAN_RECORD = {"r": 1, "selected": [1], "protected": [], "protect_cutoff": 0,
@@ -51,7 +53,6 @@ class TestSelectRank:
     def test_overflowing_budget_takes_the_cap(self):
         sigma = decompose(rand_matrix(0, 16, 12)).sigma
         assert select_rank(sigma, cfg(alpha=1e308)) == 6
-        assert select_rank(sigma, cfg(alpha=1e308, max_rank_fraction=1.0)) == 12
 
     def test_rank_one_clamps_to_min(self):
         w = np.zeros((8, 8))
@@ -60,10 +61,10 @@ class TestSelectRank:
 
     def test_cap_clamps_small_matrices(self):
         # entropy rank of (2,1) is ~1.89; alpha=1 rounds to 2 but the
-        # default cap floor(0.5*K)=1 wins
+        # cap floor(K/2)=1 wins
         sigma = decompose(np.diag([2.0, 1.0])).sigma
         assert select_rank(sigma, cfg(alpha=1.0)) == 1
-        assert select_rank(sigma, cfg(alpha=1.0, max_rank_fraction=1.0)) == 2
+        assert round(entropy_rank(sigma)) == 2
 
     def test_monotone_in_alpha(self):
         w = rand_matrix(0, 16, 16)
@@ -71,9 +72,10 @@ class TestSelectRank:
         ranks = [select_rank(sigma, cfg(alpha=a)) for a in (0.05, 0.1, 0.2, 0.3, 0.4)]
         assert ranks == sorted(ranks)
 
-    def test_min_rank_above_cap_rejected(self):
-        with pytest.raises(ValidationError):
-            select_rank(decompose(np.eye(4)).sigma, cfg(alpha=1.0, min_rank=3))
+    def test_single_component_has_no_budget(self):
+        with pytest.raises(ValidationError, match=r"rank cap floor\(K/2\) = 0 for K=1"):
+            select_rank(decompose(np.ones((1, 4))).sigma, cfg(alpha=1.0))
+        assert max_rank(2) == max_rank(3) == 1
 
 
 class TestSelectDirections:
@@ -114,7 +116,7 @@ class TestSelectDirections:
 class TestInitializeAdapter:
     def test_diagonal_worked_example(self):
         w = np.diag([3.0, 2.0, 1.0])
-        layer = initialize_adapter(w, decompose(w), {2, 3}, cfg())
+        layer = initialize_adapter(w, decompose(w), {2, 3})
         assert np.allclose(layer.w0, np.diag([3.0, 0.0, 0.0]), atol=1e-12)
         expected_b = np.array([[0.0, 0.0], [np.sqrt(2.0), 0.0], [0.0, 1.0]])
         expected_a = np.array([[0.0, np.sqrt(2.0), 0.0], [0.0, 0.0, 1.0]])
@@ -124,14 +126,14 @@ class TestInitializeAdapter:
 
     def test_empty_selection(self):
         w = rand_matrix(1, 6, 5)
-        layer = initialize_adapter(w, decompose(w), (), cfg())
+        layer = initialize_adapter(w, decompose(w), ())
         assert layer.b.shape == (6, 0) and layer.a.shape == (0, 5)
         assert np.array_equal(layer.w0, w)
         assert layer.plan.r == 0
 
     def test_random_exactness(self):
         w = rand_matrix(2, 32, 16)
-        layer = initialize_adapter(w, decompose(w), (1, 2, 3, 4), cfg())
+        layer = initialize_adapter(w, decompose(w), (1, 2, 3, 4))
         err = np.linalg.norm(layer.w0 + layer.b @ layer.a - w)
         assert err <= 1e-10 * np.linalg.norm(w)
 
@@ -143,7 +145,7 @@ class TestInitializeAdapter:
             k = min(m, n)
             r = int(rng.integers(1, k + 1))
             selected = sorted(int(i) + 1 for i in rng.choice(k, size=r, replace=False))
-            layer = initialize_adapter(w, decompose(w), selected, cfg())
+            layer = initialize_adapter(w, decompose(w), selected)
             err = np.linalg.norm(layer.w0 + layer.b @ layer.a - w)
             assert err <= 1e-10 * np.linalg.norm(w)
             assert not set(layer.plan.selected) & set(layer.plan.protected)
@@ -154,7 +156,7 @@ class TestInitializeAdapter:
     def test_zero_singular_value_warns(self):
         w = np.diag([2.0, 0.0])
         with pytest.warns(UserWarning):
-            initialize_adapter(w, decompose(w), {2}, cfg())
+            initialize_adapter(w, decompose(w), {2})
 
     @pytest.mark.parametrize("shape, dtype", float64_then_float32(
         "shape", [(600, 200), (200, 600), (300, 300)]))
@@ -164,13 +166,13 @@ class TestInitializeAdapter:
         selected = range(1, f.k + 1, 10)
         tracemalloc.start()
         try:
-            layer = initialize_adapter(w, f, selected, cfg())
+            layer = initialize_adapter(w, f, selected)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * owned_nbytes(layer)
         # W0 comes out as if the weight had been widened first
-        widened = initialize_adapter(w.astype(np.float64), f, selected, cfg())
+        widened = initialize_adapter(w.astype(np.float64), f, selected)
         assert layer.w0.tobytes() == widened.w0.tobytes()
 
     @pytest.mark.parametrize("selected, dtype", float64_then_float32(
@@ -178,7 +180,7 @@ class TestInitializeAdapter:
     def test_weight_not_modified(self, selected, dtype):
         w = rand_matrix(6, 9, 7).astype(dtype)
         before = w.tobytes()
-        layer = initialize_adapter(w, decompose(w), selected, cfg())
+        layer = initialize_adapter(w, decompose(w), selected)
         assert w.tobytes() == before
         assert layer.w0.flags.c_contiguous and not np.shares_memory(layer.w0, w)
         layer = adapt_layer(w, decompose(w), 0.1 * rand_matrix(7, 9, 7), cfg(0.5))
@@ -189,13 +191,13 @@ class TestInitializeAdapter:
     def test_factors_of_another_shape_rejected(self, other):
         w = rand_matrix(3, 5, 6)
         with pytest.raises(ValidationError, match="does not match factors"):
-            initialize_adapter(w, decompose(rand_matrix(4, *other)), (1,), cfg())
+            initialize_adapter(w, decompose(rand_matrix(4, *other)), (1,))
 
     def test_non_integral_index_rejected(self):
         # 2.7 is not truncated to component 2
         w = rand_matrix(8, 6, 5)
         with pytest.raises(ValidationError, match="must be integers"):
-            initialize_adapter(w, decompose(w), (2.7,), cfg())
+            initialize_adapter(w, decompose(w), (2.7,))
 
     @pytest.mark.parametrize("shape", [(14, 9), (9, 14)])
     def test_layer_holds_only_the_protected_components(self, shape):
@@ -225,23 +227,20 @@ class TestAdaptLayer:
         "square": (11, 11, np.float64),
         "f32": (12, 10, np.float32),
     }
-    CONFIGS = {
-        "default": dict(alpha=0.5),
-        "floor": dict(alpha=1.3, gamma=0.5, protection_rule="floor"),
-        "round": dict(alpha=0.2, gamma=2.0, protection_rule="round", max_rank_fraction=1.0),
-    }
+    # 1.3 reaches the rank cap on every shape
+    ALPHAS = {"default": 0.5, "large": 1.3, "small": 0.2}
 
-    @pytest.mark.parametrize("config", CONFIGS)
+    @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_matches_step_by_step_bit_for_bit(self, shape, config):
+    def test_matches_step_by_step_bit_for_bit(self, shape, alpha):
         m, n, dtype = self.SHAPES[shape]
         w = rand_matrix(41, m, n).astype(dtype)
         dw = (0.1 * rand_matrix(42, m, n)).astype(dtype)
-        c = cfg(**self.CONFIGS[config])
+        c = cfg(self.ALPHAS[alpha])
 
         fast = adapt_layer(w, decompose(w), dw, c)
         f = decompose(w)
-        ref = initialize_adapter(w, f, select_directions(f, dw, select_rank(f.sigma, c)), c)
+        ref = initialize_adapter(w, f, select_directions(f, dw, select_rank(f.sigma, c)))
 
         assert fast.plan == ref.plan
         for attr in ("w0", "b", "a"):
@@ -289,6 +288,11 @@ class TestStmPlanRecord:
         {**PLAN_RECORD, "r": -3},
         {**PLAN_RECORD, "protect_cutoff": -1},
         {**PLAN_RECORD, "selected": [0]},
+        {**PLAN_RECORD, "r": 5},  # r counts the selected directions
+        {**PLAN_RECORD, "r": 2, "selected": [2, 1]},
+        {**PLAN_RECORD, "r": 2, "selected": [1, 1]},
+        {**PLAN_RECORD, "protected": [3], "protect_cutoff": 1},
+        {**PLAN_RECORD, "protected": [1], "protect_cutoff": 1},  # also selected
     ])
     def test_malformed_record_rejected(self, record):
         with pytest.raises(ValidationError):
@@ -299,12 +303,12 @@ class TestMaintainingPenalty:
     def test_zero_at_init(self):
         for seed_ in range(20):
             w = rand_matrix(seed_, 12, 9)
-            layer = initialize_adapter(w, decompose(w), (1, 4), cfg())
+            layer = initialize_adapter(w, decompose(w), (1, 4))
             assert maintaining_penalty([layer]) <= 1e-9
 
     def test_hand_computed_example(self):
         w = np.diag([3.0, 2.0, 1.0])
-        layer = initialize_adapter(w, decompose(w), {3}, cfg())
+        layer = initialize_adapter(w, decompose(w), {3})
         assert layer.plan.protect_cutoff == 2
         assert layer.plan.protected == (1, 2)
         layer.b = np.diag([0.1, 0.2, 0.5])
@@ -320,7 +324,7 @@ class TestMaintainingPenalty:
     def test_nothing_protected(self):
         # stable rank 14/9 gives cutoff 2, and both leading directions are selected
         w = np.diag([3.0, 2.0, 1.0])
-        layer = initialize_adapter(w, decompose(w), {1, 2}, cfg())
+        layer = initialize_adapter(w, decompose(w), {1, 2})
         assert layer.plan.protect_cutoff == 2 and layer.plan.protected == ()
         rng = np.random.default_rng(0)
         layer.b = layer.b + rng.standard_normal(layer.b.shape)
@@ -337,7 +341,7 @@ class TestMaintainingPenaltyGrad:
     def _perturbed_layer(self, seed_):
         rng = np.random.default_rng(seed_)
         w = rng.standard_normal((10, 7))
-        layer = initialize_adapter(w, decompose(w), (2, 6), cfg())
+        layer = initialize_adapter(w, decompose(w), (2, 6))
         layer.b = layer.b + 0.25 * rng.standard_normal(layer.b.shape)
         layer.a = layer.a + 0.25 * rng.standard_normal(layer.a.shape)
         return layer
@@ -346,7 +350,7 @@ class TestMaintainingPenaltyGrad:
     def test_matches_full_factor_reference_bit_for_bit(self, shape):
         rng = np.random.default_rng(12)
         w = rng.standard_normal(shape)
-        layer = initialize_adapter(w, decompose(w), (2, 6), cfg())
+        layer = initialize_adapter(w, decompose(w), (2, 6))
         layer.b = layer.b + 0.25 * rng.standard_normal(layer.b.shape)
         layer.a = layer.a + 0.25 * rng.standard_normal(layer.a.shape)
         # the terms and gradient over the protected columns of the full factors
@@ -364,7 +368,7 @@ class TestMaintainingPenaltyGrad:
 
     def test_zero_gradient_at_init(self):
         w = rand_matrix(4, 9, 6)
-        layer = initialize_adapter(w, decompose(w), (3,), cfg())
+        layer = initialize_adapter(w, decompose(w), (3,))
         grad_b, grad_a = maintaining_penalty_grad(layer)
         assert np.max(np.abs(grad_b)) <= 1e-12
         assert np.max(np.abs(grad_a)) <= 1e-12
