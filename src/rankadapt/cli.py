@@ -10,7 +10,11 @@ worker gets its layer's validated bundle entries, maps only that layer and,
 for ``stm-init``, writes that layer's adapter payloads and plan file itself
 into a :func:`~rankadapt.tensorio.staged_bundle` directory, so no process
 holds more than one layer. The CLI process adds the manifest there; that
-directory replaces the output only once every layer has succeeded.
+directory replaces the output only once every layer has succeeded. A job
+passes the mapped matrices as stored to the library, whose SVD and
+projection widen them into their own float64 copies, and pins glibc's mmap
+threshold, so that the large arrays of one layer go back to the system
+before the next layer starts.
 ``stm-init`` and ``train-toy`` take one STM option, ``--alpha``; a layer with
 rank cap ``floor(K/2) = 0`` ends ``stm-init`` before any worker starts.
 
@@ -45,8 +49,6 @@ from .errors import (
 )
 
 if TYPE_CHECKING:  # names the annotations use
-    import numpy as np
-
     from .stm import StmConfig
     from .tensorio import BundleEntry
 
@@ -57,6 +59,7 @@ _TOY_NOISE = 0.01
 _ALPHA_HELP = "rank scaling factor applied to the entropy rank"
 
 _BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+_M_MMAP_THRESHOLD = -3  # glibc's mallopt parameter
 
 
 def _layer_entries(weights_dir, residuals_dir) -> dict:
@@ -172,31 +175,40 @@ def _config(cls, args):
     return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
-def _load_f64(entry: BundleEntry) -> np.ndarray:
-    """The matrix of ``entry``, widened to float64.
+def _pin_mmap_threshold() -> None:
+    """Hold glibc malloc's mmap threshold at its initial 128 KiB in this process.
 
-    Widening a weight here rather than inside the SVD lets an ``f32`` entry's
-    memory map close before the decomposition, the job's peak, so its pages
-    are not resident on top of the SVD's own buffers.
+    glibc raises the threshold whenever a mapped block is freed, so a worker's
+    next layer would take its large arrays from the heap, whose freed memory
+    glibc keeps, and its peak would grow with the layers it runs. Calling this
+    again changes nothing, so each job calls it.
     """
-    import numpy as np
+    if sys.platform != "linux":
+        return
+    import ctypes
 
-    return np.asarray(entry.load(), dtype=np.float64)
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 128 * 1024)
 
 
 def spectra_layer(name: str, weight: BundleEntry, residual: BundleEntry | None) -> list[dict]:
-    """The ``spectra`` report records of layer ``name``, one per component."""
+    """The ``spectra`` report records of layer ``name``, one per component.
+
+    The weight and residual go to the library as mapped, in their stored dtype.
+    """
     from .eranks import entropy_rank, stable_rank
     from .spectral import decompose, project_residual, singular_values
 
-    w = _load_f64(weight)
+    _pin_mmap_threshold()
+    w = weight.load()
     factors = None if residual is None else decompose(w)  # vectors only to project dW
     sigma = singular_values(w) if factors is None else factors.sigma
     ent = entropy_rank(sigma)
     st = stable_rank(sigma)
     if residual is not None:
-        # widened once here, since both the projection and the spectrum use it
-        dw = _load_f64(residual)
+        dw = residual.load()
         proj = project_residual(factors, dw)
         res_sigma = singular_values(dw)
         try:
@@ -240,14 +252,16 @@ def stm_init_layer(name: str, weight: BundleEntry, residual: BundleEntry, cfg: S
     The payloads of ``name.W0``, ``name.B`` and ``name.A`` are written with
     :func:`write_entry`, and the plan, with ``cfg``, as ``name.plan.json``.
     Returns the payloads' manifest records and the layer's trainable
-    parameter count; no matrix and no plan.
+    parameter count; no matrix and no plan. The weight and residual go to
+    the library as mapped, in their stored dtype; widening into ``W0`` is exact.
     """
     from .adapter import trainable_param_count
     from .spectral import decompose
     from .stm import adapt_layer
     from .tensorio import write_entry
 
-    w = _load_f64(weight)
+    _pin_mmap_threshold()
+    w = weight.load()
     # the residual stays as stored until the projection, after the SVD
     layer = adapt_layer(w, decompose(w), residual.load(), cfg)
     records = [write_entry(out_dir, f"{name}.{part}", matrix)

@@ -14,8 +14,22 @@ searched. Component indices are 1-based throughout the public API,
 
 Tiny singular values are never truncated; rank-like behavior is the job of
 the effective-rank functionals downstream.
+
+The SVD is LAPACK's ``dgesdd``, the routine behind ``np.linalg.svd``, called
+through ``ctypes`` from the OpenBLAS that numpy's wheels bundle, so the
+factors are bit-identical to ``np.linalg.svd``'s at less memory. That call
+makes one column-major float64 copy of the input, straight from its stored
+dtype, for LAPACK to overwrite; the workspace and the column-major ``U`` and
+``Vt`` live in anonymous memory maps, each returned to the system as soon as
+it has been read. ``np.linalg.svd`` would add a second copy of the input and
+keep its workspace and column-major factors in one block until it returns.
+Where numpy's LAPACK has no such symbol (another build of numpy), the SVD is
+``np.linalg.svd`` itself.
 """
 
+import ctypes
+import math
+import mmap
 import operator
 from dataclasses import dataclass
 
@@ -57,14 +71,87 @@ def as_component_indices(indices, k: int) -> np.ndarray:
     return idx - 1
 
 
+def _find_dgesdd():
+    """LAPACKE ``dgesdd_work`` of numpy's bundled OpenBLAS, with 64-bit integers, or None."""
+    try:
+        from numpy.linalg import _umath_linalg
+
+        # a handle's symbol lookup also searches the libraries the extension links
+        fn = ctypes.CDLL(_umath_linalg.__file__).scipy_LAPACKE_dgesdd_work64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    fn.argtypes = (ctypes.c_int, ctypes.c_char, i64, i64, ptr, i64, ptr,
+                   ptr, i64, ptr, i64, ptr, i64, ptr)
+    fn.restype = i64
+    return fn
+
+
+_dgesdd = _find_dgesdd()
+_COL_MAJOR = 102  # LAPACKE's LAPACK_COL_MAJOR
+
+
+def _address(buf: mmap.mmap) -> int:
+    # the ctypes view is dropped at once, so it does not keep the map from closing
+    return ctypes.addressof(ctypes.c_char.from_buffer(buf))
+
+
+def _check_info(info: int) -> None:
+    if info > 0:
+        raise NumericError(f"SVD did not converge: LAPACK dgesdd info {info}")
+    if info < 0:
+        raise NumericError(f"LAPACK dgesdd rejected its argument {-info}")
+
+
+def _gesdd(w: np.ndarray, compute_uv: bool):
+    """``np.linalg.svd(w, full_matrices=False, compute_uv=compute_uv)`` of a checked ``w``.
+
+    LAPACK gets the job, leading dimensions and optimal workspace size that
+    numpy gives it, so the results are bit-identical to numpy's.
+    """
+    m, n = w.shape
+    k = min(m, n)
+    jobz, ldu, ldvt = (b"S", m, k) if compute_uv else (b"N", 1, 1)
+    a = np.array(w, dtype=np.float64, order="F")  # the one copy, which LAPACK overwrites
+    sigma = np.empty(k)
+    iwork = np.empty(8 * k, dtype=np.int64)
+    query = np.empty(1)
+    _check_info(_dgesdd(_COL_MAJOR, jobz, m, n, a.ctypes.data, m, sigma.ctypes.data,
+                        None, ldu, None, ldvt, query.ctypes.data, -1, iwork.ctypes.data))
+    lwork = max(int(query[0]), 1)
+    shapes = [(m, k), (k, n)] if compute_uv else []
+    maps = [mmap.mmap(-1, 8 * math.prod(shape)) for shape in [(lwork,), *shapes]]
+    try:
+        work, *uv = map(_address, maps)
+        u, vt = uv or (None, None)
+        info = _dgesdd(_COL_MAJOR, jobz, m, n, a.ctypes.data, m, sigma.ctypes.data,
+                       u, ldu, vt, ldvt, work, lwork, iwork.ctypes.data)
+        del a
+        maps[0].close()
+        _check_info(info)
+        factors = []
+        for shape, buf in zip(shapes, maps[1:]):
+            factors.append(np.ndarray(shape, np.float64, buf, order="F").copy(order="C"))
+            buf.close()
+    finally:
+        for buf in maps:
+            buf.close()
+    return (factors[0], sigma, factors[1]) if compute_uv else sigma
+
+
 def _svd(matrix: np.ndarray, compute_uv: bool):
-    w = np.asarray(matrix, dtype=np.float64)
+    w = np.asarray(matrix)
+    if w.dtype.kind != "f":  # such as integers or nested lists; floats are widened by the SVD
+        w = w.astype(np.float64)
     if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 1:
         raise ValidationError(f"expected a non-empty 2-D matrix, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
         raise ValidationError("matrix contains non-finite entries")
+    if _dgesdd is not None:
+        return _gesdd(w, compute_uv)
     try:
-        return np.linalg.svd(w, full_matrices=False, compute_uv=compute_uv)
+        return np.linalg.svd(np.asarray(w, dtype=np.float64), full_matrices=False,
+                             compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD did not converge: {exc}") from exc
 

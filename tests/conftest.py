@@ -1,7 +1,31 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+
+from rankadapt import spectral
+
+# Hypothesis imports this module when a test fails, to print a patch; its
+# libcst dependency imports mypy_extensions.TypedDict, whose DeprecationWarning
+# filterwarnings = ["error"] would raise inside pytest's report hook and end
+# the whole run with INTERNALERROR. Imported here once, the failure stays one
+# failed test.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no libcst, so Hypothesis prints no patch
+        pass
+
+
+# any value a JSON document can hold, for fuzzing readers of JSON records
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=4),
+    max_leaves=12)
 
 
 @pytest.fixture
@@ -14,14 +38,19 @@ def rand_matrix(seed: int, m: int, n: int) -> np.ndarray:
 
 
 def count_svd_calls(monkeypatch):
-    """Wrap numpy.linalg.svd; return a dict of call counts keyed by compute_uv."""
+    """Count the SVDs of both routes, LAPACK's dgesdd and numpy.linalg.svd, by compute_uv."""
     calls = {True: 0, False: 0}
-    svd = np.linalg.svd
+    gesdd, svd = spectral._gesdd, np.linalg.svd
+
+    def counting_gesdd(w, compute_uv):
+        calls[compute_uv] += 1
+        return gesdd(w, compute_uv)
 
     def counting_svd(*args, **kwargs):
         calls[kwargs.get("compute_uv", True)] += 1
         return svd(*args, **kwargs)
 
+    monkeypatch.setattr(spectral, "_gesdd", counting_gesdd)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     return calls
 

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rankadapt import spectral
 from rankadapt.errors import NumericError, ValidationError
 from rankadapt.spectral import decompose, project_residual, reconstruct, singular_values
 
@@ -81,6 +82,8 @@ def test_sign_rule_exact_ties_first_occurrence_wins(monkeypatch):
     h = np.kron(_HADAMARD_2, _HADAMARD_2) / 2.0
     signs = np.array([1.0, -1.0, 1.0, -1.0])
     factors = (h * signs, np.array([4.0, 3.0, 2.0, 1.0]), np.eye(4))
+    # on both routes, LAPACK's dgesdd and numpy.linalg.svd
+    monkeypatch.setattr(spectral, "_gesdd", lambda *a: tuple(x.copy() for x in factors))
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: tuple(x.copy() for x in factors))
     f = decompose(np.eye(4))
     assert np.array_equal(f.u, h)
@@ -224,7 +227,63 @@ def test_svd_failure_maps_to_numeric_error(monkeypatch):
         raise np.linalg.LinAlgError("forced")
 
     monkeypatch.setattr(np.linalg, "svd", failing_svd)
-    with pytest.raises(NumericError):
-        decompose(np.eye(3))
-    with pytest.raises(NumericError):
-        singular_values(np.eye(3))
+    # LAPACK's dgesdd reports no convergence with info > 0; None selects numpy.linalg.svd
+    for dgesdd in (lambda *args: 1, None):
+        monkeypatch.setattr(spectral, "_dgesdd", dgesdd)
+        with pytest.raises(NumericError):
+            decompose(np.eye(3))
+        with pytest.raises(NumericError):
+            singular_values(np.eye(3))
+
+
+needs_dgesdd = pytest.mark.skipif(spectral._dgesdd is None,
+                                  reason="numpy's LAPACK has no LAPACKE dgesdd_work")
+
+
+@needs_dgesdd
+@pytest.mark.parametrize("info", [1, -5])
+@pytest.mark.parametrize("failing_call", [1, 2], ids=["workspace_query", "decomposition"])
+@pytest.mark.parametrize("compute_uv", [True, False])
+def test_lapack_info_maps_to_numeric_error(monkeypatch, info, failing_call, compute_uv):
+    dgesdd, calls = spectral._dgesdd, []
+
+    def failing_dgesdd(*args):
+        calls.append(args)
+        code = dgesdd(*args)
+        return info if len(calls) == failing_call else code
+
+    monkeypatch.setattr(spectral, "_dgesdd", failing_dgesdd)
+    w = rand_matrix(3, 7, 5)
+    with pytest.raises(NumericError, match="did not converge" if info > 0 else "argument 5"):
+        decompose(w) if compute_uv else singular_values(w)
+    assert len(calls) == failing_call
+
+
+def _f32_memmap(path):
+    rand_matrix(67, 30, 20).astype(np.float32).tofile(path)
+    return np.memmap(path, dtype=np.float32, mode="r", shape=(30, 20))
+
+
+@needs_dgesdd
+@pytest.mark.parametrize("case", ["tall", "wide", "square", "row", "column", "zero",
+                                  "f32_memmap", "strided_view"])
+def test_dgesdd_matches_numpy_svd_bit_for_bit(case, monkeypatch, tmp_path):
+    w = {
+        "tall": lambda: rand_matrix(61, 40, 12),
+        "wide": lambda: rand_matrix(62, 12, 40),
+        "square": lambda: rand_matrix(63, 25, 25),
+        "row": lambda: rand_matrix(64, 1, 9),
+        "column": lambda: rand_matrix(65, 9, 1),
+        "zero": lambda: np.zeros((4, 3)),
+        "f32_memmap": lambda: _f32_memmap(tmp_path / "w.bin"),
+        "strided_view": lambda: rand_matrix(66, 40, 30)[::2, ::-3],
+    }[case]()
+    direct, direct_sigma = decompose(w), singular_values(w)
+    monkeypatch.setattr(spectral, "_dgesdd", None)  # the numpy.linalg.svd route
+    fallback, fallback_sigma = decompose(w), singular_values(w)
+    for got, want in ((direct.u, fallback.u), (direct.sigma, fallback.sigma),
+                      (direct.vt, fallback.vt), (direct_sigma, fallback_sigma)):
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        # each array owns its memory, so none is a view of a closed map
+        assert got.flags.c_contiguous and got.flags.owndata and got.flags.writeable

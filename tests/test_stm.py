@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankadapt.eranks import entropy_rank
 from rankadapt.errors import ValidationError
@@ -22,7 +24,7 @@ from rankadapt.stm import (
     select_rank,
 )
 
-from conftest import rand_matrix
+from conftest import JSON, rand_matrix
 
 
 def cfg(alpha=1.0):
@@ -31,6 +33,13 @@ def cfg(alpha=1.0):
 
 PLAN_RECORD = {"r": 1, "selected": [1], "protected": [], "protect_cutoff": 0,
                "entropy_rank": 1.0, "stable_rank": 1.0}
+
+
+def _plan_record(selected, cutoff, rng, entropy, stable) -> dict:
+    """A well-formed plan record: ``protected`` is a random part of 1..cutoff outside ``selected``."""
+    protected = [i for i in range(1, cutoff + 1) if i not in selected and rng.random() < 0.5]
+    return {"r": len(selected), "selected": sorted(selected), "protected": protected,
+            "protect_cutoff": cutoff, "entropy_rank": entropy, "stable_rank": stable}
 
 
 def owned_nbytes(layer) -> int:
@@ -297,6 +306,21 @@ class TestStmPlanRecord:
     def test_malformed_record_rejected(self, record):
         with pytest.raises(ValidationError):
             StmPlan.from_dict(record)
+
+    @settings(max_examples=300, deadline=None)
+    @given(record=JSON | st.builds(_plan_record, st.sets(st.integers(1, 8)), st.integers(0, 8),
+                                   st.randoms(use_true_random=False),
+                                   st.floats(0, 8), st.floats(0, 8)),
+           field=st.sampled_from([None, *PLAN_RECORD]), value=JSON)
+    def test_fuzz_record(self, record, field, value):
+        # a well-formed plan, one with a field set to any JSON value, or any JSON value
+        if field is not None and isinstance(record, dict):
+            record = {**record, field: value}
+        try:
+            plan = StmPlan.from_dict(record)
+        except ValidationError:
+            return
+        assert StmPlan.from_dict(json.loads(json.dumps(plan.to_dict()))) == plan
 
 
 class TestMaintainingPenalty:

@@ -20,7 +20,7 @@ from rankadapt.tensorio import (
     write_bundle,
 )
 
-from conftest import COMMIT_FAILURES, break_commit
+from conftest import COMMIT_FAILURES, JSON, break_commit
 
 
 def test_zero_matrix_layout(tmp_path):
@@ -225,11 +225,6 @@ def test_manifest_not_utf8_is_corruption(tmp_path):
 
 VALID_ENTRY = {"name": "w", "rows": 2, "cols": 3, "dtype": "f32", "data": "w.bin"}
 READ_ERRORS = (BundleCorruptionError, BundleNotFoundError, ValidationError)
-JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
-                                                                max_size=4),
-    max_leaves=12)
 
 
 def read_or_reject(root) -> None:
