@@ -12,9 +12,12 @@ into a :func:`~rankadapt.tensorio.staged_bundle` directory, so no process
 holds more than one layer. The CLI process adds the manifest there; that
 directory replaces the output only once every layer has succeeded. A job
 passes the mapped matrices as stored to the library, whose SVD and
-projection widen them into their own float64 copies, and pins glibc's mmap
-threshold, so that the large arrays of one layer go back to the system
-before the next layer starts.
+projection widen them into their own float64 copies and then drop the
+maps' resident pages, so a worker's peak is the SVD's working set without
+the layer's input. The split of ``stm-init`` reads the weight again for
+``W0``, from the page cache, while the residual is no longer resident. A
+job also pins glibc's mmap threshold, so that the large arrays of one layer
+go back to the system before the next layer starts.
 ``stm-init`` and ``train-toy`` take one STM option, ``--alpha``; a layer with
 rank cap ``floor(K/2) = 0`` ends ``stm-init`` before any worker starts.
 

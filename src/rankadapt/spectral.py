@@ -24,7 +24,15 @@ dtype, for LAPACK to overwrite; the workspace and the column-major ``U`` and
 it has been read. ``np.linalg.svd`` would add a second copy of the input and
 keep its workspace and column-major factors in one block until it returns.
 Where numpy's LAPACK has no such symbol (another build of numpy), the SVD is
-``np.linalg.svd`` itself.
+``np.linalg.svd`` itself, of the same copy.
+
+A matrix or residual that is a read-only file map, such as a bundle entry
+from :mod:`rankadapt.tensorio`, is read once into that float64 copy, and
+then its pages are dropped from this process's memory with
+``madvise(MADV_DONTNEED)``: a worker's peak is LAPACK's working set alone,
+not that plus the mapped input. The map stays valid; a later read faults the
+pages back in from the page cache. A writable or copy-on-write map, and a
+float64 residual that the projection only views, stay as they are.
 """
 
 import ctypes
@@ -103,6 +111,36 @@ def _check_info(info: int) -> None:
         raise NumericError(f"LAPACK dgesdd rejected its argument {-info}")
 
 
+def _release_pages(array) -> None:
+    """Drop this process's resident pages of the read-only file map under ``array``.
+
+    Only a map whose buffer is read-only is released: dropping the private
+    pages of a copy-on-write map would discard the caller's edits. The map
+    stays valid, and a later read faults its pages back in from the page
+    cache. Anything else, such as an array in memory, is left alone.
+    """
+    base = array
+    while isinstance(base, np.ndarray):
+        base = base.base
+    if not isinstance(base, mmap.mmap) or not hasattr(mmap, "MADV_DONTNEED"):
+        return
+    with memoryview(base) as view:
+        readonly = view.readonly
+    if readonly:
+        base.madvise(mmap.MADV_DONTNEED)
+
+
+def _widened(w: np.ndarray) -> np.ndarray:
+    """The one column-major float64 copy of ``w``, which the SVD overwrites.
+
+    Once it is made, the pages of a read-only map under ``w`` are released,
+    so they are not resident during the SVD.
+    """
+    a = np.array(w, dtype=np.float64, order="F")
+    _release_pages(w)
+    return a
+
+
 def _gesdd(w: np.ndarray, compute_uv: bool):
     """``np.linalg.svd(w, full_matrices=False, compute_uv=compute_uv)`` of a checked ``w``.
 
@@ -112,7 +150,7 @@ def _gesdd(w: np.ndarray, compute_uv: bool):
     m, n = w.shape
     k = min(m, n)
     jobz, ldu, ldvt = (b"S", m, k) if compute_uv else (b"N", 1, 1)
-    a = np.array(w, dtype=np.float64, order="F")  # the one copy, which LAPACK overwrites
+    a = _widened(w)
     sigma = np.empty(k)
     iwork = np.empty(8 * k, dtype=np.int64)
     query = np.empty(1)
@@ -126,6 +164,8 @@ def _gesdd(w: np.ndarray, compute_uv: bool):
         u, vt = uv or (None, None)
         info = _dgesdd(_COL_MAJOR, jobz, m, n, a.ctypes.data, m, sigma.ctypes.data,
                        u, ldu, vt, ldvt, work, lwork, iwork.ctypes.data)
+        # overwritten, and its only reference, since the copy is made here:
+        # freed before the factors are copied out
         del a
         maps[0].close()
         _check_info(info)
@@ -150,8 +190,7 @@ def _svd(matrix: np.ndarray, compute_uv: bool):
     if _dgesdd is not None:
         return _gesdd(w, compute_uv)
     try:
-        return np.linalg.svd(np.asarray(w, dtype=np.float64), full_matrices=False,
-                             compute_uv=compute_uv)
+        return np.linalg.svd(_widened(w), full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD did not converge: {exc}") from exc
 
@@ -204,6 +243,8 @@ def project_residual(factors: SvdFactors, residual: np.ndarray) -> np.ndarray:
     freedom of the decomposition.
     """
     r = np.asarray(residual, dtype=np.float64)
+    if r.flags.owndata:  # a widened copy, so a mapped residual's pages are no longer read
+        _release_pages(residual)
     if r.shape != (factors.m, factors.n):
         raise ValidationError(
             f"residual shape {r.shape} does not match factors ({factors.m}, {factors.n})"

@@ -414,6 +414,36 @@ def permission_worker(name, weight, residual, *args):
     raise PermissionError(13, "Permission denied", "/bundle/data.bin")
 
 
+LARGE_LAYER = (3072, 768)  # the shape of a ViT-B MLP weight
+
+
+def write_large_layer(tmp_path):
+    """An f32 weight and residual bundle of one layer ``l0`` of shape ``LARGE_LAYER``.
+
+    A decaying spectrum keeps the residual's selected rank small, as on real
+    weights, so the layer's peak is its SVD, not its split.
+    """
+    m, n = LARGE_LAYER
+    rng = np.random.default_rng(21)
+    q1, _ = np.linalg.qr(rng.standard_normal((m, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return write_pair(
+        tmp_path, {"l0": ((q1 * 0.98 ** np.arange(n)) @ q2.T).astype(np.float32)},
+        {"l0": (0.1 * rng.standard_normal((m, n))).astype(np.float32)})
+
+
+def dgesdd_workspace(m: int, n: int) -> int:
+    """LAPACK's optimal ``dgesdd`` workspace, in floats, for the thin SVD of an m x n matrix."""
+    k = min(m, n)
+    a, sigma, query = np.empty((m, n), order="F"), np.empty(k), np.empty(1)
+    iwork = np.empty(8 * k, dtype=np.int64)
+    info = spectral._dgesdd(spectral._COL_MAJOR, b"S", m, n, a.ctypes.data, m,
+                            sigma.ctypes.data, None, m, None, k, query.ctypes.data, -1,
+                            iwork.ctypes.data)
+    assert info == 0
+    return int(query[0])
+
+
 def cli_env() -> dict:
     """The environment for a child process that imports rankadapt like this one."""
     return dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -485,14 +515,7 @@ class TestLayerWorkers:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc")
     def test_peak_does_not_grow_with_layers_run(self, tmp_path):
-        # a decaying spectrum keeps the residual's selected rank small, as on
-        # real weights, so the layer's peak is its SVD, not its split
-        rng = np.random.default_rng(21)
-        q1, _ = np.linalg.qr(rng.standard_normal((3072, 768)))
-        q2, _ = np.linalg.qr(rng.standard_normal((768, 768)))
-        wdir, rdir = write_pair(
-            tmp_path, {"l0": ((q1 * 0.98 ** np.arange(768)) @ q2.T).astype(np.float32)},
-            {"l0": (0.1 * rng.standard_normal((3072, 768))).astype(np.float32)})
+        wdir, rdir = write_large_layer(tmp_path)
         outs = [tmp_path / "out0", tmp_path / "out1"]
         for out in outs:
             out.mkdir()
@@ -513,6 +536,40 @@ class TestLayerWorkers:
         assert proc.returncode == 0, proc.stderr
         first, second = map(int, proc.stdout.split())
         assert second <= first + 2048, f"peak grew from {first} to {second} KiB"
+
+    @pytest.mark.skipif(sys.platform != "linux" or spectral._dgesdd is None,
+                        reason="reads VmHWM from /proc; sizes LAPACK's dgesdd workspace")
+    def test_peak_is_the_svd_working_set(self, tmp_path):
+        m, n = LARGE_LAYER
+        k = min(m, n)
+        wdir, rdir = write_large_layer(tmp_path)
+        (tmp_path / "out").mkdir()
+        job = pickle.dumps((read_entries(wdir)["l0"], read_entries(rdir)["l0"],
+                            StmConfig(alpha=0.5), str(tmp_path / "out")))
+        # the job's growth in KiB over a worker that has imported what it runs
+        script = ("import pickle, sys\n"
+                  "import rankadapt.adapter, rankadapt.eranks, rankadapt.spectral\n"
+                  "import rankadapt.stm, rankadapt.tensorio\n"
+                  "from rankadapt.cli import spectra_layer, stm_init_layer\n"
+                  "def status(key):\n"
+                  "    with open('/proc/self/status') as fh:\n"
+                  "        return int(next(ln for ln in fh if ln.startswith(key)).split()[1])\n"
+                  "w, r, cfg, out = pickle.load(sys.stdin.buffer)\n"
+                  "before = status('VmRSS:')\n"
+                  "stm_init_layer('l0', w, r, cfg, out)\n"
+                  "spectra_layer('l0', w, r)\n"
+                  "print(status('VmHWM:') - before)\n")
+        proc = subprocess.run([sys.executable, "-c", script], input=job,
+                              env=dict(cli_env(), **dict.fromkeys(THREAD_VARS, "1")),
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        growth = 1024 * int(proc.stdout)
+        # LAPACK's float64 copy of W, its workspace, U and Vt; the slack covers
+        # OpenBLAS's buffers and small arrays, and is below the 9 MiB that the
+        # mapped f32 W adds to the peak when its pages stay resident
+        svd = 8 * (m * n + dgesdd_workspace(m, n) + m * k + k * n)
+        slack = 6 * 2**20
+        assert growth <= svd + slack, f"job grew by {growth} bytes; the SVD needs {svd}"
 
     def test_more_layers_than_open_file_limit(self, tmp_path):
         names = [f"layer{i:03d}" for i in range(80)]

@@ -287,3 +287,48 @@ def test_dgesdd_matches_numpy_svd_bit_for_bit(case, monkeypatch, tmp_path):
         assert got.tobytes() == want.tobytes()
         # each array owns its memory, so none is a view of a closed map
         assert got.flags.c_contiguous and got.flags.owndata and got.flags.writeable
+
+
+def _mapped(path, stored, mode):
+    stored.tofile(path)
+    return np.memmap(path, dtype=stored.dtype, mode=mode, shape=stored.shape)
+
+
+def _same_results(w, r, like_w, like_r):
+    """Whether decompose, singular_values and project_residual of (w, r) equal those of the likes."""
+    got, want = decompose(w), decompose(like_w)
+    pairs = [(got.u, want.u), (got.sigma, want.sigma), (got.vt, want.vt),
+             (singular_values(w), singular_values(like_w)),
+             (project_residual(got, r), project_residual(want, like_r))]
+    return all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in pairs)
+
+
+@pytest.mark.parametrize("mode", ["c", "r+"])
+def test_writable_maps_keep_their_edits(mode, tmp_path):
+    # dropping the private pages of a copy-on-write map would discard the edits
+    w = _mapped(tmp_path / "w.bin", rand_matrix(71, 30, 20).astype(np.float32), mode)
+    r = _mapped(tmp_path / "r.bin", rand_matrix(72, 30, 20).astype(np.float32), mode)
+    w[0, 0], r[1, 1] = 100, -50
+    like_w, like_r = np.array(w), np.array(r)
+    assert _same_results(w, r, like_w, like_r)
+    assert w.tobytes() == like_w.tobytes() and r.tobytes() == like_r.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_read_only_map_gives_the_results_of_its_copy(dtype, tmp_path, monkeypatch):
+    paths = tmp_path / "w.bin", tmp_path / "r.bin"
+    w = _mapped(paths[0], rand_matrix(73, 40, 24).astype(dtype), "r")
+    r = _mapped(paths[1], rand_matrix(74, 40, 24).astype(dtype), "r")
+    released, release = [], spectral._release_pages
+
+    def spy(array):
+        released.extend(name for name, m in (("w", w), ("r", r)) if np.may_share_memory(array, m))
+        release(array)
+
+    monkeypatch.setattr(spectral, "_release_pages", spy)
+    assert _same_results(w, r, np.array(w), np.array(r))
+    # each SVD releases its copied input; the projection only an f32 residual,
+    # which it copies, since an f64 one is merely viewed
+    assert released == (["w", "w", "r"] if dtype == np.float32 else ["w", "w"])
+    # the released maps read back as their files
+    assert w.tobytes() == paths[0].read_bytes() and r.tobytes() == paths[1].read_bytes()
