@@ -12,12 +12,14 @@ into a :func:`~rankadapt.tensorio.staged_bundle` directory, so no process
 holds more than one layer. The CLI process adds the manifest there; that
 directory replaces the output only once every layer has succeeded. A job
 passes the mapped matrices as stored to the library, whose SVD and
-projection widen them into their own float64 copies and then drop the
-maps' resident pages, so a worker's peak is the SVD's working set without
-the layer's input. The split of ``stm-init`` reads the weight again for
-``W0``, from the page cache, while the residual is no longer resident. A
-job also pins glibc's mmap threshold, so that the large arrays of one layer
-go back to the system before the next layer starts.
+projection drop the maps' resident pages once they have read them, so a
+worker's peak is the SVD's working set without the layer's input. The split
+of ``stm-init`` reads the weight's map again for ``W0``, from the page cache,
+while the residual is no longer resident; the weight's pages sit beside the
+factors and ``W0`` then, so a float64 weight's layer peaks in the split,
+above its SVD. Workers start with glibc's mmap threshold pinned in their
+environment, so that the large arrays of one layer go back to the system
+before the next layer starts.
 ``stm-init`` and ``train-toy`` take one STM option, ``--alpha``; a layer with
 rank cap ``floor(K/2) = 0`` ends ``stm-init`` before any worker starts.
 
@@ -61,8 +63,16 @@ _TOY_SAMPLES = 64
 _TOY_NOISE = 0.01
 _ALPHA_HELP = "rank scaling factor applied to the entropy rank"
 
-_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-_M_MMAP_THRESHOLD = -3  # glibc's mallopt parameter
+# A worker's environment: one BLAS thread, and glibc malloc's mmap threshold
+# fixed at its initial 128 KiB, which glibc would otherwise raise each time a
+# mapped block is freed; later layers' large arrays would then pile up on the
+# heap, and a worker's peak would grow with the layers it runs.
+_WORKER_ENV = {
+    "OMP_NUM_THREADS": "1",
+    "OPENBLAS_NUM_THREADS": "1",
+    "MKL_NUM_THREADS": "1",
+    "MALLOC_MMAP_THRESHOLD_": str(128 * 1024),
+}
 
 
 def _layer_entries(weights_dir, residuals_dir) -> dict:
@@ -117,10 +127,11 @@ def _check_output(output, layers: dict, *bundle_dirs) -> None:
 def _map_layers(job, layers: dict, *args) -> list:
     """``[job(name, *layers[name], *args) for name in layers]``, one worker per usable core.
 
-    Workers are spawned with one BLAS thread each, so cores are not
-    oversubscribed and results do not depend on the caller's BLAS thread
-    settings. Layers start largest first, so no worker is left alone with
-    a large layer at the end. Results are read in ``layers`` order: the
+    Workers are spawned with ``_WORKER_ENV``, so each has one BLAS thread:
+    cores are not oversubscribed and results do not depend on the caller's
+    BLAS thread settings. The caller's environment is restored after. Layers
+    start largest first, so no worker is left alone with a large layer at
+    the end. Results are read in ``layers`` order: the
     first layer in that order to fail raises, with its name prefixed to the
     message, once pending jobs are cancelled and every worker has exited.
     """
@@ -138,8 +149,8 @@ def _map_layers(job, layers: dict, *args) -> list:
     pool = ProcessPoolExecutor(min(cores, len(layers)),
                                mp_context=multiprocessing.get_context("spawn"))
     try:
-        saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
-        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+        saved = {var: os.environ.get(var) for var in _WORKER_ENV}
+        os.environ.update(_WORKER_ENV)
         try:
             # workers start inside submit(), so every one sees the variables
             futures = {name: pool.submit(job, name, *layers[name], *args) for name in by_cost}
@@ -178,24 +189,6 @@ def _config(cls, args):
     return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
-def _pin_mmap_threshold() -> None:
-    """Hold glibc malloc's mmap threshold at its initial 128 KiB in this process.
-
-    glibc raises the threshold whenever a mapped block is freed, so a worker's
-    next layer would take its large arrays from the heap, whose freed memory
-    glibc keeps, and its peak would grow with the layers it runs. Calling this
-    again changes nothing, so each job calls it.
-    """
-    if sys.platform != "linux":
-        return
-    import ctypes
-
-    mallopt = ctypes.CDLL(None).mallopt
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 128 * 1024)
-
-
 def spectra_layer(name: str, weight: BundleEntry, residual: BundleEntry | None) -> list[dict]:
     """The ``spectra`` report records of layer ``name``, one per component.
 
@@ -204,7 +197,6 @@ def spectra_layer(name: str, weight: BundleEntry, residual: BundleEntry | None) 
     from .eranks import entropy_rank, stable_rank
     from .spectral import decompose, project_residual, singular_values
 
-    _pin_mmap_threshold()
     w = weight.load()
     factors = None if residual is None else decompose(w)  # vectors only to project dW
     sigma = singular_values(w) if factors is None else factors.sigma
@@ -263,7 +255,6 @@ def stm_init_layer(name: str, weight: BundleEntry, residual: BundleEntry, cfg: S
     from .stm import adapt_layer
     from .tensorio import write_entry
 
-    _pin_mmap_threshold()
     w = weight.load()
     # the residual stays as stored until the projection, after the SVD
     layer = adapt_layer(w, decompose(w), residual.load(), cfg)

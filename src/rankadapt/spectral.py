@@ -27,12 +27,12 @@ Where numpy's LAPACK has no such symbol (another build of numpy), the SVD is
 ``np.linalg.svd`` itself, of the same copy.
 
 A matrix or residual that is a read-only file map, such as a bundle entry
-from :mod:`rankadapt.tensorio`, is read once into that float64 copy, and
-then its pages are dropped from this process's memory with
-``madvise(MADV_DONTNEED)``: a worker's peak is LAPACK's working set alone,
-not that plus the mapped input. The map stays valid; a later read faults the
-pages back in from the page cache. A writable or copy-on-write map, and a
-float64 residual that the projection only views, stay as they are.
+from :mod:`rankadapt.tensorio`, has its pages dropped from this process's
+memory with ``madvise(MADV_DONTNEED)`` once it has been read: by the SVD
+after its float64 copy, by the residual projection after its one GEMM. So a
+worker's peak is LAPACK's working set alone, not that plus the mapped input.
+The map stays valid; a later read faults the pages back in from the page
+cache. A writable or copy-on-write map stays as it is.
 """
 
 import ctypes
@@ -243,8 +243,6 @@ def project_residual(factors: SvdFactors, residual: np.ndarray) -> np.ndarray:
     freedom of the decomposition.
     """
     r = np.asarray(residual, dtype=np.float64)
-    if r.flags.owndata:  # a widened copy, so a mapped residual's pages are no longer read
-        _release_pages(residual)
     if r.shape != (factors.m, factors.n):
         raise ValidationError(
             f"residual shape {r.shape} does not match factors ({factors.m}, {factors.n})"
@@ -256,4 +254,6 @@ def project_residual(factors: SvdFactors, residual: np.ndarray) -> np.ndarray:
     # operand has K rows, not m: OpenBLAS keeps the pack buffer of a left
     # operand's rows mapped, about m x 3 KiB for a tall residual @ V, and a
     # worker's next layer would carry those pages into its SVD peak.
-    return np.abs(np.einsum("in,in->i", factors.u.T @ r, factors.vt))
+    ur = factors.u.T @ r
+    _release_pages(residual)  # read for the last time, whether copied or viewed
+    return np.abs(np.einsum("in,in->i", ur, factors.vt))

@@ -1,4 +1,5 @@
 import csv
+import ctypes
 import json
 import multiprocessing
 import os
@@ -417,19 +418,59 @@ def permission_worker(name, weight, residual, *args):
 LARGE_LAYER = (3072, 768)  # the shape of a ViT-B MLP weight
 
 
-def write_large_layer(tmp_path):
-    """An f32 weight and residual bundle of one layer ``l0`` of shape ``LARGE_LAYER``.
+def env_worker(name, weight, residual):
+    """A layer job that returns what its worker sees of the variables ``_WORKER_ENV`` sets."""
+    return {var: os.environ.get(var) for var in cli._WORKER_ENV}
+
+
+class Mallinfo2(ctypes.Structure):
+    """glibc's ``struct mallinfo2``; ``hblks`` counts the blocks malloc has mapped."""
+
+    _fields_ = [(f, ctypes.c_size_t) for f in ("arena", "ordblks", "smblks", "hblks", "hblkhd",
+                                               "usmblks", "fsmblks", "uordblks", "fordblks",
+                                               "keepcost")]
+
+
+def glibc_mallinfo2():
+    """glibc's ``mallinfo2``, or None where the C library has none."""
+    try:
+        fn = ctypes.CDLL(None).mallinfo2
+    except (AttributeError, OSError):
+        return None
+    fn.restype = Mallinfo2
+    return fn
+
+
+def mmap_threshold_worker(name, weight, residual):
+    """Whether a 512 KiB block malloc'd after a 1 MiB one is freed gets a map of its own.
+
+    glibc maps a block above its mmap threshold, and freeing a mapped block
+    raises the threshold to that block's size unless the threshold was set.
+    """
+    libc, mallinfo2 = ctypes.CDLL(None), glibc_mallinfo2()
+    libc.malloc.restype = ctypes.c_void_p
+    libc.free.argtypes = (ctypes.c_void_p,)
+    libc.free(libc.malloc(1 << 20))
+    maps = mallinfo2().hblks
+    block = libc.malloc(1 << 19)
+    mapped = mallinfo2().hblks > maps
+    libc.free(block)
+    return mapped
+
+
+def write_large_layer(tmp_path, dtype=np.float32):
+    """A ``dtype`` weight and residual bundle of one layer ``l0`` of shape ``LARGE_LAYER``.
 
     A decaying spectrum keeps the residual's selected rank small, as on real
-    weights, so the layer's peak is its SVD, not its split.
+    weights, so an f32 layer's peak is its SVD, not its split.
     """
     m, n = LARGE_LAYER
     rng = np.random.default_rng(21)
     q1, _ = np.linalg.qr(rng.standard_normal((m, n)))
     q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
     return write_pair(
-        tmp_path, {"l0": ((q1 * 0.98 ** np.arange(n)) @ q2.T).astype(np.float32)},
-        {"l0": (0.1 * rng.standard_normal((m, n))).astype(np.float32)})
+        tmp_path, {"l0": ((q1 * 0.98 ** np.arange(n)) @ q2.T).astype(dtype)},
+        {"l0": (0.1 * rng.standard_normal((m, n))).astype(dtype)})
 
 
 def dgesdd_workspace(m: int, n: int) -> int:
@@ -447,6 +488,41 @@ def dgesdd_workspace(m: int, n: int) -> int:
 def cli_env() -> dict:
     """The environment for a child process that imports rankadapt like this one."""
     return dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+
+def svd_working_set(m: int, n: int) -> int:
+    """Bytes of LAPACK's float64 copy of an m x n matrix, its workspace, ``U`` and ``Vt``."""
+    k = min(m, n)
+    return 8 * (m * n + dgesdd_workspace(m, n) + m * k + k * n)
+
+
+def layer_job_growth(tmp_path, dtype, *calls: str) -> int:
+    """Bytes by which a worker's peak RSS grows while it runs ``calls`` on a large layer.
+
+    The layer is :func:`write_large_layer`'s, in ``dtype``. The worker runs in
+    ``cli._WORKER_ENV`` and has imported what the calls run before its RSS is
+    read; each call is a line of source over ``w``, ``r``, ``cfg`` and ``out``.
+    """
+    wdir, rdir = write_large_layer(tmp_path, dtype)
+    (tmp_path / "out").mkdir()
+    job = pickle.dumps((read_entries(wdir)["l0"], read_entries(rdir)["l0"],
+                        StmConfig(alpha=0.5), str(tmp_path / "out")))
+    script = ("import pickle, sys\n"
+              "import rankadapt.adapter, rankadapt.eranks, rankadapt.spectral\n"
+              "import rankadapt.stm, rankadapt.tensorio\n"
+              "from rankadapt.cli import spectra_layer, stm_init_layer\n"
+              "def status(key):\n"
+              "    with open('/proc/self/status') as fh:\n"
+              "        return int(next(ln for ln in fh if ln.startswith(key)).split()[1])\n"
+              "w, r, cfg, out = pickle.load(sys.stdin.buffer)\n"
+              "before = status('VmRSS:')\n"
+              + "".join(f"{call}\n" for call in calls)
+              + "print(status('VmHWM:') - before)\n")
+    proc = subprocess.run([sys.executable, "-c", script], input=job,
+                          env=dict(cli_env(), **cli._WORKER_ENV),
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return 1024 * int(proc.stdout)  # VmHWM and VmRSS are in KiB
 
 
 class TestLayerWorkers:
@@ -492,6 +568,23 @@ class TestLayerWorkers:
             _map_layers(exit_worker, layers)
         assert multiprocessing.active_children() == []
 
+    def test_workers_run_in_the_worker_env(self, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MALLOC_MMAP_THRESHOLD_", raising=False)
+        caller = dict(os.environ)
+        layers = {"l0": (BundleEntry(Path("unread.bin"), np.dtype("<f8"), (1, 1)), None)}
+        assert _map_layers(env_worker, layers) == [cli._WORKER_ENV]
+        # the caller's environment is restored: a set variable to its value,
+        # an unset one to unset
+        assert dict(os.environ) == caller
+        assert os.environ["OMP_NUM_THREADS"] == "3"
+        assert "MALLOC_MMAP_THRESHOLD_" not in os.environ
+
+    @pytest.mark.skipif(glibc_mallinfo2() is None, reason="glibc's malloc statistics")
+    def test_workers_keep_the_initial_mmap_threshold(self):
+        layers = {"l0": (BundleEntry(Path("unread.bin"), np.dtype("<f8"), (1, 1)), None)}
+        assert _map_layers(mmap_threshold_worker, layers) == [True]
+
     def test_worker_loads_only_its_modules(self, tmp_path):
         rng = np.random.default_rng(6)
         wdir, rdir = write_pair(tmp_path, {"l0": rng.standard_normal((8, 6))},
@@ -531,7 +624,7 @@ class TestLayerWorkers:
                   "    with open('/proc/self/status') as fh:\n"
                   "        print(next(ln for ln in fh if ln.startswith('VmHWM:')).split()[1])\n")
         proc = subprocess.run([sys.executable, "-c", script], input=job,
-                              env=dict(cli_env(), **dict.fromkeys(THREAD_VARS, "1")),
+                              env=dict(cli_env(), **cli._WORKER_ENV),
                               capture_output=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         first, second = map(int, proc.stdout.split())
@@ -540,36 +633,23 @@ class TestLayerWorkers:
     @pytest.mark.skipif(sys.platform != "linux" or spectral._dgesdd is None,
                         reason="reads VmHWM from /proc; sizes LAPACK's dgesdd workspace")
     def test_peak_is_the_svd_working_set(self, tmp_path):
-        m, n = LARGE_LAYER
-        k = min(m, n)
-        wdir, rdir = write_large_layer(tmp_path)
-        (tmp_path / "out").mkdir()
-        job = pickle.dumps((read_entries(wdir)["l0"], read_entries(rdir)["l0"],
-                            StmConfig(alpha=0.5), str(tmp_path / "out")))
-        # the job's growth in KiB over a worker that has imported what it runs
-        script = ("import pickle, sys\n"
-                  "import rankadapt.adapter, rankadapt.eranks, rankadapt.spectral\n"
-                  "import rankadapt.stm, rankadapt.tensorio\n"
-                  "from rankadapt.cli import spectra_layer, stm_init_layer\n"
-                  "def status(key):\n"
-                  "    with open('/proc/self/status') as fh:\n"
-                  "        return int(next(ln for ln in fh if ln.startswith(key)).split()[1])\n"
-                  "w, r, cfg, out = pickle.load(sys.stdin.buffer)\n"
-                  "before = status('VmRSS:')\n"
-                  "stm_init_layer('l0', w, r, cfg, out)\n"
-                  "spectra_layer('l0', w, r)\n"
-                  "print(status('VmHWM:') - before)\n")
-        proc = subprocess.run([sys.executable, "-c", script], input=job,
-                              env=dict(cli_env(), **dict.fromkeys(THREAD_VARS, "1")),
-                              capture_output=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        growth = 1024 * int(proc.stdout)
-        # LAPACK's float64 copy of W, its workspace, U and Vt; the slack covers
-        # OpenBLAS's buffers and small arrays, and is below the 9 MiB that the
-        # mapped f32 W adds to the peak when its pages stay resident
-        svd = 8 * (m * n + dgesdd_workspace(m, n) + m * k + k * n)
+        growth = layer_job_growth(tmp_path, np.float32, "stm_init_layer('l0', w, r, cfg, out)",
+                                  "spectra_layer('l0', w, r)")
+        # the slack covers OpenBLAS's buffers and small arrays, and is below the
+        # 9 MiB that the mapped f32 W adds to the peak when its pages stay resident
+        svd = svd_working_set(*LARGE_LAYER)
         slack = 6 * 2**20
         assert growth <= svd + slack, f"job grew by {growth} bytes; the SVD needs {svd}"
+
+    @pytest.mark.skipif(sys.platform != "linux" or spectral._dgesdd is None,
+                        reason="reads VmHWM from /proc; sizes LAPACK's dgesdd workspace")
+    def test_f64_split_peak_is_the_svd_and_the_weight(self, tmp_path):
+        m, n = LARGE_LAYER
+        growth = layer_job_growth(tmp_path, np.float64, "stm_init_layer('l0', w, r, cfg, out)")
+        # the split reads the f64 weight's map in place, for W0, so its pages
+        # may join the peak; the residual's, released by the projection, may not
+        bound = svd_working_set(m, n) + 8 * m * n + 2 * 2**20
+        assert growth <= bound, f"job grew by {growth} bytes, above {bound}"
 
     def test_more_layers_than_open_file_limit(self, tmp_path):
         names = [f"layer{i:03d}" for i in range(80)]

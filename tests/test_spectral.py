@@ -327,8 +327,8 @@ def test_read_only_map_gives_the_results_of_its_copy(dtype, tmp_path, monkeypatc
 
     monkeypatch.setattr(spectral, "_release_pages", spy)
     assert _same_results(w, r, np.array(w), np.array(r))
-    # each SVD releases its copied input; the projection only an f32 residual,
-    # which it copies, since an f64 one is merely viewed
-    assert released == (["w", "w", "r"] if dtype == np.float32 else ["w", "w"])
+    # each SVD releases its copied input, and the projection its residual,
+    # which it copies or only views
+    assert released == ["w", "w", "r"]
     # the released maps read back as their files
     assert w.tobytes() == paths[0].read_bytes() and r.tobytes() == paths[1].read_bytes()
