@@ -11,15 +11,9 @@ for ``stm-init``, writes that layer's adapter payloads and plan file itself
 into a :func:`~rankadapt.tensorio.staged_bundle` directory, so no process
 holds more than one layer. The CLI process adds the manifest there; that
 directory replaces the output only once every layer has succeeded. A job
-passes the mapped matrices as stored to the library, whose SVD and
-projection drop the maps' resident pages once they have read them, so a
-worker's peak is the SVD's working set without the layer's input. The split
-of ``stm-init`` reads the weight's map again for ``W0``, from the page cache,
-while the residual is no longer resident; the weight's pages sit beside the
-factors and ``W0`` then, so a float64 weight's layer peaks in the split,
-above its SVD. Workers start with glibc's mmap threshold pinned in their
-environment, so that the large arrays of one layer go back to the system
-before the next layer starts.
+hands its mapped matrices to the library as stored. Workers start with
+``_WORKER_ENV``, which also pins glibc's mmap threshold, so that one layer's
+large arrays go back to the system before the next layer starts.
 ``stm-init`` and ``train-toy`` take one STM option, ``--alpha``; a layer with
 rank cap ``floor(K/2) = 0`` ends ``stm-init`` before any worker starts.
 

@@ -17,11 +17,12 @@ suite sweeps this ordering as a property.
 import numpy as np
 
 from .errors import DegenerateSpectrumError, ValidationError
+from .spectral import as_real_array
 
 
 def check_spectrum(sigma) -> np.ndarray:
     """``sigma`` as a float64 vector; raises unless it is a spectrum with effective ranks."""
-    s = np.asarray(sigma, dtype=np.float64).ravel()
+    s = as_real_array(sigma, "spectrum", np.float64).ravel()
     if s.size == 0:
         raise ValidationError("empty spectrum")
     if np.any(s < 0) or not np.all(np.isfinite(s)):

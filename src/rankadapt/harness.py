@@ -18,7 +18,7 @@ import numpy as np
 from .adapter import merge
 from .eranks import check_spectrum
 from .errors import NumericError, TrainingDivergedError, ValidationError
-from .spectral import as_component_indices, decompose, singular_values
+from .spectral import as_component_indices, as_real_array, decompose, singular_values
 from .stm import (
     AdaptedLayer,
     StmConfig,
@@ -233,8 +233,8 @@ def finite_difference_check(f, point: np.ndarray, analytic_grad: np.ndarray,
     """
     if step <= 0:
         raise ValidationError("step must be positive")
-    point = np.asarray(point, dtype=np.float64)
-    grad = np.asarray(analytic_grad, dtype=np.float64)
+    point = as_real_array(point, "point", np.float64)
+    grad = as_real_array(analytic_grad, "gradient", np.float64)
     if grad.shape != point.shape:
         raise ValidationError("gradient and point shapes differ")
     worst = 0.0
@@ -269,8 +269,7 @@ def _baseline_adapters(model: SyntheticModel, factors, ranks, method: str,
         else:  # zero_init_lora: B = 0, A random, base left untouched
             layer = initialize_adapter(w, f, ())
             layers.append(replace(layer, b=np.zeros((w.shape[0], r)),
-                                  a=_kaiming_uniform(rng, r, w.shape[1]),
-                                  plan=replace(layer.plan, r=r)))
+                                  a=_kaiming_uniform(rng, r, w.shape[1])))
     return layers
 
 

@@ -19,9 +19,11 @@ The SVD is LAPACK's ``dgesdd``, the routine behind ``np.linalg.svd``, called
 through ``ctypes`` from the OpenBLAS that numpy's wheels bundle, so the
 factors are bit-identical to ``np.linalg.svd``'s at less memory. That call
 makes one column-major float64 copy of the input, straight from its stored
-dtype, for LAPACK to overwrite; the workspace and the column-major ``U`` and
-``Vt`` live in anonymous memory maps, each returned to the system as soon as
-it has been read. ``np.linalg.svd`` would add a second copy of the input and
+dtype, for LAPACK to overwrite. The workspace and the column-major ``U`` and
+``Vt`` are arrays over anonymous memory maps, each unmapped when its array's
+last reference goes. The copy and the workspace are dropped as soon as
+LAPACK returns, and ``U``'s map once its row-major copy exists, before
+``Vt`` is copied. ``np.linalg.svd`` would add a second copy of the input and
 keep its workspace and column-major factors in one block until it returns.
 Where numpy's LAPACK has no such symbol (another build of numpy), the SVD is
 ``np.linalg.svd`` itself, of the same copy.
@@ -79,6 +81,14 @@ def as_component_indices(indices, k: int) -> np.ndarray:
     return idx - 1
 
 
+def as_real_array(x, what: str, dtype=None) -> np.ndarray:
+    """``x`` as an array, of ``dtype`` if given; raises unless it is bool, integer or float."""
+    a = np.asarray(x)
+    if a.dtype.kind not in "biuf":
+        raise ValidationError(f"{what} must be real, got dtype {a.dtype}")
+    return np.asarray(a, dtype=dtype)
+
+
 def _find_dgesdd():
     """LAPACKE ``dgesdd_work`` of numpy's bundled OpenBLAS, with 64-bit integers, or None."""
     try:
@@ -97,11 +107,6 @@ def _find_dgesdd():
 
 _dgesdd = _find_dgesdd()
 _COL_MAJOR = 102  # LAPACKE's LAPACK_COL_MAJOR
-
-
-def _address(buf: mmap.mmap) -> int:
-    # the ctypes view is dropped at once, so it does not keep the map from closing
-    return ctypes.addressof(ctypes.c_char.from_buffer(buf))
 
 
 def _check_info(info: int) -> None:
@@ -141,6 +146,11 @@ def _widened(w: np.ndarray) -> np.ndarray:
     return a
 
 
+def _mapped(*shape: int) -> np.ndarray:
+    """A column-major float64 array over its own anonymous map, unmapped with the array."""
+    return np.ndarray(shape, np.float64, mmap.mmap(-1, 8 * math.prod(shape)), order="F")
+
+
 def _gesdd(w: np.ndarray, compute_uv: bool):
     """``np.linalg.svd(w, full_matrices=False, compute_uv=compute_uv)`` of a checked ``w``.
 
@@ -156,33 +166,23 @@ def _gesdd(w: np.ndarray, compute_uv: bool):
     query = np.empty(1)
     _check_info(_dgesdd(_COL_MAJOR, jobz, m, n, a.ctypes.data, m, sigma.ctypes.data,
                         None, ldu, None, ldvt, query.ctypes.data, -1, iwork.ctypes.data))
-    lwork = max(int(query[0]), 1)
-    shapes = [(m, k), (k, n)] if compute_uv else []
-    maps = [mmap.mmap(-1, 8 * math.prod(shape)) for shape in [(lwork,), *shapes]]
-    try:
-        work, *uv = map(_address, maps)
-        u, vt = uv or (None, None)
-        info = _dgesdd(_COL_MAJOR, jobz, m, n, a.ctypes.data, m, sigma.ctypes.data,
-                       u, ldu, vt, ldvt, work, lwork, iwork.ctypes.data)
-        # overwritten, and its only reference, since the copy is made here:
-        # freed before the factors are copied out
-        del a
-        maps[0].close()
-        _check_info(info)
-        factors = []
-        for shape, buf in zip(shapes, maps[1:]):
-            factors.append(np.ndarray(shape, np.float64, buf, order="F").copy(order="C"))
-            buf.close()
-    finally:
-        for buf in maps:
-            buf.close()
-    return (factors[0], sigma, factors[1]) if compute_uv else sigma
+    work = _mapped(max(int(query[0]), 1))
+    u, vt = (_mapped(m, k), _mapped(k, n)) if compute_uv else (None, None)
+    info = _dgesdd(_COL_MAJOR, jobz, m, n, a.ctypes.data, m, sigma.ctypes.data,
+                   None if u is None else u.ctypes.data, ldu,
+                   None if vt is None else vt.ctypes.data, ldvt,
+                   work.ctypes.data, work.size, iwork.ctypes.data)
+    # the overwritten copy and the workspace, freed before the factors are copied out
+    del a, work
+    _check_info(info)
+    if not compute_uv:
+        return sigma
+    u = u.copy(order="C")  # drops the column-major U before Vt is copied
+    return u, sigma, vt.copy(order="C")
 
 
 def _svd(matrix: np.ndarray, compute_uv: bool):
-    w = np.asarray(matrix)
-    if w.dtype.kind != "f":  # such as integers or nested lists; floats are widened by the SVD
-        w = w.astype(np.float64)
+    w = as_real_array(matrix, "matrix")  # widened to float64 in the SVD's one copy
     if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 1:
         raise ValidationError(f"expected a non-empty 2-D matrix, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
@@ -198,12 +198,6 @@ def _svd(matrix: np.ndarray, compute_uv: bool):
 def decompose(weight: np.ndarray) -> SvdFactors:
     """Thin SVD of ``weight`` with the sign convention applied."""
     u, sigma, vt = _svd(weight, compute_uv=True)
-    # Pin signs: largest-|entry| of each left vector positive, right vector
-    # flipped jointly so u_i sigma_i v_i^T is unchanged. Unless a column's
-    # largest entry and the negation of its smallest are exactly equal, all
-    # its entries of largest magnitude share one sign, so the two column
-    # extremes decide without an |U| temporary. A tie needs the position of
-    # the first largest-magnitude entry, so only tied columns are searched.
     top, neg = u.max(axis=0), -u.min(axis=0)
     flip = neg > top
     tied = np.flatnonzero(neg == top)
@@ -242,7 +236,7 @@ def project_residual(factors: SvdFactors, residual: np.ndarray) -> np.ndarray:
     The absolute value makes the result invariant to the per-component sign
     freedom of the decomposition.
     """
-    r = np.asarray(residual, dtype=np.float64)
+    r = as_real_array(residual, "residual", np.float64)
     if r.shape != (factors.m, factors.n):
         raise ValidationError(
             f"residual shape {r.shape} does not match factors ({factors.m}, {factors.n})"

@@ -23,7 +23,8 @@ import numpy as np
 
 from .eranks import entropy_rank, stable_rank
 from .errors import ValidationError
-from .spectral import SvdFactors, as_component_indices, project_residual, reconstruct
+from .spectral import (SvdFactors, as_component_indices, as_real_array, project_residual,
+                       reconstruct)
 
 # Real-valued ranks are rounded to this many decimals before they become
 # integers, so float noise such as ceil(2 + 1e-16) does not add a direction.
@@ -50,14 +51,26 @@ def max_rank(k: int) -> int:
 
 @dataclass(frozen=True)
 class StmPlan:
-    """Per-layer selection result recorded for audit and serialization."""
+    """Per-layer selection result recorded for audit and serialization.
 
-    r: int
-    selected: tuple[int, ...]   # 1-based, ascending
-    protected: tuple[int, ...]  # 1-based, ascending, disjoint from selected
-    protect_cutoff: int
+    Making a plan raises ``ValidationError`` unless the field comments hold.
+    """
+
+    r: int                      # len(selected)
+    selected: tuple[int, ...]   # 1-based, strictly ascending
+    protected: tuple[int, ...]  # 1-based, strictly ascending, disjoint from selected
+    protect_cutoff: int         # >= 0 and >= every protected index
     entropy_rank: float
     stable_rank: float
+
+    def __post_init__(self):
+        sets = self.selected, self.protected
+        if not (self.r == len(self.selected) and self.protect_cutoff >= 0
+                and all(i >= 1 for s in sets for i in s)
+                and all(a < b for s in sets for a, b in zip(s, s[1:]))
+                and not set(self.selected) & set(self.protected)
+                and all(i <= self.protect_cutoff for i in self.protected)):
+            raise ValidationError(f"inconsistent plan: {self!r}")
 
     def to_dict(self) -> dict:
         """The plan as JSON-ready fields, in declaration order, index sets as lists."""
@@ -70,10 +83,8 @@ class StmPlan:
 
         Keys that are not plan fields, such as the ``name`` and ``config`` of
         a ``*.plan.json`` file, are ignored. ``r`` and ``protect_cutoff`` must
-        be non-negative integers, the index sets lists of integers of at least
-        1 and the ranks numbers within the range of finite floats; ``r`` must count
-        ``selected``, and the index sets ascend strictly, are disjoint and protect
-        nothing above ``protect_cutoff``.
+        be integers, the index sets lists of integers and the ranks numbers
+        within the range of finite floats; the plan itself checks the rest.
         """
         try:
             r, cutoff = data["r"], data["protect_cutoff"]
@@ -83,14 +94,9 @@ class StmPlan:
             raise ValidationError(f"malformed plan record: {exc!r}") from exc
         if not (all(isinstance(s, (list, tuple)) for s in sets)  # a str is no index set
                 and all(type(i) is int for i in (r, cutoff, *selected, *protected))  # no bool
-                and min(r, cutoff) >= 0 and all(i >= 1 for s in sets for i in s)
                 # False for NaN; exact for an int, so one beyond a float fails, not overflows
                 and all(type(x) is not bool and isinstance(x, (int, float))
-                        and abs(x) <= sys.float_info.max for x in ranks)
-                and r == len(selected)
-                and all(a < b for s in sets for a, b in zip(s, s[1:]))
-                and not set(selected) & set(protected)
-                and all(i <= cutoff for i in protected)):
+                        and abs(x) <= sys.float_info.max for x in ranks)):
             raise ValidationError(f"malformed plan record: {data!r}")
         return cls(r, tuple(selected), tuple(protected), cutoff, float(ranks[0]), float(ranks[1]))
 
@@ -163,9 +169,10 @@ def initialize_adapter(weight: np.ndarray, factors: SvdFactors, selected) -> Ada
     with a zero singular value are legal but useless (their adapter column
     starts at zero) and trigger a warning.
     """
-    if np.shape(weight) != (factors.m, factors.n):
+    weight = as_real_array(weight, "weight")
+    if weight.shape != (factors.m, factors.n):
         raise ValidationError(
-            f"weight shape {np.shape(weight)} does not match factors ({factors.m}, {factors.n})"
+            f"weight shape {weight.shape} does not match factors ({factors.m}, {factors.n})"
         )
     plan = make_plan(factors, selected)
     idx0 = np.asarray(plan.selected, dtype=int) - 1

@@ -1,11 +1,16 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from rankadapt import spectral
+from rankadapt.adapter import forward
+from rankadapt.eranks import stable_rank
 from rankadapt.errors import NumericError, ValidationError
+from rankadapt.harness import finite_difference_check
 from rankadapt.spectral import decompose, project_residual, reconstruct, singular_values
+from rankadapt.stm import initialize_adapter
 
 from conftest import rand_matrix
 
@@ -90,9 +95,19 @@ def test_sign_rule_exact_ties_first_occurrence_wins(monkeypatch):
     assert np.array_equal(f.vt, np.diag(signs))
 
 
-@pytest.mark.parametrize("shape", [(600, 200), (200, 600), (300, 300)])
-def test_decompose_allocates_little_beyond_its_factors(shape):
+@pytest.mark.parametrize("shape, dtype", [
+    pytest.param((600, 200), np.float64, id="shape0"),
+    pytest.param((200, 600), np.float64, id="shape1"),
+    pytest.param((300, 300), np.float64, id="shape2"),
+    # an integer matrix is widened in the SVD's one copy, not copied first
+    pytest.param((600, 200), np.int64, id="int_tall"),
+    pytest.param((200, 600), np.int64, id="int_wide"),
+    pytest.param((300, 300), np.int64, id="int_square"),
+])
+def test_decompose_allocates_little_beyond_its_factors(shape, dtype):
     w = rand_matrix(59, *shape)
+    if dtype is np.int64:
+        w = np.rint(1000 * w).astype(np.int64)
     tracemalloc.start()
     try:
         f = decompose(w)
@@ -100,6 +115,40 @@ def test_decompose_allocates_little_beyond_its_factors(shape):
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * (f.u.nbytes + f.sigma.nbytes + f.vt.nbytes)
+
+
+@pytest.mark.parametrize("dtype", [np.bool_, np.int8, np.uint16, np.int64, np.float16])
+def test_real_dtypes_give_the_results_of_their_float64_copy(dtype):
+    w = (10 * rand_matrix(60, 9, 6)).astype(dtype)
+    like = w.astype(np.float64)
+    got, want = decompose(w), decompose(like)
+    for a, b in ((got.u, want.u), (got.sigma, want.sigma), (got.vt, want.vt),
+                 (singular_values(w), singular_values(like)),
+                 (project_residual(got, w), project_residual(want, like))):
+        assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+
+
+_W = rand_matrix(58, 6, 4)
+_F = decompose(_W)
+_NOT_REAL = {
+    "decompose": lambda: decompose(_W + 1j),
+    "decompose_strings": lambda: decompose(_W.astype(str)),
+    "decompose_objects": lambda: decompose(_W.astype(object)),
+    "singular_values": lambda: singular_values(_W + 1j),
+    "project_residual": lambda: project_residual(_F, _W + 1j),
+    "forward": lambda: forward(initialize_adapter(_W, _F, (1,)), np.ones(4) + 1j),
+    "finite_difference_check": lambda: finite_difference_check(
+        lambda p: 0.0, np.ones(2) + 1j, np.ones(2)),
+    "stable_rank": lambda: stable_rank([1 + 1j, 0.5]),
+    "initialize_adapter": lambda: initialize_adapter(_W + 1j, _F, (1,)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_REAL))
+def test_non_real_input_raises_validation_error(case):
+    # converting it would drop the imaginary part or fail with numpy's own error
+    with pytest.raises(ValidationError, match="must be real"):
+        _NOT_REAL[case]()
 
 
 def test_decomposition_deterministic():
@@ -257,6 +306,34 @@ def test_lapack_info_maps_to_numeric_error(monkeypatch, info, failing_call, comp
     with pytest.raises(NumericError, match="did not converge" if info > 0 else "argument 5"):
         decompose(w) if compute_uv else singular_values(w)
     assert len(calls) == failing_call
+
+
+@needs_dgesdd
+@pytest.mark.parametrize("failing", [False, True], ids=["returned", "not_converged"])
+@pytest.mark.parametrize("compute_uv", [True, False])
+def test_svd_buffers_are_unmapped_once_unreferenced(monkeypatch, failing, compute_uv):
+    maps, mapped = [], spectral._mapped
+
+    def spy(*shape):
+        array = mapped(*shape)
+        maps.append(weakref.ref(array.base))
+        return array
+
+    monkeypatch.setattr(spectral, "_mapped", spy)
+    if failing:  # the workspace query succeeds, the decomposition does not converge
+        dgesdd = spectral._dgesdd
+        monkeypatch.setattr(spectral, "_dgesdd",
+                            lambda *args: dgesdd(*args) if args[12] == -1 else 1)
+    w = rand_matrix(75, 9, 5)
+    try:
+        decompose(w) if compute_uv else singular_values(w)
+    except NumericError:
+        assert failing
+    else:
+        assert not failing
+    # the workspace, and U and Vt with vectors, none alive
+    assert len(maps) == (3 if compute_uv else 1)
+    assert [ref() for ref in maps] == [None] * len(maps)
 
 
 def _f32_memmap(path):

@@ -307,6 +307,22 @@ class TestStmPlanRecord:
         with pytest.raises(ValidationError):
             StmPlan.from_dict(record)
 
+    @pytest.mark.parametrize("fields", [
+        {"r": 2},  # r counts the selected directions
+        {"r": 2, "selected": (2, 1)},
+        {"r": 2, "selected": (1, 1)},
+        {"selected": (0,)},
+        {"protected": (0,)},
+        {"protected": (2,), "protect_cutoff": 1},
+        {"protected": (1,), "protect_cutoff": 1},  # also selected
+        {"protect_cutoff": -1},
+    ])
+    def test_inconsistent_plan_rejected(self, fields):
+        # the same invariants hold for a plan made directly as for one read back
+        plan = {**PLAN_RECORD, "selected": (1,), "protected": (), **fields}
+        with pytest.raises(ValidationError, match="inconsistent plan"):
+            StmPlan(**plan)
+
     @settings(max_examples=300, deadline=None)
     @given(record=JSON | st.builds(_plan_record, st.sets(st.integers(1, 8)), st.integers(0, 8),
                                    st.randoms(use_true_random=False),
