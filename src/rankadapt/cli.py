@@ -373,13 +373,8 @@ def _verify_task_gradient(seed: int, count: int):
 
 
 def cmd_verify(args) -> int:
-    if args.trials < 1:
-        raise ValidationError("trials must be positive")
-    results = [
-        _verify_lemma(args.seed, args.trials),
-        *_verify_layers(args.seed),
-        _verify_task_gradient(args.seed, 5),
-    ]
+    results = [_verify_lemma(args.seed, 1000), *_verify_layers(args.seed),
+               _verify_task_gradient(args.seed, 5)]
     failed = False
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
@@ -431,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the seeded property sweeps")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--trials", type=int, default=1000)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("train-toy", help="synthetic adaptation experiment against every baseline")

@@ -24,6 +24,7 @@ from .stm import (
     StmConfig,
     adapt_layer,
     initialize_adapter,
+    is_positive_real,
     maintaining_penalty_grad,
     protected_terms,
 )
@@ -68,9 +69,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValidationError("steps must be positive")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+        if not (type(self.steps) is int and self.steps >= 1):  # no bool or float
+            raise ValidationError(f"steps must be a positive integer, got {self.steps!r}")
+        if not is_positive_real(self.learning_rate):
             raise ValidationError("learning_rate must be positive and finite")
 
 

@@ -71,7 +71,10 @@ class SvdFactors:
 
 def as_component_indices(indices, k: int) -> np.ndarray:
     """Validate 1-based integer component indices and return them 0-based, sorted."""
-    try:  # operator.index rejects 2.7 instead of truncating it to 2
+    try:  # operator.index rejects 2.7 instead of truncating it to 2, but takes True as 1
+        indices = list(indices)
+        if any(isinstance(i, bool) for i in indices):
+            raise TypeError(f"a bool is no index, got {indices}")
         idx = np.asarray(sorted({operator.index(i) for i in indices}), dtype=int)
     except TypeError as exc:
         raise ValidationError(f"component indices must be integers: {exc}") from exc

@@ -15,6 +15,7 @@ Component indices are 1-based, consistent with :mod:`rankadapt.spectral`.
 """
 
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import asdict, dataclass
@@ -31,6 +32,11 @@ from .spectral import (SvdFactors, as_component_indices, as_real_array, project_
 _SNAP_DIGITS = 12
 
 
+def is_positive_real(x) -> bool:
+    """Whether ``x`` is a finite real number above 0; a bool or a string is none."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x) and x > 0
+
+
 @dataclass(frozen=True)
 class StmConfig:
     """The one STM knob: ``alpha`` scales the entropy rank into a rank budget."""
@@ -38,8 +44,8 @@ class StmConfig:
     alpha: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValidationError(f"alpha must be positive and finite, got {self.alpha}")
+        if not is_positive_real(self.alpha):
+            raise ValidationError(f"alpha must be a positive finite number, got {self.alpha!r}")
 
 
 def max_rank(k: int) -> int:
@@ -60,12 +66,16 @@ class StmPlan:
     selected: tuple[int, ...]   # 1-based, strictly ascending
     protected: tuple[int, ...]  # 1-based, strictly ascending, disjoint from selected
     protect_cutoff: int         # >= 0 and >= every protected index
-    entropy_rank: float
-    stable_rank: float
+    entropy_rank: float         # finite
+    stable_rank: float          # finite
 
     def __post_init__(self):
         sets = self.selected, self.protected
-        if not (self.r == len(self.selected) and self.protect_cutoff >= 0
+        ints = self.r, self.protect_cutoff, *self.selected, *self.protected
+        if not (all(type(i) is int for i in ints)  # no bool
+                and all(isinstance(x, float) and math.isfinite(x)
+                        for x in (self.entropy_rank, self.stable_rank))
+                and self.r == len(self.selected) and self.protect_cutoff >= 0
                 and all(i >= 1 for s in sets for i in s)
                 and all(a < b for s in sets for a, b in zip(s, s[1:]))
                 and not set(self.selected) & set(self.protected)
@@ -82,9 +92,9 @@ class StmPlan:
         """The plan recorded by :meth:`to_dict`.
 
         Keys that are not plan fields, such as the ``name`` and ``config`` of
-        a ``*.plan.json`` file, are ignored. ``r`` and ``protect_cutoff`` must
-        be integers, the index sets lists of integers and the ranks numbers
-        within the range of finite floats; the plan itself checks the rest.
+        a ``*.plan.json`` file, are ignored. The index sets must be lists and
+        the ranks numbers within the range of finite floats; the plan itself
+        checks the rest.
         """
         try:
             r, cutoff = data["r"], data["protect_cutoff"]
@@ -93,7 +103,6 @@ class StmPlan:
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed plan record: {exc!r}") from exc
         if not (all(isinstance(s, (list, tuple)) for s in sets)  # a str is no index set
-                and all(type(i) is int for i in (r, cutoff, *selected, *protected))  # no bool
                 # False for NaN; exact for an int, so one beyond a float fails, not overflows
                 and all(type(x) is not bool and isinstance(x, (int, float))
                         and abs(x) <= sys.float_info.max for x in ranks)):

@@ -51,19 +51,6 @@ _DTYPE_CODES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 _NAME_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.\-]*$")
 
 
-def _dtype_code(dtype: np.dtype) -> str:
-    """The code a matrix of ``dtype`` is stored as.
-
-    A 32-bit float matrix, in either byte order, is stored as ``f32``;
-    64-bit floats and every other real dtype become ``f64``. A complex
-    matrix raises ``ValidationError``: storing it would drop its imaginary
-    part.
-    """
-    if dtype.kind == "c":
-        raise ValidationError(f"complex matrices cannot be stored, got dtype {dtype}")
-    return "f32" if dtype.kind == "f" and dtype.itemsize == 4 else "f64"
-
-
 def _check_name(name, taken=()) -> None:
     if not isinstance(name, str) or not _NAME_PATTERN.match(name):
         raise ValidationError(f"invalid entry name {name!r}")
@@ -76,13 +63,16 @@ def write_entry(path, name: str, matrix: np.ndarray) -> dict:
 
     Returns the entry's manifest record, for :func:`write_manifest`. The
     payload must not exist yet, as in a directory from :func:`staged_bundle`.
-    The entry is not readable until a manifest lists it.
+    The entry is not readable until a manifest lists it. A non-real matrix
+    raises ``ValidationError``.
     """
+    from .spectral import as_real_array  # here, so that reading a bundle loads no LAPACK
+
     _check_name(name)
-    arr = np.asarray(matrix)
+    arr = as_real_array(matrix, f"entry {name!r}")
     if arr.ndim != 2 or arr.size == 0:
         raise ValidationError(f"entry {name!r} must be a non-empty 2-D matrix")
-    code = _dtype_code(arr.dtype)
+    code = "f32" if arr.dtype.kind == "f" and arr.dtype.itemsize == 4 else "f64"  # either order
     payload = np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code])
     data_name = f"{name}.bin"
     with open(Path(path) / data_name, "xb") as fh:
@@ -279,27 +269,27 @@ class Report:
         if self.kind not in REPORT_KINDS:
             raise ValidationError(f"unknown report kind {self.kind!r}")
 
-    def _columns(self) -> list[str]:
+    def _records(self) -> list[dict]:
+        """The records, checked, with each numpy scalar as the Python number it holds."""
         if not self.records:
             raise ValidationError("cannot serialize an empty report")
         columns = list(self.records[0])
-        for rec in self.records:
-            if list(rec) != columns:
-                raise ValidationError("all report records must share the same keys")
-        return columns
+        if any(list(rec) != columns for rec in self.records):
+            raise ValidationError("all report records must share the same keys")
+        return [{k: v.item() if isinstance(v, np.generic) else v for k, v in rec.items()}
+                for rec in self.records]
 
     def to_csv(self, path) -> None:
-        columns = self._columns()
+        records = self._records()
         with _replaced_file(path) as fh:
             writer = csv.writer(fh)
-            writer.writerow(columns)
-            # csv writes a float, numpy's too, in its shortest round-tripping form
-            writer.writerows([rec[c] for c in columns] for rec in self.records)
+            writer.writerow(records[0].keys())
+            writer.writerows(rec.values() for rec in records)  # each float's shortest exact repr
 
     def to_json(self, path) -> None:
-        self._columns()
+        records = self._records()
         with _replaced_file(path) as fh:
-            json.dump({"kind": self.kind, "records": self.records}, fh, indent=2)
+            json.dump({"kind": self.kind, "records": records}, fh, indent=2)
             fh.write("\n")
 
     def write(self, path, fmt: str) -> None:

@@ -25,6 +25,19 @@ from rankadapt.stm import StmConfig
 from conftest import count_svd_calls
 
 
+@pytest.mark.parametrize("make", [
+    lambda: StmConfig(alpha=True),
+    lambda: StmConfig(alpha="0.5"),
+    lambda: TrainConfig(steps=2.5, learning_rate=0.1),  # range() would raise mid-run
+    lambda: TrainConfig(steps=True, learning_rate=0.1),
+    lambda: TrainConfig(steps=10, learning_rate="0.1"),
+    lambda: TrainConfig(steps=10, learning_rate=False),
+], ids=["alpha_bool", "alpha_str", "steps_float", "steps_bool", "lr_str", "lr_bool"])
+def test_config_scalar_not_a_real_number_rejected(make):
+    with pytest.raises(ValidationError):
+        make()
+
+
 class TestMakeSyntheticModel:
     def test_uniform_spectrum(self):
         model = make_synthetic_model([(4, 4, (1.0, 1.0, 1.0, 1.0))], seed=0)

@@ -172,6 +172,17 @@ def test_reconstruct_partial():
         reconstruct(f, {1.5})
 
 
+@pytest.mark.parametrize("use", [
+    lambda w, f: reconstruct(f, [True]),
+    lambda w, f: initialize_adapter(w, f, [True]),
+], ids=["reconstruct", "initialize_adapter"])
+def test_bool_index_rejected(use):
+    # True is not taken for component 1
+    w = rand_matrix(18, 6, 5)
+    with pytest.raises(ValidationError, match="a bool is no index"):
+        use(w, decompose(w))
+
+
 def test_project_residual_zero():
     f = decompose(rand_matrix(2, 6, 9))
     assert np.array_equal(project_residual(f, np.zeros((6, 9))), np.zeros(6))

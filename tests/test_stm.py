@@ -316,6 +316,10 @@ class TestStmPlanRecord:
         {"protected": (2,), "protect_cutoff": 1},
         {"protected": (1,), "protect_cutoff": 1},  # also selected
         {"protect_cutoff": -1},
+        {"selected": (True,), "protect_cutoff": 1},  # a bool is no index
+        {"r": 1.0},
+        {"protect_cutoff": 1, "entropy_rank": "x", "stable_rank": None},  # not floats
+        {"stable_rank": math.nan},
     ])
     def test_inconsistent_plan_rejected(self, fields):
         # the same invariants hold for a plan made directly as for one read back

@@ -85,6 +85,20 @@ def test_complex_matrix_rejected(tmp_path, dtype):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("matrix", [
+    np.arange(4).astype("datetime64[D]").reshape(2, 2),  # was stored as day counts
+    np.array([[1.0, None], [2.0, 3.0]], dtype=object),  # was stored with a NaN
+    np.array([["1", "2"], ["3", "4"]]),
+], ids=["datetime64", "object", "str"])
+def test_non_real_matrix_rejected_and_old_bundle_kept(tmp_path, matrix):
+    write_bundle(tmp_path / "bundle", {"w": np.ones((2, 2))})
+    old = {p.name: p.read_bytes() for p in (tmp_path / "bundle").iterdir()}
+    with pytest.raises(ValidationError, match="must be real"):
+        write_bundle(tmp_path / "bundle", {"w": np.ones((2, 2)), "x": matrix})
+    assert {p.name: p.read_bytes() for p in (tmp_path / "bundle").iterdir()} == old
+    assert list(tmp_path.iterdir()) == [tmp_path / "bundle"]
+
+
 def test_missing_manifest(tmp_path):
     with pytest.raises(BundleNotFoundError):
         read_bundle(tmp_path / "nowhere")
@@ -262,6 +276,7 @@ def test_report_csv_json_same_numbers(tmp_path):
         {"name": "a", "value": 1.8898815748423097, "count": 3},
         {"name": "b", "value": 0.1, "count": 4},
         {"name": "c", "value": np.float64(0.1), "count": 5},
+        {"name": "d", "value": np.float32(0.1), "count": np.int64(6)},
     ]
     report = Report(kind="metrics", records=records)
     report.to_csv(tmp_path / "r.csv")
@@ -274,6 +289,8 @@ def test_report_csv_json_same_numbers(tmp_path):
     for csv_row, json_row, orig in zip(rows, loaded["records"], records):
         assert float(csv_row["value"]) == json_row["value"] == orig["value"]
         assert int(csv_row["count"]) == json_row["count"] == orig["count"]
+    # a float32 is written as the float it holds, not as the shortest float32 repr
+    assert rows[3]["value"] == repr(float(np.float32(0.1)))
 
 
 def test_report_header_row_mandatory(tmp_path):
