@@ -13,12 +13,12 @@ pose, reprojects into the source view and samples bilinearly with zero
 padding plus an explicit in-bounds mask.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
+from .spectral import as_real_array, is_real
 
 _SSIM_C1 = 0.01 ** 2
 _SSIM_C2 = 0.03 ** 2
@@ -32,13 +32,13 @@ class DepthMap:
     valid_mask: np.ndarray = None
 
     def __post_init__(self):
-        self.depth = np.asarray(self.depth, dtype=np.float64)
+        self.depth = as_real_array(self.depth, "depth", np.float64)
         if self.depth.ndim != 2:
             raise ValidationError(f"depth must be H x W, got shape {self.depth.shape}")
         if self.valid_mask is None:
             self.valid_mask = np.ones(self.depth.shape, dtype=bool)
         else:
-            self.valid_mask = np.asarray(self.valid_mask, dtype=bool)
+            self.valid_mask = as_real_array(self.valid_mask, "valid_mask", bool)
         if self.valid_mask.shape != self.depth.shape:
             raise ValidationError("valid_mask shape must match depth")
         valid = self.depth[self.valid_mask]
@@ -56,8 +56,8 @@ class Camera:
     cy: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.fx, self.fy, self.cx, self.cy)):
-            raise ValidationError("intrinsics must be finite")
+        if not all(is_real(v) for v in (self.fx, self.fy, self.cx, self.cy)):
+            raise ValidationError("intrinsics must be finite real numbers")
         if self.fx <= 0 or self.fy <= 0:
             raise ValidationError("focal lengths must be positive")
 
@@ -70,8 +70,8 @@ class Pose:
     translation: np.ndarray
 
     def __post_init__(self):
-        self.rotation = np.asarray(self.rotation, dtype=np.float64)
-        self.translation = np.asarray(self.translation, dtype=np.float64)
+        self.rotation = as_real_array(self.rotation, "rotation", np.float64)
+        self.translation = as_real_array(self.translation, "translation", np.float64)
         if self.rotation.shape != (3, 3):
             raise ValidationError("rotation must be 3x3")
         if self.translation.size != 3:
@@ -102,15 +102,15 @@ class LossWeights:
     reg_weight: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.ssim_weight <= 1.0:
+        if not (is_real(self.ssim_weight) and 0 <= self.ssim_weight <= 1):
             raise ValidationError("ssim_weight must lie in [0, 1]")
         for name in ("smooth_weight", "gt_weight", "pseudo_weight", "reg_weight"):
-            if not 0.0 <= getattr(self, name) < math.inf:  # NaN fails too
+            if not (is_real(getattr(self, name)) and getattr(self, name) >= 0):
                 raise ValidationError(f"{name} must be non-negative and finite")
 
 
 def _checked_image(img, name="image") -> np.ndarray:
-    arr = np.asarray(img, dtype=np.float64)
+    arr = as_real_array(img, name, np.float64)
     if arr.ndim != 3 or arr.shape[2] < 1:
         raise ValidationError(f"{name} must be H x W x C, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):

@@ -18,13 +18,12 @@ import numpy as np
 from .adapter import merge
 from .eranks import check_spectrum
 from .errors import NumericError, TrainingDivergedError, ValidationError
-from .spectral import as_component_indices, as_real_array, decompose, singular_values
+from .spectral import as_component_indices, as_real_array, decompose, is_real, singular_values
 from .stm import (
     AdaptedLayer,
     StmConfig,
     adapt_layer,
     initialize_adapter,
-    is_positive_real,
     maintaining_penalty_grad,
     protected_terms,
 )
@@ -71,8 +70,10 @@ class TrainConfig:
     def __post_init__(self):
         if not (type(self.steps) is int and self.steps >= 1):  # no bool or float
             raise ValidationError(f"steps must be a positive integer, got {self.steps!r}")
-        if not is_positive_real(self.learning_rate):
+        if not (is_real(self.learning_rate) and self.learning_rate > 0):
             raise ValidationError("learning_rate must be positive and finite")
+        if not (type(self.seed) is int and self.seed >= 0):  # numpy's generators take no other
+            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def _random_orthonormal(rng, rows: int, cols: int) -> np.ndarray:
@@ -88,10 +89,9 @@ def resolve_spectrum(prescription, k: int) -> np.ndarray:
     if :func:`~rankadapt.eranks.check_spectrum` accepts it.
     """
     if np.isscalar(prescription):
-        q = float(prescription)
-        if not 0.0 < q <= 1.0:
-            raise ValidationError(f"decay ratio must lie in (0, 1], got {q}")
-        return q ** np.arange(k, dtype=np.float64)
+        if not (is_real(prescription) and 0 < prescription <= 1):
+            raise ValidationError(f"decay ratio must lie in (0, 1], got {prescription!r}")
+        return float(prescription) ** np.arange(k, dtype=np.float64)
     sigma = check_spectrum(prescription)
     if sigma.shape[0] != k:
         raise ValidationError(f"spectrum has {sigma.shape[0]} values, layer needs {k}")
@@ -110,7 +110,7 @@ def make_synthetic_model(layer_specs, seed: int, activation: str = "identity") -
     rng = np.random.default_rng(seed)
     layers = []
     for m, n, prescription in layer_specs:
-        if m < 1 or n < 1:
+        if not all(type(d) is int and d >= 1 for d in (m, n)):  # no bool or float
             raise ValidationError(f"invalid layer shape ({m}, {n})")
         k = min(m, n)
         sigma = resolve_spectrum(prescription, k)
@@ -155,15 +155,17 @@ def mse_and_grads(weights, activation: str, x, y):
 def make_proxy_task(model: SyntheticModel, planted, n_samples: int,
                     noise: float, seed: int) -> ProxyTask:
     """Draw Gaussian inputs and label them with a secretly perturbed teacher."""
-    if not (math.isfinite(noise) and noise >= 0):
+    if not (is_real(noise) and noise >= 0):
         raise ValidationError(f"noise level must be finite and non-negative, got {noise}")
+    if not (type(n_samples) is int and n_samples >= 1):
+        raise ValidationError(f"n_samples must be a positive integer, got {n_samples!r}")
     if len(planted) != len(model.layers):
         raise ValidationError("need one planted entry (or None) per layer")
     for plant in filter(None, planted):
         if len(plant.indices) != len(plant.amplitudes):
             raise ValidationError("planted indices and amplitudes differ in length")
         for c in plant.amplitudes:
-            if not math.isfinite(c):
+            if not is_real(c):
                 raise ValidationError(f"planted amplitudes must be finite, got {c}")
         for n, i in enumerate(plant.indices):
             if i in plant.indices[:n]:
@@ -232,8 +234,8 @@ def finite_difference_check(f, point: np.ndarray, analytic_grad: np.ndarray,
     Entries whose analytic gradient is below 1e-12 in magnitude are skipped
     (relative error is meaningless there).
     """
-    if step <= 0:
-        raise ValidationError("step must be positive")
+    if not (is_real(step) and step > 0):
+        raise ValidationError("step must be positive and finite")
     point = as_real_array(point, "point", np.float64)
     grad = as_real_array(analytic_grad, "gradient", np.float64)
     if grad.shape != point.shape:
@@ -331,7 +333,7 @@ def run_stm_experiment(model: SyntheticModel, task: ProxyTask, stm_cfg: StmConfi
     on ``task``. Each layer is decomposed once, and every method's adapters
     are built from those factors, each baseline with the STM layers' ranks.
     """
-    if not (math.isfinite(reg_weight) and reg_weight >= 0):
+    if not (is_real(reg_weight) and reg_weight >= 0):
         raise ValidationError("reg_weight must be non-negative and finite")
     residuals = full_finetune_proxy(model, task, train_cfg)
     factors = [decompose(w) for w in model.layers]

@@ -15,8 +15,6 @@ Component indices are 1-based, consistent with :mod:`rankadapt.spectral`.
 """
 
 import math
-import numbers
-import sys
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -24,17 +22,12 @@ import numpy as np
 
 from .eranks import entropy_rank, stable_rank
 from .errors import ValidationError
-from .spectral import (SvdFactors, as_component_indices, as_real_array, project_residual,
-                       reconstruct)
+from .spectral import (SvdFactors, as_component_indices, as_real_array, is_real,
+                       project_residual, reconstruct)
 
 # Real-valued ranks are rounded to this many decimals before they become
 # integers, so float noise such as ceil(2 + 1e-16) does not add a direction.
 _SNAP_DIGITS = 12
-
-
-def is_positive_real(x) -> bool:
-    """Whether ``x`` is a finite real number above 0; a bool or a string is none."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x) and x > 0
 
 
 @dataclass(frozen=True)
@@ -44,7 +37,7 @@ class StmConfig:
     alpha: float
 
     def __post_init__(self):
-        if not is_positive_real(self.alpha):
+        if not (is_real(self.alpha) and self.alpha > 0):
             raise ValidationError(f"alpha must be a positive finite number, got {self.alpha!r}")
 
 
@@ -73,7 +66,7 @@ class StmPlan:
         sets = self.selected, self.protected
         ints = self.r, self.protect_cutoff, *self.selected, *self.protected
         if not (all(type(i) is int for i in ints)  # no bool
-                and all(isinstance(x, float) and math.isfinite(x)
+                and all(isinstance(x, float) and is_real(x)
                         for x in (self.entropy_rank, self.stable_rank))
                 and self.r == len(self.selected) and self.protect_cutoff >= 0
                 and all(i >= 1 for s in sets for i in s)
@@ -103,9 +96,7 @@ class StmPlan:
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed plan record: {exc!r}") from exc
         if not (all(isinstance(s, (list, tuple)) for s in sets)  # a str is no index set
-                # False for NaN; exact for an int, so one beyond a float fails, not overflows
-                and all(type(x) is not bool and isinstance(x, (int, float))
-                        and abs(x) <= sys.float_info.max for x in ranks)):
+                and all(is_real(x) for x in ranks)):
             raise ValidationError(f"malformed plan record: {data!r}")
         return cls(r, tuple(selected), tuple(protected), cutoff, float(ranks[0]), float(ranks[1]))
 

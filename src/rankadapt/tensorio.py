@@ -279,23 +279,16 @@ class Report:
         return [{k: v.item() if isinstance(v, np.generic) else v for k, v in rec.items()}
                 for rec in self.records]
 
-    def to_csv(self, path) -> None:
-        records = self._records()
-        with _replaced_file(path) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(records[0].keys())
-            writer.writerows(rec.values() for rec in records)  # each float's shortest exact repr
-
-    def to_json(self, path) -> None:
-        records = self._records()
-        with _replaced_file(path) as fh:
-            json.dump({"kind": self.kind, "records": records}, fh, indent=2)
-            fh.write("\n")
-
     def write(self, path, fmt: str) -> None:
-        if fmt == "csv":
-            self.to_csv(path)
-        elif fmt == "json":
-            self.to_json(path)
-        else:
+        """Write the report to ``path`` as ``fmt``, ``"csv"`` or ``"json"``."""
+        if fmt not in ("csv", "json"):
             raise ValidationError(f"unknown report format {fmt!r}")
+        records = self._records()
+        with _replaced_file(path) as fh:
+            if fmt == "csv":  # each float as its shortest exact repr
+                writer = csv.writer(fh)
+                writer.writerow(records[0].keys())
+                writer.writerows(rec.values() for rec in records)
+            else:
+                json.dump({"kind": self.kind, "records": records}, fh, indent=2)
+                fh.write("\n")

@@ -355,3 +355,40 @@ def test_non_finite_depth_at_invalid_pixel_allowed():
     depth = DepthMap(with_entry(NAN), with_entry(0.0) == 1.0)
     assert not depth.valid_mask[1, 2]
     assert gt_loss(depth, DepthMap(np.ones((3, 4)))) == 0.0
+
+
+CAMERA = dict(fx=30.0, fy=30.0, cx=5.0, cy=4.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DepthMap(np.full((3, 3), "1")),
+    lambda: DepthMap(np.ones((3, 3)), np.full((3, 3), "no")),
+    lambda: DepthMap(np.ones((3, 3)) + 0j),
+    lambda: Pose(np.full((3, 3), "1"), np.zeros(3)),
+    lambda: Pose(np.eye(3), ["0", "0", "0"]),
+    lambda: Pose(np.eye(3) + 0j, np.zeros(3)),
+    lambda: Pose(np.eye(3), np.zeros(3) + 0j),
+    lambda: ssim(rand_image(0) + 0j, rand_image(0)),
+    lambda: ssim(rand_image(0).astype(str), rand_image(0)),
+    lambda: photometric_error(rand_image(0), rand_image(1) + 0j, LossWeights()),
+    lambda: Camera(**{**CAMERA, "fx": True}),
+    lambda: Camera(**{**CAMERA, "cy": "4.0"}),
+    lambda: Camera(**{**CAMERA, "fx": 10**400}),
+    lambda: LossWeights(ssim_weight=True),
+    lambda: LossWeights(smooth_weight="0.1"),
+    lambda: LossWeights(gt_weight=10**400),
+], ids=["depth_str", "mask_str", "depth_complex", "rotation_str", "translation_str",
+        "rotation_complex", "translation_complex", "image_complex", "image_str",
+        "warped_complex", "camera_fx_bool", "camera_cy_str", "camera_fx_huge_int",
+        "ssim_weight_bool", "smooth_weight_str", "gt_weight_huge_int"])
+def test_input_not_real_rejected(make):
+    # a complex input is rejected, not cast to its real part with a ComplexWarning
+    with pytest.raises(ValidationError, match="must be real|finite|lie in"):
+        make()
+
+
+def test_numpy_scalars_accepted():
+    cam = Camera(fx=np.float64(30.0), fy=np.int64(30), cx=np.float64(5.0), cy=np.int64(4))
+    assert (cam.fx, cam.fy) == (30.0, 30)
+    w = LossWeights(ssim_weight=np.float64(0.5), gt_weight=np.int64(2))
+    assert compose_sl(1.0, 0.0, 0.0, 0.0, w) == 2.0

@@ -32,10 +32,73 @@ from conftest import count_svd_calls
     lambda: TrainConfig(steps=True, learning_rate=0.1),
     lambda: TrainConfig(steps=10, learning_rate="0.1"),
     lambda: TrainConfig(steps=10, learning_rate=False),
-], ids=["alpha_bool", "alpha_str", "steps_float", "steps_bool", "lr_str", "lr_bool"])
+    lambda: TrainConfig(steps=10, learning_rate=10**400),  # no OverflowError
+    lambda: TrainConfig(steps=10, learning_rate=0.1, seed=2.5),
+    lambda: TrainConfig(steps=10, learning_rate=0.1, seed=True),
+    lambda: TrainConfig(steps=10, learning_rate=0.1, seed=-1),
+], ids=["alpha_bool", "alpha_str", "steps_float", "steps_bool", "lr_str", "lr_bool",
+        "lr_huge_int", "seed_float", "seed_bool", "seed_negative"])
 def test_config_scalar_not_a_real_number_rejected(make):
     with pytest.raises(ValidationError):
         make()
+
+
+def _tiny_parts():
+    model = make_synthetic_model([(6, 5, 0.6)], seed=0)
+    return model, make_proxy_task(model, [None], n_samples=8, noise=0.0, seed=1)
+
+
+def _run(reg_weight):
+    model, task = _tiny_parts()
+    return run_stm_experiment(model, task, StmConfig(alpha=0.5),
+                              TrainConfig(steps=2, learning_rate=0.1), reg_weight=reg_weight)
+
+
+def _task(noise=0.0, n_samples=8, amplitude=0.5):
+    model, _ = _tiny_parts()
+    return make_proxy_task(model, [PlantedDirections((1,), (amplitude,))],
+                           n_samples=n_samples, noise=noise, seed=1)
+
+
+def _fd_check(step):
+    point = np.ones((2, 2))
+    return finite_difference_check(lambda x: float(np.sum(x * x)), point, 2.0 * point, step)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _task(noise=True),
+    lambda: _task(noise="0.1"),
+    lambda: _task(noise=10**400),
+    lambda: _task(n_samples=0),
+    lambda: _task(n_samples=8.0),
+    lambda: _task(amplitude="0.5"),
+    lambda: _task(amplitude=True),
+    lambda: _run(reg_weight=True),
+    lambda: _run(reg_weight="0.5"),
+    lambda: _run(reg_weight=10**400),
+    lambda: _fd_check(step=np.inf),
+    lambda: _fd_check(step="1e-3"),
+    lambda: make_synthetic_model([(4, 4, "0.5")], seed=0),
+    lambda: make_synthetic_model([(4, 4, True)], seed=0),
+    lambda: make_synthetic_model([(4, 4, 10**400)], seed=0),
+    lambda: make_synthetic_model([(4.0, 4, 0.5)], seed=0),
+    lambda: make_synthetic_model([(4, True, 0.5)], seed=0),
+], ids=["noise_bool", "noise_str", "noise_huge_int", "n_samples_zero", "n_samples_float",
+        "amplitude_str", "amplitude_bool", "reg_weight_bool", "reg_weight_str",
+        "reg_weight_huge_int", "step_inf", "step_str", "decay_str", "decay_bool",
+        "decay_huge_int", "rows_float", "cols_bool"])
+def test_input_not_a_real_number_or_count_rejected(make):
+    with pytest.raises(ValidationError):
+        make()
+
+
+def test_numpy_scalars_accepted():
+    assert TrainConfig(steps=1, learning_rate=np.float64(0.1)).learning_rate == 0.1
+    assert _task(noise=np.float64(0.1), amplitude=np.int64(1)).targets.shape == (6, 8)
+    assert len(_run(reg_weight=np.int64(1)).records) == 1 + len(BASELINES)
+    assert _fd_check(step=np.float64(1e-3)) <= 1e-8
+    model = make_synthetic_model([(4, 4, np.float64(0.5))], seed=0)
+    assert np.allclose(decompose(model.layers[0]).sigma, 0.5 ** np.arange(4))
 
 
 class TestMakeSyntheticModel:

@@ -1,8 +1,14 @@
-"""No module of the package uses a private name of a sibling module.
+"""No module of the package uses a private name of a sibling module, or copies an input rule.
 
 A private helper is free to change with its module; a sibling that imports
 it (``from .stm import _helper``) or reaches it through the module
 (``harness._helper``) would break silently. Shared helpers are public.
+
+The rules for a real scalar and a real array live in ``spectral``, as
+``is_real`` and ``as_real_array``. Elsewhere, ``import numbers`` or an
+``np.asarray``/``np.array`` that widens to ``float64`` or ``bool`` is a second
+copy of one of them; such copies drifted apart before and let a string, a
+bool or a complex number through.
 """
 
 import ast
@@ -69,3 +75,46 @@ def test_scan_ignores_own_and_public_names():
               "def _own():\n    return harness.mse_and_grads, _own, self._columns\n"
               "__all__ = []\n")
     assert private_uses(source) == []
+
+
+RULE_HOME = PACKAGE / "spectral.py"
+WIDENED_DTYPES = ("np.float64", "float", "bool")
+
+
+def input_rule_copies(source: str) -> list[str]:
+    """Each ``numbers`` import and each ``np.asarray``/``np.array`` to a widened dtype."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"line {node.lineno}: import numbers"
+                      for alias in node.names if alias.name == "numbers"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "numbers":
+            found.append(f"line {node.lineno}: from numbers import")
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.asarray", "np.array"):
+            dtypes = [kw.value for kw in node.keywords if kw.arg == "dtype"] + node.args[1:2]
+            found += [f"line {node.lineno}: {ast.unparse(node.func)} to {ast.unparse(d)}"
+                      for d in dtypes if ast.unparse(d) in WIDENED_DTYPES]
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p != RULE_HOME], ids=lambda p: p.name)
+def test_input_rules_have_one_home(path):
+    assert input_rule_copies(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source, use", [
+    ("import math, numbers\n", "import numbers"),
+    ("from numbers import Real\n", "from numbers import"),
+    ("np.asarray(x, dtype=np.float64)\n", "np.asarray to np.float64"),
+    ("np.array(x, dtype=float, copy=True)\n", "np.array to float"),
+    ("np.asarray(mask, bool)\n", "np.asarray to bool"),
+])
+def test_scan_finds_input_rule_copy(source, use):
+    assert [found.split(": ", 1)[1] for found in input_rule_copies(source)] == [use]
+
+
+def test_scan_ignores_other_dtypes_and_the_rule_itself():
+    source = ("import numpy as np\nfrom .spectral import as_real_array, is_real\n"
+              "np.asarray(idx, dtype=int)\nnp.asarray(x)\nx.astype(np.float64)\n"
+              "as_real_array(x, 'x', np.float64)\n")
+    assert input_rule_copies(source) == []

@@ -55,6 +55,19 @@ def float64_then_float32(argname, values):
             for i, value in enumerate(values)]
 
 
+@pytest.mark.parametrize("alpha", [10**400, -10**400], ids=["huge_int", "huge_negative_int"])
+def test_alpha_not_a_positive_finite_real_rejected(alpha):
+    # an int beyond the range of floats fails the check instead of overflowing in it
+    with pytest.raises(ValidationError, match="alpha must be a positive finite number"):
+        StmConfig(alpha=alpha)
+
+
+@pytest.mark.parametrize("alpha", [np.float64(0.5), np.int64(1), 10**300],
+                         ids=["float64", "int64", "large_int"])
+def test_alpha_numpy_scalar_or_large_int_accepted(alpha):
+    assert StmConfig(alpha=alpha).alpha == alpha
+
+
 class TestSelectRank:
     def test_identity_half(self):
         assert select_rank(decompose(np.eye(8)).sigma, cfg(alpha=0.5)) == 4

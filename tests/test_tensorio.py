@@ -279,8 +279,8 @@ def test_report_csv_json_same_numbers(tmp_path):
         {"name": "d", "value": np.float32(0.1), "count": np.int64(6)},
     ]
     report = Report(kind="metrics", records=records)
-    report.to_csv(tmp_path / "r.csv")
-    report.to_json(tmp_path / "r.json")
+    report.write(tmp_path / "r.csv", "csv")
+    report.write(tmp_path / "r.json", "json")
 
     with open(tmp_path / "r.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -295,7 +295,7 @@ def test_report_csv_json_same_numbers(tmp_path):
 
 def test_report_header_row_mandatory(tmp_path):
     report = Report(kind="spectra", records=[{"x": 1.5}])
-    report.to_csv(tmp_path / "r.csv")
+    report.write(tmp_path / "r.csv", "csv")
     first = (tmp_path / "r.csv").read_text().splitlines()[0]
     assert first == "x"
 
@@ -304,9 +304,9 @@ def test_report_validation():
     with pytest.raises(ValidationError):
         Report(kind="bogus", records=[])
     with pytest.raises(ValidationError):
-        Report(kind="metrics", records=[]).to_csv("/dev/null")
+        Report(kind="metrics", records=[]).write("/dev/null", "csv")
     with pytest.raises(ValidationError):
-        Report(kind="metrics", records=[{"a": 1}, {"b": 2}]).to_csv("/dev/null")
+        Report(kind="metrics", records=[{"a": 1}, {"b": 2}]).write("/dev/null", "csv")
 
 
 class _FullDisk:
