@@ -3,7 +3,7 @@
 import numpy as np
 
 from .errors import ValidationError
-from .spectral import as_real_array
+from .spectral import as_finite_array
 from .stm import AdaptedLayer
 
 
@@ -12,13 +12,11 @@ def forward(layer: AdaptedLayer, x: np.ndarray) -> np.ndarray:
 
     Computed as ``W0 x + B (A x)``: two thin multiplies, never forming B A.
     """
-    x = as_real_array(x, "activations", np.float64)
+    x = as_finite_array(x, "activations", np.float64)
     if x.ndim not in (1, 2) or x.shape[0] != layer.w0.shape[1]:
         raise ValidationError(
             f"activations must have {layer.w0.shape[1]} rows, got shape {x.shape}"
         )
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("activations contain non-finite entries")
     return layer.w0 @ x + layer.b @ (layer.a @ x)
 
 

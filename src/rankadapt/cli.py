@@ -56,6 +56,7 @@ EXIT_OK = 0
 _TOY_SAMPLES = 64
 _TOY_NOISE = 0.01
 _ALPHA_HELP = "rank scaling factor applied to the entropy rank"
+_REPORT_HELP = "report file to write: JSON if named *.json, else CSV"
 
 # A worker's environment: one BLAS thread, and glibc malloc's mmap threshold
 # fixed at its initial 128 KiB, which glibc would otherwise raise each time a
@@ -230,7 +231,7 @@ def cmd_spectra(args) -> int:
     _check_output(args.output, layers, args.weights, args.residuals)
     per_layer = _map_layers(spectra_layer, layers)
     records = [rec for layer_records in per_layer for rec in layer_records]
-    Report(kind="spectra", records=records).write(args.output, args.format)
+    Report(kind="spectra", records=records).write(args.output)
     return EXIT_OK
 
 
@@ -398,7 +399,7 @@ def cmd_train_toy(args) -> int:
     report = harness.run_stm_experiment(model, task, _config(StmConfig, args),
                                         _config(harness.TrainConfig, args),
                                         reg_weight=args.reg_weight)
-    report.write(args.output, args.format)
+    report.write(args.output)
     print(f"wrote {args.output}")
     return EXIT_OK
 
@@ -413,8 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectra", help="singular spectra, effective ranks, projections")
     p.add_argument("--weights", required=True, help="bundle directory of weight matrices")
     p.add_argument("--residuals", help="optional bundle of residuals with matching names")
-    p.add_argument("--output", required=True, help="report file to write")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--output", required=True, help=_REPORT_HELP)
     p.set_defaults(func=cmd_spectra)
 
     p = sub.add_parser("stm-init", help="initialize adapters from weight and residual bundles")
@@ -433,8 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=150)
     p.add_argument("--learning-rate", type=float, default=0.5)
     p.add_argument("--reg-weight", type=float, default=0.0)
-    p.add_argument("--output", required=True, help="metrics report file")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--output", required=True, help=_REPORT_HELP)
     p.add_argument("--alpha", type=float, default=0.4, help=_ALPHA_HELP)
     p.set_defaults(func=cmd_train_toy)
     return parser

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .spectral import as_real_array, is_real
+from .spectral import as_finite_array, as_real_array, is_real
 
 _SSIM_C1 = 0.01 ** 2
 _SSIM_C2 = 0.03 ** 2
@@ -70,15 +70,13 @@ class Pose:
     translation: np.ndarray
 
     def __post_init__(self):
-        self.rotation = as_real_array(self.rotation, "rotation", np.float64)
-        self.translation = as_real_array(self.translation, "translation", np.float64)
+        self.rotation = as_finite_array(self.rotation, "rotation", np.float64)
+        self.translation = as_finite_array(self.translation, "translation", np.float64)
         if self.rotation.shape != (3, 3):
             raise ValidationError("rotation must be 3x3")
         if self.translation.size != 3:
             raise ValidationError("translation must have 3 entries")
         self.translation = self.translation.reshape(3)
-        if not (np.all(np.isfinite(self.rotation)) and np.all(np.isfinite(self.translation))):
-            raise ValidationError("pose contains non-finite values")
         err = np.max(np.abs(self.rotation.T @ self.rotation - np.eye(3)))
         if err > 1e-9:
             raise ValidationError(f"rotation is not orthonormal (deviation {err:.2e})")
@@ -110,11 +108,9 @@ class LossWeights:
 
 
 def _checked_image(img, name="image") -> np.ndarray:
-    arr = as_real_array(img, name, np.float64)
+    arr = as_finite_array(img, name, np.float64)
     if arr.ndim != 3 or arr.shape[2] < 1:
         raise ValidationError(f"{name} must be H x W x C, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} contains non-finite values")
     if arr.min() < 0.0 or arr.max() > 1.0:
         raise ValidationError(f"{name} values must lie in [0, 1]")
     return arr

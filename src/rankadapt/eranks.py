@@ -17,16 +17,16 @@ suite sweeps this ordering as a property.
 import numpy as np
 
 from .errors import DegenerateSpectrumError, ValidationError
-from .spectral import as_real_array
+from .spectral import as_finite_array
 
 
 def check_spectrum(sigma) -> np.ndarray:
     """``sigma`` as a float64 vector; raises unless it is a spectrum with effective ranks."""
-    s = as_real_array(sigma, "spectrum", np.float64).ravel()
+    s = as_finite_array(sigma, "spectrum", np.float64).ravel()
     if s.size == 0:
         raise ValidationError("empty spectrum")
-    if np.any(s < 0) or not np.all(np.isfinite(s)):
-        raise ValidationError("singular values must be finite and non-negative")
+    if np.any(s < 0):
+        raise ValidationError("singular values must be non-negative")
     if np.any(np.diff(s) > 0):
         raise ValidationError("singular values must be sorted descending")
     if s[0] == 0.0:

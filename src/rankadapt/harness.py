@@ -18,7 +18,8 @@ import numpy as np
 from .adapter import merge
 from .eranks import check_spectrum
 from .errors import NumericError, TrainingDivergedError, ValidationError
-from .spectral import as_component_indices, as_real_array, decompose, is_real, singular_values
+from .spectral import (as_component_indices, as_finite_array, as_real_array, decompose,
+                       is_real, singular_values)
 from .stm import (
     AdaptedLayer,
     StmConfig,
@@ -61,6 +62,11 @@ class ProxyTask:
     planted: list         # one PlantedDirections or None per layer
 
 
+def _check_seed(seed) -> None:
+    if not (type(seed) is int and seed >= 0):  # numpy's generators take no other
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     steps: int
@@ -72,8 +78,7 @@ class TrainConfig:
             raise ValidationError(f"steps must be a positive integer, got {self.steps!r}")
         if not (is_real(self.learning_rate) and self.learning_rate > 0):
             raise ValidationError("learning_rate must be positive and finite")
-        if not (type(self.seed) is int and self.seed >= 0):  # numpy's generators take no other
-            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
+        _check_seed(self.seed)
 
 
 def _random_orthonormal(rng, rows: int, cols: int) -> np.ndarray:
@@ -107,6 +112,7 @@ def make_synthetic_model(layer_specs, seed: int, activation: str = "identity") -
     """
     if activation not in _ACTIVATIONS:
         raise ValidationError(f"activation must be one of {_ACTIVATIONS}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     layers = []
     for m, n, prescription in layer_specs:
@@ -159,6 +165,7 @@ def make_proxy_task(model: SyntheticModel, planted, n_samples: int,
         raise ValidationError(f"noise level must be finite and non-negative, got {noise}")
     if not (type(n_samples) is int and n_samples >= 1):
         raise ValidationError(f"n_samples must be a positive integer, got {n_samples!r}")
+    _check_seed(seed)
     if len(planted) != len(model.layers):
         raise ValidationError("need one planted entry (or None) per layer")
     for plant in filter(None, planted):
@@ -231,17 +238,22 @@ def finite_difference_check(f, point: np.ndarray, analytic_grad: np.ndarray,
                             step: float = 1e-6) -> float:
     """Max relative error of ``analytic_grad`` against central differences.
 
-    Entries whose analytic gradient is below 1e-12 in magnitude are skipped
-    (relative error is meaningless there).
+    Each entry's error is relative to its analytic gradient, or to the
+    central difference where the analytic gradient is at most 1e-12 in
+    magnitude; an entry where both are that small is skipped. A non-finite
+    analytic entry makes the error ``inf``.
     """
     if not (is_real(step) and step > 0):
         raise ValidationError("step must be positive and finite")
-    point = as_real_array(point, "point", np.float64)
+    point = as_finite_array(point, "point", np.float64)
     grad = as_real_array(analytic_grad, "gradient", np.float64)
     if grad.shape != point.shape:
         raise ValidationError("gradient and point shapes differ")
     worst = 0.0
     for idx in np.ndindex(point.shape):
+        g = float(grad[idx])
+        if not math.isfinite(g):
+            return math.inf
         shifted = point.copy()
         shifted[idx] = point[idx] + step
         f_plus = f(shifted)
@@ -249,9 +261,10 @@ def finite_difference_check(f, point: np.ndarray, analytic_grad: np.ndarray,
         f_minus = f(shifted)
         if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
             raise NumericError("objective is non-finite near the evaluation point")
-        if abs(grad[idx]) > 1e-12:
-            fd = (f_plus - f_minus) / (2.0 * step)
-            worst = max(worst, abs(fd - grad[idx]) / abs(grad[idx]))
+        fd = (f_plus - f_minus) / (2.0 * step)
+        scale = abs(g) if abs(g) > 1e-12 else abs(fd)
+        if scale > 1e-12:
+            worst = max(worst, abs(fd - g) / scale)
     return worst
 
 

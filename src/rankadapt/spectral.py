@@ -102,6 +102,14 @@ def as_real_array(x, what: str, dtype=None) -> np.ndarray:
     return np.asarray(a, dtype=dtype)
 
 
+def as_finite_array(x, what: str, dtype=None) -> np.ndarray:
+    """:func:`as_real_array` of ``x``; raises unless every entry is finite as well."""
+    a = as_real_array(x, what, dtype)
+    if not np.all(np.isfinite(a)):
+        raise ValidationError(f"{what} contains non-finite entries")
+    return a
+
+
 def _find_dgesdd():
     """LAPACKE ``dgesdd_work`` of numpy's bundled OpenBLAS, with 64-bit integers, or None."""
     try:
@@ -195,11 +203,9 @@ def _gesdd(w: np.ndarray, compute_uv: bool):
 
 
 def _svd(matrix: np.ndarray, compute_uv: bool):
-    w = as_real_array(matrix, "matrix")  # widened to float64 in the SVD's one copy
+    w = as_finite_array(matrix, "matrix")  # widened to float64 in the SVD's one copy
     if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 1:
         raise ValidationError(f"expected a non-empty 2-D matrix, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise ValidationError("matrix contains non-finite entries")
     if _dgesdd is not None:
         return _gesdd(w, compute_uv)
     try:
@@ -249,13 +255,11 @@ def project_residual(factors: SvdFactors, residual: np.ndarray) -> np.ndarray:
     The absolute value makes the result invariant to the per-component sign
     freedom of the decomposition.
     """
-    r = as_real_array(residual, "residual", np.float64)
+    r = as_finite_array(residual, "residual", np.float64)
     if r.shape != (factors.m, factors.n):
         raise ValidationError(
             f"residual shape {r.shape} does not match factors ({factors.m}, {factors.n})"
         )
-    if not np.all(np.isfinite(r)):
-        raise ValidationError("residual contains non-finite entries")
     # d_i is the i-th diagonal entry of U^T residual V: one GEMM for
     # U^T residual, then a row-wise dot product with Vt. The GEMM's left
     # operand has K rows, not m: OpenBLAS keeps the pack buffer of a left

@@ -22,7 +22,8 @@ bundle. :func:`write_bundle` chains them; a writer that produces entries
 elsewhere, such as one worker process per layer, calls them itself.
 
 Reports are flat tables of records that serialize to CSV (header row
-mandatory, ``.`` decimal separator) or JSON with identical numeric content.
+mandatory, ``.`` decimal separator) or JSON with identical numeric content;
+a file named ``*.json`` gets JSON, any other gets CSV.
 A report file, too, replaces the old one by rename only once it is complete.
 """
 
@@ -279,13 +280,11 @@ class Report:
         return [{k: v.item() if isinstance(v, np.generic) else v for k, v in rec.items()}
                 for rec in self.records]
 
-    def write(self, path, fmt: str) -> None:
-        """Write the report to ``path`` as ``fmt``, ``"csv"`` or ``"json"``."""
-        if fmt not in ("csv", "json"):
-            raise ValidationError(f"unknown report format {fmt!r}")
+    def write(self, path) -> None:
+        """Write the report to ``path``: JSON if it is named ``*.json``, else CSV."""
         records = self._records()
         with _replaced_file(path) as fh:
-            if fmt == "csv":  # each float as its shortest exact repr
+            if Path(path).suffix != ".json":  # CSV, each float as its shortest exact repr
                 writer = csv.writer(fh)
                 writer.writerow(records[0].keys())
                 writer.writerows(rec.values() for rec in records)

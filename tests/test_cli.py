@@ -123,8 +123,7 @@ class TestSpectra:
     def test_json_format(self, tmp_path):
         wdir, _ = write_pair(tmp_path, {"eye": np.eye(2)})
         out = tmp_path / "report.json"
-        assert main(["spectra", "--weights", wdir, "--output", str(out),
-                     "--format", "json"]) == 0
+        assert main(["spectra", "--weights", wdir, "--output", str(out)]) == 0
         loaded = json.loads(out.read_text())
         assert loaded["kind"] == "spectra"
         assert len(loaded["records"]) == 2
@@ -720,6 +719,8 @@ def test_non_finite_flag_exits_2(tmp_path, capsys, argv):
     ["stm-init", "--alpha", "0.5", "--max-rank-fraction", "1.0"],
     ["train-toy", "--gamma", "2"],
     ["spectra", "--gamma", "2"],
+    ["spectra", "--format", "json"],
+    ["train-toy", "--format", "csv"],
     ["verify", "--trials", "5"],
 ], ids="_".join)
 def test_removed_flag_exits_2(tmp_path, capsys, argv):
@@ -896,11 +897,17 @@ class TestVerify:
         pytest.param(stm, "maintaining_penalty_grad",
                      lambda f: lambda layer: tuple(1.01 * g for g in f(layer)),
                      id="penalty_gradient"),
+        pytest.param(stm, "maintaining_penalty_grad",
+                     lambda f: lambda layer: tuple(np.full_like(g, np.nan) for g in f(layer)),
+                     id="penalty_gradient-nan"),
+        pytest.param(stm, "maintaining_penalty_grad",
+                     lambda f: lambda layer: tuple(np.zeros_like(g) for g in f(layer)),
+                     id="penalty_gradient-zero"),
         pytest.param(harness, "mse_and_grads", _scaled_gradients, id="task_gradient"),
     ])
     def test_each_property_can_fail(self, request, monkeypatch, capsys, module, name, break_it):
         # the library function that the property checks is wrong; that property alone fails
-        prop = request.node.callspec.id
+        prop = request.node.callspec.id.split("-")[0]
         monkeypatch.setattr(module, name, break_it(getattr(module, name)))
         assert main(["verify"]) == 3
         lines = capsys.readouterr().out.splitlines()

@@ -1,3 +1,4 @@
+import math
 import warnings
 from collections import Counter
 
@@ -54,10 +55,10 @@ def _run(reg_weight):
                               TrainConfig(steps=2, learning_rate=0.1), reg_weight=reg_weight)
 
 
-def _task(noise=0.0, n_samples=8, amplitude=0.5):
+def _task(noise=0.0, n_samples=8, amplitude=0.5, seed=1):
     model, _ = _tiny_parts()
     return make_proxy_task(model, [PlantedDirections((1,), (amplitude,))],
-                           n_samples=n_samples, noise=noise, seed=1)
+                           n_samples=n_samples, noise=noise, seed=seed)
 
 
 def _fd_check(step):
@@ -83,10 +84,17 @@ def _fd_check(step):
     lambda: make_synthetic_model([(4, 4, 10**400)], seed=0),
     lambda: make_synthetic_model([(4.0, 4, 0.5)], seed=0),
     lambda: make_synthetic_model([(4, True, 0.5)], seed=0),
+    lambda: make_synthetic_model([(4, 4, 0.5)], seed=2.5),
+    lambda: make_synthetic_model([(4, 4, 0.5)], seed=-1),
+    lambda: make_synthetic_model([(4, 4, 0.5)], seed=True),
+    lambda: _task(seed=2.5),
+    lambda: _task(seed=-1),
+    lambda: _task(seed=True),
 ], ids=["noise_bool", "noise_str", "noise_huge_int", "n_samples_zero", "n_samples_float",
         "amplitude_str", "amplitude_bool", "reg_weight_bool", "reg_weight_str",
         "reg_weight_huge_int", "step_inf", "step_str", "decay_str", "decay_bool",
-        "decay_huge_int", "rows_float", "cols_bool"])
+        "decay_huge_int", "rows_float", "cols_bool", "model_seed_float", "model_seed_negative",
+        "model_seed_bool", "task_seed_float", "task_seed_negative", "task_seed_bool"])
 def test_input_not_a_real_number_or_count_rejected(make):
     with pytest.raises(ValidationError):
         make()
@@ -138,7 +146,7 @@ class TestMakeSyntheticModel:
         # rejected before the SVD, which would fail or warn on it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValidationError, match="must be finite"):
+            with pytest.raises(ValidationError, match="spectrum contains non-finite entries$"):
                 make_synthetic_model([(4, 3, spectrum)], seed=0)
 
 
@@ -228,12 +236,22 @@ class TestFiniteDifferenceCheck:
         # central differences are exact on quadratics; only roundoff remains
         assert finite_difference_check(f, point, 2.0 * point, 1e-3) <= 1e-8
 
+    @pytest.mark.parametrize("analytic, error", [(0.0, 1.0), (np.nan, math.inf)],
+                             ids=["zero", "nan"])
+    def test_wrong_gradient_fails(self, analytic, error):
+        # the gradient of sum(x*x) at ones is 2 everywhere; neither guess is skipped
+        point = np.ones((2, 2))
+        grad = np.full((2, 2), analytic)
+        assert finite_difference_check(lambda x: float(np.sum(x * x)), point, grad) == error
+
     def test_bad_step_and_shape(self):
         point = np.ones((2, 2))
         with pytest.raises(ValidationError):
             finite_difference_check(lambda x: 0.0, point, point, step=0.0)
         with pytest.raises(ValidationError):
             finite_difference_check(lambda x: 0.0, point, np.ones(3))
+        with pytest.raises(ValidationError, match="point contains non-finite entries$"):
+            finite_difference_check(lambda x: 0.0, np.full((2, 2), np.nan), point)
 
 
 def _experiment_parts(seed):

@@ -4,11 +4,12 @@ A private helper is free to change with its module; a sibling that imports
 it (``from .stm import _helper``) or reaches it through the module
 (``harness._helper``) would break silently. Shared helpers are public.
 
-The rules for a real scalar and a real array live in ``spectral``, as
-``is_real`` and ``as_real_array``. Elsewhere, ``import numbers`` or an
-``np.asarray``/``np.array`` that widens to ``float64`` or ``bool`` is a second
-copy of one of them; such copies drifted apart before and let a string, a
-bool or a complex number through.
+The rules for a real scalar, a real array and a finite array live in
+``spectral``, as ``is_real``, ``as_real_array`` and ``as_finite_array``.
+Elsewhere, ``import numbers``, an ``np.asarray``/``np.array`` that widens to
+``float64`` or ``bool``, or ``np.isfinite`` is a second copy of one of them;
+such copies drifted apart before and let a string, a bool or a complex number
+through, and worded the same fault four ways.
 """
 
 import ast
@@ -82,7 +83,7 @@ WIDENED_DTYPES = ("np.float64", "float", "bool")
 
 
 def input_rule_copies(source: str) -> list[str]:
-    """Each ``numbers`` import and each ``np.asarray``/``np.array`` to a widened dtype."""
+    """Each ``numbers`` import, widening ``np.asarray``/``np.array`` and ``np.isfinite``."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -94,6 +95,8 @@ def input_rule_copies(source: str) -> list[str]:
             dtypes = [kw.value for kw in node.keywords if kw.arg == "dtype"] + node.args[1:2]
             found += [f"line {node.lineno}: {ast.unparse(node.func)} to {ast.unparse(d)}"
                       for d in dtypes if ast.unparse(d) in WIDENED_DTYPES]
+        elif isinstance(node, ast.Attribute) and ast.unparse(node) == "np.isfinite":
+            found.append(f"line {node.lineno}: np.isfinite")
     return found
 
 
@@ -108,6 +111,7 @@ def test_input_rules_have_one_home(path):
     ("np.asarray(x, dtype=np.float64)\n", "np.asarray to np.float64"),
     ("np.array(x, dtype=float, copy=True)\n", "np.array to float"),
     ("np.asarray(mask, bool)\n", "np.asarray to bool"),
+    ("if not np.all(np.isfinite(x)):\n    pass\n", "np.isfinite"),
 ])
 def test_scan_finds_input_rule_copy(source, use):
     assert [found.split(": ", 1)[1] for found in input_rule_copies(source)] == [use]
@@ -116,5 +120,5 @@ def test_scan_finds_input_rule_copy(source, use):
 def test_scan_ignores_other_dtypes_and_the_rule_itself():
     source = ("import numpy as np\nfrom .spectral import as_real_array, is_real\n"
               "np.asarray(idx, dtype=int)\nnp.asarray(x)\nx.astype(np.float64)\n"
-              "as_real_array(x, 'x', np.float64)\n")
+              "as_real_array(x, 'x', np.float64)\nmath.isfinite(loss)\n")
     assert input_rule_copies(source) == []

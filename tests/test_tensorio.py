@@ -279,8 +279,8 @@ def test_report_csv_json_same_numbers(tmp_path):
         {"name": "d", "value": np.float32(0.1), "count": np.int64(6)},
     ]
     report = Report(kind="metrics", records=records)
-    report.write(tmp_path / "r.csv", "csv")
-    report.write(tmp_path / "r.json", "json")
+    report.write(tmp_path / "r.csv")
+    report.write(tmp_path / "r.json")
 
     with open(tmp_path / "r.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -295,7 +295,7 @@ def test_report_csv_json_same_numbers(tmp_path):
 
 def test_report_header_row_mandatory(tmp_path):
     report = Report(kind="spectra", records=[{"x": 1.5}])
-    report.write(tmp_path / "r.csv", "csv")
+    report.write(tmp_path / "r.csv")
     first = (tmp_path / "r.csv").read_text().splitlines()[0]
     assert first == "x"
 
@@ -304,9 +304,9 @@ def test_report_validation():
     with pytest.raises(ValidationError):
         Report(kind="bogus", records=[])
     with pytest.raises(ValidationError):
-        Report(kind="metrics", records=[]).write("/dev/null", "csv")
+        Report(kind="metrics", records=[]).write("/dev/null")
     with pytest.raises(ValidationError):
-        Report(kind="metrics", records=[{"a": 1}, {"b": 2}]).write("/dev/null", "csv")
+        Report(kind="metrics", records=[{"a": 1}, {"b": 2}]).write("/dev/null")
 
 
 class _FullDisk:
@@ -319,12 +319,12 @@ class _FullDisk:
 @pytest.mark.parametrize("fmt, error", [("csv", OSError), ("json", TypeError)])
 def test_failed_report_write_keeps_old_report(tmp_path, fmt, error):
     path = tmp_path / f"report.{fmt}"
-    Report(kind="metrics", records=[{"name": "old", "value": 1.0}]).write(path, fmt)
+    Report(kind="metrics", records=[{"name": "old", "value": 1.0}]).write(path)
     old = path.read_bytes()
     # the second row fails once the first is written
     records = [{"name": "a", "value": 1.0}, {"name": "b", "value": _FullDisk()}]
     with pytest.raises(error):
-        Report(kind="metrics", records=records).write(path, fmt)
+        Report(kind="metrics", records=records).write(path)
     assert path.read_bytes() == old
     assert list(tmp_path.iterdir()) == [path]  # no temporary file is left
 
@@ -332,6 +332,6 @@ def test_failed_report_write_keeps_old_report(tmp_path, fmt, error):
 def test_report_write_replaces_old_report(tmp_path):
     path = tmp_path / "report.csv"
     for value in (1.0, 2.5):
-        Report(kind="metrics", records=[{"value": value}]).write(path, "csv")
+        Report(kind="metrics", records=[{"value": value}]).write(path)
     assert path.read_bytes() == b"value\r\n2.5\r\n"
     assert list(tmp_path.iterdir()) == [path]
