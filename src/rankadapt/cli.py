@@ -200,6 +200,7 @@ def spectra_layer(name: str, weight: BundleEntry, residual: BundleEntry | None) 
     if residual is not None:
         dw = residual.load()
         proj = project_residual(factors, dw)
+        del factors  # U and Vt, freed before the residual's SVD
         res_sigma = singular_values(dw)
         try:
             res_ent = entropy_rank(res_sigma)

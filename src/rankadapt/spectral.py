@@ -19,22 +19,40 @@ The SVD is LAPACK's ``dgesdd``, the routine behind ``np.linalg.svd``, called
 through ``ctypes`` from the OpenBLAS that numpy's wheels bundle, so the
 factors are bit-identical to ``np.linalg.svd``'s at less memory. That call
 makes one column-major float64 copy of the input, straight from its stored
-dtype, for LAPACK to overwrite. The workspace and the column-major ``U`` and
-``Vt`` are arrays over anonymous memory maps, each unmapped when its array's
-last reference goes. The copy and the workspace are dropped as soon as
-LAPACK returns, and ``U``'s map once its row-major copy exists, before
-``Vt`` is copied. ``np.linalg.svd`` would add a second copy of the input and
-keep its workspace and column-major factors in one block until it returns.
-Where numpy's LAPACK has no such symbol (another build of numpy), the SVD is
-``np.linalg.svd`` itself, of the same copy.
+dtype, for LAPACK to overwrite. The workspaces and the column-major factors
+are arrays over anonymous memory maps, each unmapped when its array's last
+reference goes. The copy and each workspace are dropped as soon as their
+last LAPACK or BLAS call returns, and ``U``'s map once its row-major copy
+exists, before ``Vt`` is copied. ``np.linalg.svd`` would add a second copy
+of the input and keep its workspace and column-major factors in one block
+until it returns. Where numpy's LAPACK lacks one of the four symbols used
+here (another build of numpy), the SVD is ``np.linalg.svd`` itself, of the
+same copy.
+
+For a tall matrix (``m >= floor(11 n / 6)``, dgesdd's own threshold),
+dgesdd computes the ``Q R`` of the copy, the SVD of the n x n ``R``, and
+``U = Q U_R`` with one GEMM. With vectors, this module makes those LAPACK
+and BLAS calls itself, one at a time, so the SVD's workspace (about 3 n^2
+floats) and ``R`` are freed before ``U`` is formed, where the one-shot call
+holds them beside it. At 3072 x 768 that is 47.2 MB at most, against 61.4
+MB for the copy, workspace, ``U`` and ``Vt`` of the one-shot call. It does
+so only where dgesdd would scale neither the matrix nor ``R``. Wide and
+square matrices and singular values alone take the one-shot call; a wide
+layer, such as a ViT ``mlp.fc2``, could take dgesdd's LQ steps the same
+way, but no benchmark workload has one.
 
 A matrix or residual that is a read-only file map, such as a bundle entry
 from :mod:`rankadapt.tensorio`, has its pages dropped from this process's
 memory with ``madvise(MADV_DONTNEED)`` once it has been read: by the SVD
-after its float64 copy, by the residual projection after its one GEMM. So a
-worker's peak is LAPACK's working set alone, not that plus the mapped input.
-The map stays valid; a later read faults the pages back in from the page
-cache. A writable or copy-on-write map stays as it is.
+after its float64 copy, by the residual projection after its float64 copy
+or, when it is float64 and read in place, after its one GEMM. So for one
+3072 x 768 f32 layer with one BLAS thread, a worker peaks at 79 MiB in the
+SVD, 84 MiB in the projection (the factors, the residual's float64 copy
+and its f32 pages until the copy is complete) and below that in the
+residual's SVD, where ``spectra`` has dropped ``U`` and ``Vt``; ``stm-init``
+peaks in its split (:mod:`rankadapt.stm`). The map stays valid; a later read
+faults the pages back in from the page cache. A writable or copy-on-write
+map stays as it is.
 """
 
 import ctypes
@@ -110,31 +128,46 @@ def as_finite_array(x, what: str, dtype=None) -> np.ndarray:
     return a
 
 
-def _find_dgesdd():
-    """LAPACKE ``dgesdd_work`` of numpy's bundled OpenBLAS, with 64-bit integers, or None."""
+def _find_lapack():
+    """LAPACKE ``dgesdd_work``, ``dgeqrf_work`` and ``dorgqr_work`` and CBLAS ``dgemm``.
+
+    They are numpy's bundled OpenBLAS's, with 64-bit integers. Either all four
+    are found or all four are None, so the tall route of :func:`_gesdd`
+    exists exactly when ``dgesdd_work`` does.
+    """
+    i64, ptr, dbl, enum = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double, ctypes.c_int
+    signatures = {
+        "scipy_LAPACKE_dgesdd_work64_": (i64, (enum, ctypes.c_char, i64, i64, ptr, i64, ptr,
+                                               ptr, i64, ptr, i64, ptr, i64, ptr)),
+        "scipy_LAPACKE_dgeqrf_work64_": (i64, (enum, i64, i64, ptr, i64, ptr, ptr, i64)),
+        "scipy_LAPACKE_dorgqr_work64_": (i64, (enum, i64, i64, i64, ptr, i64, ptr, ptr, i64)),
+        "scipy_cblas_dgemm64_": (None, (enum, enum, enum, i64, i64, i64, dbl, ptr, i64,
+                                        ptr, i64, dbl, ptr, i64)),
+    }
     try:
         from numpy.linalg import _umath_linalg
 
         # a handle's symbol lookup also searches the libraries the extension links
-        fn = ctypes.CDLL(_umath_linalg.__file__).scipy_LAPACKE_dgesdd_work64_
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+        fns = [getattr(lib, name) for name in signatures]
     except (ImportError, OSError, AttributeError):
-        return None
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    fn.argtypes = (ctypes.c_int, ctypes.c_char, i64, i64, ptr, i64, ptr,
-                   ptr, i64, ptr, i64, ptr, i64, ptr)
-    fn.restype = i64
-    return fn
+        return None, None, None, None
+    for fn, (restype, argtypes) in zip(fns, signatures.values()):
+        fn.restype, fn.argtypes = restype, argtypes
+    return tuple(fns)
 
 
-_dgesdd = _find_dgesdd()
-_COL_MAJOR = 102  # LAPACKE's LAPACK_COL_MAJOR
+_dgesdd, _dgeqrf, _dorgqr, _dgemm = _find_lapack()
+_COL_MAJOR, _NO_TRANS = 102, 111  # LAPACKE's LAPACK_COL_MAJOR, CBLAS's CblasNoTrans
+# dgesdd scales a matrix whose largest magnitude lies outside [_SMLNUM, 1 / _SMLNUM]
+_SMLNUM = math.sqrt(sys.float_info.min) / sys.float_info.epsilon
 
 
-def _check_info(info: int) -> None:
+def _check_info(info: int, routine: str) -> None:
     if info > 0:
-        raise NumericError(f"SVD did not converge: LAPACK dgesdd info {info}")
+        raise NumericError(f"SVD did not converge: LAPACK {routine} info {info}")
     if info < 0:
-        raise NumericError(f"LAPACK dgesdd rejected its argument {-info}")
+        raise NumericError(f"LAPACK {routine} rejected its argument {-info}")
 
 
 def _release_pages(array) -> None:
@@ -172,32 +205,92 @@ def _mapped(*shape: int) -> np.ndarray:
     return np.ndarray(shape, np.float64, mmap.mmap(-1, 8 * math.prod(shape)), order="F")
 
 
-def _gesdd(w: np.ndarray, compute_uv: bool):
-    """``np.linalg.svd(w, full_matrices=False, compute_uv=compute_uv)`` of a checked ``w``.
+def _lapack(routine, name: str, *args, iwork=None) -> None:
+    """``routine(*args, work, lwork)``, then ``iwork`` if given, with its optimal workspace.
 
-    LAPACK gets the job, leading dimensions and optimal workspace size that
-    numpy gives it, so the results are bit-identical to numpy's.
+    The workspace size is LAPACK's own answer to a query with ``lwork = -1``.
     """
-    m, n = w.shape
-    k = min(m, n)
-    jobz, ldu, ldvt = (b"S", m, k) if compute_uv else (b"N", 1, 1)
-    a = _widened(w)
-    sigma = np.empty(k)
-    iwork = np.empty(8 * k, dtype=np.int64)
+    tail = () if iwork is None else (iwork.ctypes.data,)
     query = np.empty(1)
-    _check_info(_dgesdd(_COL_MAJOR, jobz, m, n, a.ctypes.data, m, sigma.ctypes.data,
-                        None, ldu, None, ldvt, query.ctypes.data, -1, iwork.ctypes.data))
+    _check_info(routine(*args, query.ctypes.data, -1, *tail), name)
     work = _mapped(max(int(query[0]), 1))
-    u, vt = (_mapped(m, k), _mapped(k, n)) if compute_uv else (None, None)
-    info = _dgesdd(_COL_MAJOR, jobz, m, n, a.ctypes.data, m, sigma.ctypes.data,
-                   None if u is None else u.ctypes.data, ldu,
-                   None if vt is None else vt.ctypes.data, ldvt,
-                   work.ctypes.data, work.size, iwork.ctypes.data)
-    # the overwritten copy and the workspace, freed before the factors are copied out
-    del a, work
-    _check_info(info)
+    info = routine(*args, work.ctypes.data, work.size, *tail)
+    del work  # unmapped now, not kept alive by the traceback of an error
+    _check_info(info, name)
+
+
+def _dgesdd_of(a: np.ndarray, u=None, vt=None) -> np.ndarray:
+    """Singular values of column-major ``a``, which ``dgesdd`` overwrites.
+
+    With ``u`` and ``vt``, of shapes (m, K) and (K, n), the job is ``'S'`` and
+    they receive the thin factors; without them it is ``'N'``. The job and
+    leading dimensions are numpy's, so the results are bit-identical to
+    ``np.linalg.svd``'s.
+    """
+    m, n = a.shape
+    k = min(m, n)
+    sigma = np.empty(k)
+    if u is None:
+        jobz, factors = b"N", (None, 1, None, 1)
+    else:
+        jobz, factors = b"S", (u.ctypes.data, m, vt.ctypes.data, k)
+    _lapack(_dgesdd, "dgesdd", _COL_MAJOR, jobz, m, n, a.ctypes.data, m, sigma.ctypes.data,
+            *factors, iwork=np.empty(8 * k, dtype=np.int64))
+    return sigma
+
+
+def _takes_qr_route(a: np.ndarray) -> bool:
+    """Whether ``dgesdd`` with vectors factors ``a`` through its QR, unscaled.
+
+    A tall ``a`` (``m >= MNTHR``, dgesdd's own threshold) is reduced to the
+    ``R`` of its QR. Then dgesdd scales neither ``a`` nor ``R`` when ``a`` is
+    zero or its largest magnitude lies in ``[_SMLNUM sqrt(n), _SMLNUM^-1 /
+    sqrt(m)]``. Each column of ``R`` has the norm of ``a``'s column, and at
+    most n entries, so ``R``'s largest magnitude lies between ``max|a| /
+    sqrt(n)`` and ``sqrt(m) max|a|``. A factor of 2 covers rounding.
+    """
+    m, n = a.shape
+    if m < int(n * 11 / 6):
+        return False
+    top = max(a.max(), -a.min())  # no temporary |a|
+    return top == 0 or 2 * _SMLNUM * math.sqrt(n) <= top <= 1 / (2 * _SMLNUM * math.sqrt(m))
+
+
+def _qr_gesdd(a: np.ndarray):
+    """Column-major ``U``, sigma and ``Vt`` of tall ``a``: ``Q R``, the SVD of ``R``, ``Q U_R``.
+
+    These are the calls that ``dgesdd`` makes for an ``a`` that
+    :func:`_takes_qr_route`, with the same workspace queries, so the factors
+    are its bits. Made one at a time, they free the SVD's workspace and
+    ``R`` before ``U`` is formed. ``a`` is overwritten with ``Q``.
+    """
+    m, n = a.shape
+    tau = np.empty(n)
+    _lapack(_dgeqrf, "dgeqrf", _COL_MAJOR, m, n, a.ctypes.data, m, tau.ctypes.data)
+    r = _mapped(n, n)
+    r[...] = np.triu(a[:n])
+    _lapack(_dorgqr, "dorgqr", _COL_MAJOR, m, n, n, a.ctypes.data, m, tau.ctypes.data)
+    u_r, vt = _mapped(n, n), _mapped(n, n)
+    sigma = _dgesdd_of(r, u_r, vt)
+    del r
+    u = _mapped(m, n)
+    _dgemm(_COL_MAJOR, _NO_TRANS, _NO_TRANS, m, n, n, 1.0, a.ctypes.data, m,
+           u_r.ctypes.data, n, 0.0, u.ctypes.data, m)
+    return u, sigma, vt
+
+
+def _gesdd(w: np.ndarray, compute_uv: bool):
+    """``np.linalg.svd(w, full_matrices=False, compute_uv=compute_uv)`` of a checked ``w``."""
+    a = _widened(w)
     if not compute_uv:
-        return sigma
+        return _dgesdd_of(a)
+    if _takes_qr_route(a):
+        u, sigma, vt = _qr_gesdd(a)
+    else:
+        m, n = a.shape
+        u, vt = _mapped(m, min(m, n)), _mapped(min(m, n), n)
+        sigma = _dgesdd_of(a, u, vt)
+    del a  # the overwritten copy, freed before the factors are copied out
     u = u.copy(order="C")  # drops the column-major U before Vt is copied
     return u, sigma, vt.copy(order="C")
 
@@ -255,7 +348,11 @@ def project_residual(factors: SvdFactors, residual: np.ndarray) -> np.ndarray:
     The absolute value makes the result invariant to the per-component sign
     freedom of the decomposition.
     """
-    r = as_finite_array(residual, "residual", np.float64)
+    r = as_real_array(residual, "residual", np.float64)
+    viewed = np.may_share_memory(r, residual)
+    if not viewed:
+        _release_pages(residual)  # read once, into the copy, before the copy is scanned
+    as_finite_array(r, "residual")
     if r.shape != (factors.m, factors.n):
         raise ValidationError(
             f"residual shape {r.shape} does not match factors ({factors.m}, {factors.n})"
@@ -266,5 +363,6 @@ def project_residual(factors: SvdFactors, residual: np.ndarray) -> np.ndarray:
     # operand's rows mapped, about m x 3 KiB for a tall residual @ V, and a
     # worker's next layer would carry those pages into its SVD peak.
     ur = factors.u.T @ r
-    _release_pages(residual)  # read for the last time, whether copied or viewed
+    if viewed:
+        _release_pages(residual)  # read for the last time
     return np.abs(np.einsum("in,in->i", ur, factors.vt))

@@ -460,8 +460,10 @@ def mmap_threshold_worker(name, weight, residual):
 def write_large_layer(tmp_path, dtype=np.float32):
     """A ``dtype`` weight and residual bundle of one layer ``l0`` of shape ``LARGE_LAYER``.
 
-    A decaying spectrum keeps the residual's selected rank small, as on real
-    weights, so an f32 layer's peak is its SVD, not its split.
+    A decaying spectrum keeps the selected rank and the protected set small,
+    as on real weights, so the adapter adds little to the split: an f32
+    ``stm-init`` layer peaks there, with ``W0``, ``U``, ``Vt`` and the
+    weight's pages, and an f32 ``spectra`` layer in its residual projection.
     """
     m, n = LARGE_LAYER
     rng = np.random.default_rng(21)
@@ -493,6 +495,22 @@ def svd_working_set(m: int, n: int) -> int:
     """Bytes of LAPACK's float64 copy of an m x n matrix, its workspace, ``U`` and ``Vt``."""
     k = min(m, n)
     return 8 * (m * n + dgesdd_workspace(m, n) + m * k + k * n)
+
+
+def tall_svd_working_set(m: int, n: int) -> int:
+    """Bytes of the QR route's peak for the thin SVD of a tall m x n matrix.
+
+    That is the float64 copy, ``R``, ``R``'s ``dgesdd`` workspace, ``U_R`` and
+    ``Vt`` during ``R``'s SVD, or the copy (now ``Q``), ``U_R``, ``Vt`` and
+    ``U`` during ``U = Q U_R``, whichever is larger.
+    """
+    return 8 * max(m * n + 3 * n * n + dgesdd_workspace(n, n), 2 * m * n + 2 * n * n)
+
+
+def f32_projection_working_set(m: int, n: int) -> int:
+    """Bytes of ``U``, ``Vt``, the float64 copy of an m x n f32 residual and its pages."""
+    k = min(m, n)
+    return 8 * (m * k + k * n) + 8 * m * n + 4 * m * n
 
 
 def layer_job_growth(tmp_path, dtype, *calls: str) -> int:
@@ -634,11 +652,22 @@ class TestLayerWorkers:
     def test_peak_is_the_svd_working_set(self, tmp_path):
         growth = layer_job_growth(tmp_path, np.float32, "stm_init_layer('l0', w, r, cfg, out)",
                                   "spectra_layer('l0', w, r)")
-        # the slack covers OpenBLAS's buffers and small arrays, and is below the
-        # 9 MiB that the mapped f32 W adds to the peak when its pages stay resident
+        # the slack covers OpenBLAS's buffers and small arrays; no stage of
+        # either job, the stm-init split included, needs more than dgesdd in one call
         svd = svd_working_set(*LARGE_LAYER)
         slack = 6 * 2**20
         assert growth <= svd + slack, f"job grew by {growth} bytes; the SVD needs {svd}"
+
+    @pytest.mark.skipif(sys.platform != "linux" or spectral._dgesdd is None,
+                        reason="reads VmHWM from /proc; sizes LAPACK's dgesdd workspace")
+    def test_spectra_peak_is_the_tall_svd_or_the_projection(self, tmp_path):
+        growth = layer_job_growth(tmp_path, np.float32, "spectra_layer('l0', w, r)")
+        # the slack of test_peak_is_the_svd_working_set. A job exceeds it when
+        # it calls dgesdd in one shot, when W's pages stay resident, or when
+        # dW's stay resident while the projection scans their float64 copy
+        bound = max(tall_svd_working_set(*LARGE_LAYER),
+                    f32_projection_working_set(*LARGE_LAYER)) + 6 * 2**20
+        assert growth <= bound, f"job grew by {growth} bytes, above {bound}"
 
     @pytest.mark.skipif(sys.platform != "linux" or spectral._dgesdd is None,
                         reason="reads VmHWM from /proc; sizes LAPACK's dgesdd workspace")

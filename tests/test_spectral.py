@@ -1,3 +1,4 @@
+import ctypes
 import tracemalloc
 import weakref
 
@@ -297,7 +298,29 @@ def test_svd_failure_maps_to_numeric_error(monkeypatch):
 
 
 needs_dgesdd = pytest.mark.skipif(spectral._dgesdd is None,
-                                  reason="numpy's LAPACK has no LAPACKE dgesdd_work")
+                                  reason="numpy's LAPACK lacks a LAPACKE or CBLAS symbol")
+
+
+@needs_dgesdd
+@pytest.mark.parametrize("missing", ["scipy_LAPACKE_dgesdd_work64_", "scipy_cblas_dgemm64_"])
+def test_lapack_symbols_are_found_all_or_none(monkeypatch, missing):
+    assert None not in spectral._find_lapack()
+    library = ctypes.CDLL
+
+    class Renamed:
+        """numpy's library as a wheel that renamed one symbol would have it."""
+
+        def __init__(self, path):
+            self._lib = library(path)
+
+        def __getattr__(self, name):
+            if name == missing:
+                raise AttributeError(name)
+            return getattr(self._lib, name)
+
+    monkeypatch.setattr(ctypes, "CDLL", Renamed)
+    # without any one symbol the SVD is np.linalg.svd's, never half the LAPACK route
+    assert spectral._find_lapack() == (None, None, None, None)
 
 
 @needs_dgesdd
@@ -335,38 +358,57 @@ def test_svd_buffers_are_unmapped_once_unreferenced(monkeypatch, failing, comput
         dgesdd = spectral._dgesdd
         monkeypatch.setattr(spectral, "_dgesdd",
                             lambda *args: dgesdd(*args) if args[12] == -1 else 1)
-    w = rand_matrix(75, 9, 5)
-    try:
-        decompose(w) if compute_uv else singular_values(w)
-    except NumericError:
-        assert failing
-    else:
-        assert not failing
-    # the workspace, and U and Vt with vectors, none alive
-    assert len(maps) == (3 if compute_uv else 1)
-    assert [ref() for ref in maps] == [None] * len(maps)
+    # with vectors, the one-shot route maps dgesdd's workspace, U and Vt. The
+    # tall route maps the workspaces of dgeqrf, dorgqr and R's dgesdd, R, U_R,
+    # Vt and, once R's SVD has converged, U. Without vectors, the workspace.
+    routes = {(9, 5): 7 - failing, (5, 5): 3} if compute_uv else {(9, 5): 1, (5, 5): 1}
+    for shape, count in routes.items():
+        maps.clear()
+        w = rand_matrix(75, *shape)
+        try:
+            decompose(w) if compute_uv else singular_values(w)
+        except NumericError:
+            assert failing
+        else:
+            assert not failing
+        assert len(maps) == count, shape
+        assert [ref() for ref in maps] == [None] * count, shape
 
 
-def _f32_memmap(path):
-    rand_matrix(67, 30, 20).astype(np.float32).tofile(path)
-    return np.memmap(path, dtype=np.float32, mode="r", shape=(30, 20))
+def _f32_memmap(path, m, n):
+    rand_matrix(67, m, n).astype(np.float32).tofile(path)
+    return np.memmap(path, dtype=np.float32, mode="r", shape=(m, n))
 
 
 @needs_dgesdd
 @pytest.mark.parametrize("case", ["tall", "wide", "square", "row", "column", "zero",
-                                  "f32_memmap", "strided_view"])
+                                  "f32_memmap", "strided_view", "mnthr", "below_mnthr",
+                                  "tall_zero", "tall_f32_memmap", "tiny", "huge", "huge_tall"])
 def test_dgesdd_matches_numpy_svd_bit_for_bit(case, monkeypatch, tmp_path):
-    w = {
-        "tall": lambda: rand_matrix(61, 40, 12),
-        "wide": lambda: rand_matrix(62, 12, 40),
-        "square": lambda: rand_matrix(63, 25, 25),
-        "row": lambda: rand_matrix(64, 1, 9),
-        "column": lambda: rand_matrix(65, 9, 1),
-        "zero": lambda: np.zeros((4, 3)),
-        "f32_memmap": lambda: _f32_memmap(tmp_path / "w.bin"),
-        "strided_view": lambda: rand_matrix(66, 40, 30)[::2, ::-3],
-    }[case]()
+    # each case, and whether dgesdd's QR route (m >= floor(11 n / 6)) takes it,
+    # which the scaling guard refuses where dgesdd would scale R, not the matrix
+    make, qr_route = {
+        "tall": (lambda: rand_matrix(61, 40, 12), True),
+        "wide": (lambda: rand_matrix(62, 12, 40), False),
+        "square": (lambda: rand_matrix(63, 25, 25), False),
+        "row": (lambda: rand_matrix(64, 1, 9), False),
+        "column": (lambda: rand_matrix(65, 9, 1), True),
+        "zero": (lambda: np.zeros((4, 3)), False),
+        "f32_memmap": (lambda: _f32_memmap(tmp_path / "w.bin", 30, 20), False),
+        "strided_view": (lambda: rand_matrix(66, 40, 30)[::2, ::-3], True),
+        "mnthr": (lambda: rand_matrix(67, 11, 6), True),
+        "below_mnthr": (lambda: rand_matrix(68, 10, 6), False),
+        "tall_zero": (lambda: np.zeros((12, 3)), True),
+        "tall_f32_memmap": (lambda: _f32_memmap(tmp_path / "w.bin", 512, 64), True),
+        "tiny": (lambda: rand_matrix(69, 40, 12) * 1e-150, False),
+        "huge": (lambda: rand_matrix(70, 40, 12) * 1e150, False),
+        "huge_tall": (lambda: rand_matrix(71, 400, 12) * 1e137, False),
+    }[case]
+    w = make()
+    routes, qr_gesdd = [], spectral._qr_gesdd
+    monkeypatch.setattr(spectral, "_qr_gesdd", lambda a: routes.append(a.shape) or qr_gesdd(a))
     direct, direct_sigma = decompose(w), singular_values(w)
+    assert routes == ([w.shape] if qr_route else [])
     monkeypatch.setattr(spectral, "_dgesdd", None)  # the numpy.linalg.svd route
     fallback, fallback_sigma = decompose(w), singular_values(w)
     for got, want in ((direct.u, fallback.u), (direct.sigma, fallback.sigma),
