@@ -248,12 +248,16 @@ def stm_init_layer(name: str, weight: BundleEntry, residual: BundleEntry, cfg: S
     """
     from .adapter import trainable_param_count
     from .spectral import decompose
-    from .stm import adapt_layer
+    from .stm import select_directions, select_rank, split_factors, split_weight
     from .tensorio import write_entry
 
     w = weight.load()
+    factors = decompose(w)
     # the residual stays as stored until the projection, after the SVD
-    layer = adapt_layer(w, decompose(w), residual.load(), cfg)
+    selected = select_directions(factors, residual.load(), select_rank(factors.sigma, cfg))
+    split = split_factors(factors, selected)
+    del factors  # U and Vt, freed before W0 is computed
+    layer = split_weight(w, split)
     records = [write_entry(out_dir, f"{name}.{part}", matrix)
                for part, matrix in (("W0", layer.w0), ("B", layer.b), ("A", layer.a))]
     with open(Path(out_dir) / f"{name}.plan.json", "x", encoding="utf-8") as fh:

@@ -43,16 +43,18 @@ way, but no benchmark workload has one.
 
 A matrix or residual that is a read-only file map, such as a bundle entry
 from :mod:`rankadapt.tensorio`, has its pages dropped from this process's
-memory with ``madvise(MADV_DONTNEED)`` once it has been read: by the SVD
-after its float64 copy, by the residual projection after its float64 copy
-or, when it is float64 and read in place, after its one GEMM. So for one
-3072 x 768 f32 layer with one BLAS thread, a worker peaks at 79 MiB in the
-SVD, 84 MiB in the projection (the factors, the residual's float64 copy
-and its f32 pages until the copy is complete) and below that in the
-residual's SVD, where ``spectra`` has dropped ``U`` and ``Vt``; ``stm-init``
-peaks in its split (:mod:`rankadapt.stm`). The map stays valid; a later read
-faults the pages back in from the page cache. A writable or copy-on-write
-map stays as it is.
+memory with ``madvise(MADV_DONTNEED)`` once it has been read. Its float64
+copy, for the SVD or the residual projection, is made about 1 MiB of rows
+at a time, and each block's whole pages are dropped once they are copied,
+so the map's pages and the copy are not resident together; a float64
+residual is read in place and dropped after its one GEMM. So for one
+3072 x 768 layer with one BLAS thread, a worker peaks at 78 MiB in the
+SVD, f32 or f64. The projection (the factors, the residual's float64 copy
+or pages, and ``U^T r``) comes within 0.4 MiB of that, and the residual's
+SVD, after ``spectra`` has dropped ``U`` and ``Vt``, and ``stm-init``'s
+split (:mod:`rankadapt.stm`), which drops them too, stay below it. The
+map stays valid; a later read faults the pages back in from the page
+cache. A writable or copy-on-write map stays as it is.
 """
 
 import ctypes
@@ -161,6 +163,7 @@ _dgesdd, _dgeqrf, _dorgqr, _dgemm = _find_lapack()
 _COL_MAJOR, _NO_TRANS = 102, 111  # LAPACKE's LAPACK_COL_MAJOR, CBLAS's CblasNoTrans
 # dgesdd scales a matrix whose largest magnitude lies outside [_SMLNUM, 1 / _SMLNUM]
 _SMLNUM = math.sqrt(sys.float_info.min) / sys.float_info.epsilon
+_BLOCK_BYTES = 1 << 20  # of a mapped input, copied between two releases of its pages
 
 
 def _check_info(info: int, routine: str) -> None:
@@ -170,33 +173,58 @@ def _check_info(info: int, routine: str) -> None:
         raise NumericError(f"LAPACK {routine} rejected its argument {-info}")
 
 
-def _release_pages(array) -> None:
-    """Drop this process's resident pages of the read-only file map under ``array``.
+def _read_only_map(array):
+    """The file map under ``array`` if its buffer is read-only and can be released, else None.
 
-    Only a map whose buffer is read-only is released: dropping the private
-    pages of a copy-on-write map would discard the caller's edits. The map
-    stays valid, and a later read faults its pages back in from the page
-    cache. Anything else, such as an array in memory, is left alone.
+    Dropping the private pages of a copy-on-write map would discard the
+    caller's edits, so only a read-only map qualifies; an array in memory or
+    over a writable map has none.
     """
     base = array
     while isinstance(base, np.ndarray):
         base = base.base
     if not isinstance(base, mmap.mmap) or not hasattr(mmap, "MADV_DONTNEED"):
-        return
+        return None
     with memoryview(base) as view:
-        readonly = view.readonly
-    if readonly:
-        base.madvise(mmap.MADV_DONTNEED)
+        return base if view.readonly else None
 
 
-def _widened(w: np.ndarray) -> np.ndarray:
-    """The one column-major float64 copy of ``w``, which the SVD overwrites.
+def _release_pages(array) -> None:
+    """Drop this process's resident pages of the read-only file map under ``array``.
 
-    Once it is made, the pages of a read-only map under ``w`` are released,
-    so they are not resident during the SVD.
+    The map stays valid, and a later read faults its pages back in from the
+    page cache. Anything but a :func:`_read_only_map` is left alone.
     """
-    a = np.array(w, dtype=np.float64, order="F")
-    _release_pages(w)
+    mm = _read_only_map(array)
+    if mm is not None:
+        mm.madvise(mmap.MADV_DONTNEED)
+
+
+def _widened(x: np.ndarray, order: str) -> np.ndarray:
+    """A float64 copy of ``x`` in ``order``, after which ``x``'s read-only map is released.
+
+    A C-contiguous matrix over a read-only map is copied about
+    ``_BLOCK_BYTES`` of rows at a time, and the whole pages of each block are
+    released once it is copied, so the map's pages and the copy are never
+    resident together. Widening is exact, so the copy is the same either way.
+    """
+    mm = _read_only_map(x)
+    if mm is None or x.ndim != 2 or not x.flags.c_contiguous or x.size == 0:
+        a = np.array(x, dtype=np.float64, order=order)
+    else:
+        a = np.empty_like(x, dtype=np.float64, order=order, subok=False)
+        row = x.itemsize * x.shape[1]
+        rows = max(1, _BLOCK_BYTES // row)
+        start = x.ctypes.data - np.frombuffer(mm, np.uint8).ctypes.data  # x's offset in the map
+        done = start - start % mmap.PAGESIZE  # released up to here
+        for i in range(0, x.shape[0], rows):
+            a[i:i + rows] = x[i:i + rows]
+            copied = start + min(i + rows, x.shape[0]) * row
+            end = copied - copied % mmap.PAGESIZE
+            if end > done:
+                mm.madvise(mmap.MADV_DONTNEED, done, end - done)
+                done = end
+    _release_pages(x)  # all of the map, with the partial pages at either end of x
     return a
 
 
@@ -281,7 +309,7 @@ def _qr_gesdd(a: np.ndarray):
 
 def _gesdd(w: np.ndarray, compute_uv: bool):
     """``np.linalg.svd(w, full_matrices=False, compute_uv=compute_uv)`` of a checked ``w``."""
-    a = _widened(w)
+    a = _widened(w, "F")
     if not compute_uv:
         return _dgesdd_of(a)
     if _takes_qr_route(a):
@@ -302,7 +330,7 @@ def _svd(matrix: np.ndarray, compute_uv: bool):
     if _dgesdd is not None:
         return _gesdd(w, compute_uv)
     try:
-        return np.linalg.svd(_widened(w), full_matrices=False, compute_uv=compute_uv)
+        return np.linalg.svd(_widened(w, "F"), full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD did not converge: {exc}") from exc
 
@@ -348,10 +376,10 @@ def project_residual(factors: SvdFactors, residual: np.ndarray) -> np.ndarray:
     The absolute value makes the result invariant to the per-component sign
     freedom of the decomposition.
     """
-    r = as_real_array(residual, "residual", np.float64)
-    viewed = np.may_share_memory(r, residual)
+    r = as_real_array(residual, "residual")
+    viewed = r.dtype == np.float64
     if not viewed:
-        _release_pages(residual)  # read once, into the copy, before the copy is scanned
+        r = _widened(r, "K")  # read once, into the copy, before the copy is scanned
     as_finite_array(r, "residual")
     if r.shape != (factors.m, factors.n):
         raise ValidationError(

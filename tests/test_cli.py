@@ -461,9 +461,9 @@ def write_large_layer(tmp_path, dtype=np.float32):
     """A ``dtype`` weight and residual bundle of one layer ``l0`` of shape ``LARGE_LAYER``.
 
     A decaying spectrum keeps the selected rank and the protected set small,
-    as on real weights, so the adapter adds little to the split: an f32
-    ``stm-init`` layer peaks there, with ``W0``, ``U``, ``Vt`` and the
-    weight's pages, and an f32 ``spectra`` layer in its residual projection.
+    as on real weights, so the adapter adds little to the split: both layer
+    jobs peak in the weight's SVD, in either dtype, and ``stm-init``'s split,
+    with ``W0`` and the weight's pages, comes next.
     """
     m, n = LARGE_LAYER
     rng = np.random.default_rng(21)
@@ -491,12 +491,6 @@ def cli_env() -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
 
 
-def svd_working_set(m: int, n: int) -> int:
-    """Bytes of LAPACK's float64 copy of an m x n matrix, its workspace, ``U`` and ``Vt``."""
-    k = min(m, n)
-    return 8 * (m * n + dgesdd_workspace(m, n) + m * k + k * n)
-
-
 def tall_svd_working_set(m: int, n: int) -> int:
     """Bytes of the QR route's peak for the thin SVD of a tall m x n matrix.
 
@@ -507,18 +501,12 @@ def tall_svd_working_set(m: int, n: int) -> int:
     return 8 * max(m * n + 3 * n * n + dgesdd_workspace(n, n), 2 * m * n + 2 * n * n)
 
 
-def f32_projection_working_set(m: int, n: int) -> int:
-    """Bytes of ``U``, ``Vt``, the float64 copy of an m x n f32 residual and its pages."""
-    k = min(m, n)
-    return 8 * (m * k + k * n) + 8 * m * n + 4 * m * n
-
-
-def layer_job_growth(tmp_path, dtype, *calls: str) -> int:
-    """Bytes by which a worker's peak RSS grows while it runs ``calls`` on a large layer.
+def layer_job_growth(tmp_path, dtype, call: str) -> int:
+    """Bytes by which a worker's peak RSS grows while it runs ``call`` on a large layer.
 
     The layer is :func:`write_large_layer`'s, in ``dtype``. The worker runs in
-    ``cli._WORKER_ENV`` and has imported what the calls run before its RSS is
-    read; each call is a line of source over ``w``, ``r``, ``cfg`` and ``out``.
+    ``cli._WORKER_ENV`` and has imported what the call runs before its RSS is
+    read; the call is a line of source over ``w``, ``r``, ``cfg`` and ``out``.
     """
     wdir, rdir = write_large_layer(tmp_path, dtype)
     (tmp_path / "out").mkdir()
@@ -533,8 +521,8 @@ def layer_job_growth(tmp_path, dtype, *calls: str) -> int:
               "        return int(next(ln for ln in fh if ln.startswith(key)).split()[1])\n"
               "w, r, cfg, out = pickle.load(sys.stdin.buffer)\n"
               "before = status('VmRSS:')\n"
-              + "".join(f"{call}\n" for call in calls)
-              + "print(status('VmHWM:') - before)\n")
+              f"{call}\n"
+              "print(status('VmHWM:') - before)\n")
     proc = subprocess.run([sys.executable, "-c", script], input=job,
                           env=dict(cli_env(), **cli._WORKER_ENV),
                           capture_output=True, timeout=120)
@@ -649,34 +637,16 @@ class TestLayerWorkers:
 
     @pytest.mark.skipif(sys.platform != "linux" or spectral._dgesdd is None,
                         reason="reads VmHWM from /proc; sizes LAPACK's dgesdd workspace")
-    def test_peak_is_the_svd_working_set(self, tmp_path):
-        growth = layer_job_growth(tmp_path, np.float32, "stm_init_layer('l0', w, r, cfg, out)",
-                                  "spectra_layer('l0', w, r)")
-        # the slack covers OpenBLAS's buffers and small arrays; no stage of
-        # either job, the stm-init split included, needs more than dgesdd in one call
-        svd = svd_working_set(*LARGE_LAYER)
-        slack = 6 * 2**20
-        assert growth <= svd + slack, f"job grew by {growth} bytes; the SVD needs {svd}"
-
-    @pytest.mark.skipif(sys.platform != "linux" or spectral._dgesdd is None,
-                        reason="reads VmHWM from /proc; sizes LAPACK's dgesdd workspace")
-    def test_spectra_peak_is_the_tall_svd_or_the_projection(self, tmp_path):
-        growth = layer_job_growth(tmp_path, np.float32, "spectra_layer('l0', w, r)")
-        # the slack of test_peak_is_the_svd_working_set. A job exceeds it when
-        # it calls dgesdd in one shot, when W's pages stay resident, or when
-        # dW's stay resident while the projection scans their float64 copy
-        bound = max(tall_svd_working_set(*LARGE_LAYER),
-                    f32_projection_working_set(*LARGE_LAYER)) + 6 * 2**20
-        assert growth <= bound, f"job grew by {growth} bytes, above {bound}"
-
-    @pytest.mark.skipif(sys.platform != "linux" or spectral._dgesdd is None,
-                        reason="reads VmHWM from /proc; sizes LAPACK's dgesdd workspace")
-    def test_f64_split_peak_is_the_svd_and_the_weight(self, tmp_path):
-        m, n = LARGE_LAYER
-        growth = layer_job_growth(tmp_path, np.float64, "stm_init_layer('l0', w, r, cfg, out)")
-        # the split reads the f64 weight's map in place, for W0, so its pages
-        # may join the peak; the residual's, released by the projection, may not
-        bound = svd_working_set(m, n) + 8 * m * n + 2 * 2**20
+    @pytest.mark.parametrize("call, dtype", [
+        pytest.param(call, dtype, id=f"{call.split('(')[0]}-{np.dtype(dtype).name}")
+        for call in ("stm_init_layer('l0', w, r, cfg, out)", "spectra_layer('l0', w, r)")
+        for dtype in (np.float32, np.float64)])
+    def test_layer_job_peaks_in_its_svd(self, tmp_path, call, dtype):
+        growth = layer_job_growth(tmp_path, dtype, call)
+        # the slack covers OpenBLAS's buffers and small arrays. A job exceeds
+        # it when it calls dgesdd in one shot, when a map's pages stay resident
+        # beside their float64 copy, or when W0 is made beside U and Vt
+        bound = tall_svd_working_set(*LARGE_LAYER) + 6 * 2**20
         assert growth <= bound, f"job grew by {growth} bytes, above {bound}"
 
     def test_more_layers_than_open_file_limit(self, tmp_path):

@@ -1,4 +1,5 @@
 import ctypes
+import mmap
 import tracemalloc
 import weakref
 
@@ -462,3 +463,79 @@ def test_read_only_map_gives_the_results_of_its_copy(dtype, tmp_path, monkeypatc
     assert released == ["w", "w", "r"]
     # the released maps read back as their files
     assert w.tobytes() == paths[0].read_bytes() and r.tobytes() == paths[1].read_bytes()
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of three pages and a bit, so that rows and blocks end inside a page."""
+    monkeypatch.setattr(spectral, "_BLOCK_BYTES", 3 * mmap.PAGESIZE + 100)
+
+
+BLOCKED_SHAPES = [(1, 5000), (5000, 1), (1000, 17), (3, 5000)]
+
+
+@pytest.mark.parametrize("shape", BLOCKED_SHAPES)
+def test_blocked_widening_gives_the_bits_of_the_array_in_memory(shape, tmp_path, small_blocks):
+    paths = tmp_path / "w.bin", tmp_path / "r.bin"
+    w = _mapped(paths[0], rand_matrix(75, *shape).astype(np.float32), "r")
+    r = _mapped(paths[1], rand_matrix(76, *shape).astype(np.float32), "r")
+    assert _same_results(w, r, np.array(w), np.array(r))
+    assert w.tobytes() == paths[0].read_bytes() and r.tobytes() == paths[1].read_bytes()
+
+
+class _RecordingMap(mmap.mmap):
+    """A file map that records the span of each ``madvise`` call, ``()`` for the whole map."""
+
+    def madvise(self, option, *span):
+        self.spans.append(span)
+        return super().madvise(option, *span)
+
+
+@pytest.mark.parametrize("shape", BLOCKED_SHAPES)
+def test_blocked_widening_releases_each_copied_page_once(shape, tmp_path, small_blocks):
+    path = tmp_path / "r.bin"
+    rand_matrix(77, *shape).astype(np.float32).tofile(path)
+    with open(path, "rb") as fh:
+        mm = _RecordingMap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    mm.spans = []
+    r = np.ndarray(shape, np.float32, buffer=mm)
+    f = decompose(rand_matrix(78, *shape))
+    assert project_residual(f, r).tobytes() == project_residual(f, np.array(r)).tobytes()
+    *ranges, whole = mm.spans
+    # whole pages, in order, each once, up to r's last whole page; then the rest
+    ends = [0, *(start + length for start, length in ranges)]
+    assert [start for start, _ in ranges] == ends[:-1]
+    assert all(length > 0 and length % mmap.PAGESIZE == 0 for _, length in ranges)
+    assert ends[-1] == r.nbytes - r.nbytes % mmap.PAGESIZE
+    assert whole == ()
+    assert len(ranges) > 1 or r.nbytes < 2 * spectral._BLOCK_BYTES
+
+
+def test_blocked_widening_keeps_a_copy_on_write_edit(tmp_path, small_blocks):
+    r = _mapped(tmp_path / "r.bin", rand_matrix(79, 1000, 17).astype(np.float32), "c")
+    r[-1, -1] = -50
+    like = np.array(r)
+    f = decompose(rand_matrix(80, 1000, 17))
+    assert project_residual(f, r).tobytes() == project_residual(f, like).tobytes()
+    assert r.tobytes() == like.tobytes()
+
+
+def test_blocked_widening_finds_a_nan_in_the_last_row(tmp_path, small_blocks):
+    stored = rand_matrix(81, 1000, 17).astype(np.float32)
+    stored[-1, 5] = np.nan
+    r = _mapped(tmp_path / "r.bin", stored, "r")
+    with pytest.raises(ValidationError, match="^residual contains non-finite entries$"):
+        project_residual(decompose(rand_matrix(82, 1000, 17)), r)
+
+
+@pytest.mark.parametrize("nan, message", [
+    (False, r"^residual shape \(999, 17\) does not match factors \(1000, 17\)$"),
+    (True, "^residual contains non-finite entries$"),  # checked before the shape
+])
+def test_blocked_widening_of_a_wrong_shape(nan, message, tmp_path, small_blocks):
+    stored = rand_matrix(83, 999, 17).astype(np.float32)
+    if nan:
+        stored[-1, 0] = np.nan
+    r = _mapped(tmp_path / "r.bin", stored, "r")
+    with pytest.raises(ValidationError, match=message):
+        project_residual(decompose(rand_matrix(84, 1000, 17)), r)

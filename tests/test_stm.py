@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from rankadapt.stm import (
     protected_terms,
     select_directions,
     select_rank,
+    split_factors,
+    split_weight,
 )
 
 from conftest import JSON, rand_matrix
@@ -238,6 +241,58 @@ class TestInitializeAdapter:
         for held in (layer.protected.u, layer.protected.sigma, layer.protected.vt):
             for full in (f.u, f.sigma, f.vt):
                 assert not np.shares_memory(held, full)
+
+
+class TestSplitSteps:
+    """split_factors then split_weight against initialize_adapter."""
+
+    @pytest.mark.parametrize("shape, dtype", float64_then_float32(
+        "shape", [(14, 9), (9, 14)]))
+    def test_equal_initialize_adapter_bit_for_bit(self, shape, dtype):
+        w = rand_matrix(47, *shape).astype(dtype)
+        f = decompose(w)
+        selected = (2, 3, 5)
+        ref = initialize_adapter(w, f, selected)
+        split = split_factors(f, selected)
+        del f  # the second step needs only the weight and the split
+        layer = split_weight(w, split)
+        assert layer.plan == ref.plan and len(layer.plan.protected) > 0
+        for attr in ("w0", "b", "a"):
+            got, want = getattr(layer, attr), getattr(ref, attr)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), attr
+        for attr in ("u", "sigma", "vt"):
+            got, want = getattr(layer.protected, attr), getattr(ref.protected, attr)
+            assert got.tobytes() == want.tobytes(), attr
+
+    def test_split_holds_copies_of_the_selected_components(self):
+        w = rand_matrix(48, 12, 10)
+        f = decompose(w)
+        split = split_factors(f, (4, 1))
+        assert np.array_equal(split.selected.u, f.u[:, [0, 3]])
+        assert np.array_equal(split.selected.sigma, f.sigma[[0, 3]])
+        assert np.array_equal(split.selected.vt, f.vt[[0, 3], :])
+        for part in (split.selected, split.protected):
+            for held in (part.u, part.sigma, part.vt):
+                for full in (f.u, f.sigma, f.vt):
+                    assert not np.shares_memory(held, full)
+
+    @pytest.mark.parametrize("path", ["initialize_adapter", "two_steps"])
+    def test_zero_singular_value_warns_once_at_the_caller(self, path):
+        w = np.diag([2.0, 0.0])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if path == "initialize_adapter":
+                initialize_adapter(w, decompose(w), {2})
+            else:
+                split_weight(w, split_factors(decompose(w), {2}))
+        assert [(c.category, c.filename) for c in caught] == [(UserWarning, __file__)]
+        assert "zero singular value" in str(caught[0].message)
+
+    def test_weight_of_another_shape_rejected(self):
+        w = rand_matrix(49, 6, 5)
+        split = split_factors(decompose(w), (1,))
+        with pytest.raises(ValidationError, match=r"weight shape \(5, 6\) does not match"):
+            split_weight(w.T, split)
 
 
 class TestAdaptLayer:
