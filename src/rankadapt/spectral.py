@@ -15,46 +15,39 @@ searched. Component indices are 1-based throughout the public API,
 Tiny singular values are never truncated; rank-like behavior is the job of
 the effective-rank functionals downstream.
 
-The SVD is LAPACK's ``dgesdd``, the routine behind ``np.linalg.svd``, called
-through ``ctypes`` from the OpenBLAS that numpy's wheels bundle, so the
-factors are bit-identical to ``np.linalg.svd``'s at less memory. That call
-makes one column-major float64 copy of the input, straight from its stored
-dtype, for LAPACK to overwrite. The workspaces and the column-major factors
-are arrays over anonymous memory maps, each unmapped when its array's last
-reference goes. The copy and each workspace are dropped as soon as their
-last LAPACK or BLAS call returns, and ``U``'s map once its row-major copy
-exists, before ``Vt`` is copied. ``np.linalg.svd`` would add a second copy
-of the input and keep its workspace and column-major factors in one block
-until it returns. Where numpy's LAPACK lacks one of the four symbols used
-here (another build of numpy), the SVD is ``np.linalg.svd`` itself, of the
-same copy.
+The SVD is LAPACK's ``dgesdd``, the routine behind ``np.linalg.svd``,
+called through ``ctypes`` from the OpenBLAS that numpy's wheels bundle, so
+the factors are bit-identical to ``np.linalg.svd``'s at less memory.
+LAPACK overwrites the column-major float64 copy of the input (see below).
+The workspaces and the column-major factors are arrays over anonymous
+memory maps, each unmapped when its array's last reference goes. The copy
+and each workspace are dropped as soon as their last LAPACK or BLAS call
+returns, and ``U``'s map once its row-major copy exists, before ``Vt`` is
+copied. ``np.linalg.svd`` would add a second copy of the input and keep
+its workspace and column-major factors in one block until it returns.
+Where numpy's LAPACK lacks one of the four symbols used here (another
+build of numpy), the SVD is ``np.linalg.svd`` itself, of the same copy.
 
 For a tall matrix (``m >= floor(11 n / 6)``, dgesdd's own threshold),
 dgesdd computes the ``Q R`` of the copy, the SVD of the n x n ``R``, and
 ``U = Q U_R`` with one GEMM. With vectors, this module makes those LAPACK
 and BLAS calls itself, one at a time, so the SVD's workspace (about 3 n^2
-floats) and ``R`` are freed before ``U`` is formed, where the one-shot call
-holds them beside it. At 3072 x 768 that is 47.2 MB at most, against 61.4
-MB for the copy, workspace, ``U`` and ``Vt`` of the one-shot call. It does
-so only where dgesdd would scale neither the matrix nor ``R``. Wide and
-square matrices and singular values alone take the one-shot call; a wide
-layer, such as a ViT ``mlp.fc2``, could take dgesdd's LQ steps the same
-way, but no benchmark workload has one.
+floats) and ``R`` are freed before ``U`` is formed, where the one-shot
+call holds them beside it. It does so only where dgesdd would scale
+neither the matrix nor ``R``. Wide and square matrices and singular values
+alone take the one-shot call; a wide layer, such as a ViT ``mlp.fc2``,
+could take dgesdd's LQ steps the same way, but no benchmark workload has
+one.
 
-A matrix or residual that is a read-only file map, such as a bundle entry
-from :mod:`rankadapt.tensorio`, has its pages dropped from this process's
-memory with ``madvise(MADV_DONTNEED)`` once it has been read. Its float64
-copy, for the SVD or the residual projection, is made about 1 MiB of rows
-at a time, and each block's whole pages are dropped once they are copied,
-so the map's pages and the copy are not resident together; a float64
-residual is read in place and dropped after its one GEMM. So for one
-3072 x 768 layer with one BLAS thread, a worker peaks at 78 MiB in the
-SVD, f32 or f64. The projection (the factors, the residual's float64 copy
-or pages, and ``U^T r``) comes within 0.4 MiB of that, and the residual's
-SVD, after ``spectra`` has dropped ``U`` and ``Vt``, and ``stm-init``'s
-split (:mod:`rankadapt.stm`), which drops them too, stay below it. The
-map stays valid; a later read faults the pages back in from the page
-cache. A writable or copy-on-write map stays as it is.
+Every matrix, for the SVD or the residual projection, is read once, into
+one float64 copy, and checked on the copy: real before it is copied, finite
+and of the right shape after. A matrix over a read-only file map, such as a
+bundle entry from :mod:`rankadapt.tensorio`, is copied about 1 MiB of rows
+at a time, and each block's whole pages are dropped from this process's
+memory with ``madvise(MADV_DONTNEED)`` once they are copied, so the map's
+pages and the copy are never resident together. The map stays valid; a
+later read faults the pages back in from the page cache. A writable or
+copy-on-write map stays as it is.
 """
 
 import ctypes
@@ -134,7 +127,7 @@ def _find_lapack():
     """LAPACKE ``dgesdd_work``, ``dgeqrf_work`` and ``dorgqr_work`` and CBLAS ``dgemm``.
 
     They are numpy's bundled OpenBLAS's, with 64-bit integers. Either all four
-    are found or all four are None, so the tall route of :func:`_gesdd`
+    are found or all four are None, so the tall route of :func:`_svd`
     exists exactly when ``dgesdd_work`` does.
     """
     i64, ptr, dbl, enum = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double, ctypes.c_int
@@ -176,28 +169,19 @@ def _check_info(info: int, routine: str) -> None:
 def _read_only_map(array):
     """The file map under ``array`` if its buffer is read-only and can be released, else None.
 
-    Dropping the private pages of a copy-on-write map would discard the
-    caller's edits, so only a read-only map qualifies; an array in memory or
-    over a writable map has none.
+    The chain of ``ndarray.base`` and ``memoryview.obj`` links is followed, so
+    an array over a map through ``np.frombuffer`` finds it too. Dropping the
+    private pages of a copy-on-write map would discard the caller's edits, so
+    only a read-only map qualifies; an array in memory or over a writable map
+    has none.
     """
     base = array
-    while isinstance(base, np.ndarray):
-        base = base.base
+    while isinstance(base, (np.ndarray, memoryview)):
+        base = base.base if isinstance(base, np.ndarray) else base.obj
     if not isinstance(base, mmap.mmap) or not hasattr(mmap, "MADV_DONTNEED"):
         return None
     with memoryview(base) as view:
         return base if view.readonly else None
-
-
-def _release_pages(array) -> None:
-    """Drop this process's resident pages of the read-only file map under ``array``.
-
-    The map stays valid, and a later read faults its pages back in from the
-    page cache. Anything but a :func:`_read_only_map` is left alone.
-    """
-    mm = _read_only_map(array)
-    if mm is not None:
-        mm.madvise(mmap.MADV_DONTNEED)
 
 
 def _widened(x: np.ndarray, order: str) -> np.ndarray:
@@ -207,6 +191,8 @@ def _widened(x: np.ndarray, order: str) -> np.ndarray:
     ``_BLOCK_BYTES`` of rows at a time, and the whole pages of each block are
     released once it is copied, so the map's pages and the copy are never
     resident together. Widening is exact, so the copy is the same either way.
+    The map stays valid, and a later read faults its pages back in from the
+    page cache.
     """
     mm = _read_only_map(x)
     if mm is None or x.ndim != 2 or not x.flags.c_contiguous or x.size == 0:
@@ -224,8 +210,17 @@ def _widened(x: np.ndarray, order: str) -> np.ndarray:
             if end > done:
                 mm.madvise(mmap.MADV_DONTNEED, done, end - done)
                 done = end
-    _release_pages(x)  # all of the map, with the partial pages at either end of x
+    if mm is not None:
+        mm.madvise(mmap.MADV_DONTNEED)  # all of the map, with the partial pages at either end of x
     return a
+
+
+def _finite_copy(x, what: str, order: str) -> np.ndarray:
+    """The :func:`_widened` copy of real ``x``; raises unless every entry of the copy is finite.
+
+    ``x`` is read once, into the copy, and the check scans the copy, never a map.
+    """
+    return as_finite_array(_widened(as_real_array(x, what), order), what)
 
 
 def _mapped(*shape: int) -> np.ndarray:
@@ -307,9 +302,20 @@ def _qr_gesdd(a: np.ndarray):
     return u, sigma, vt
 
 
-def _gesdd(w: np.ndarray, compute_uv: bool):
-    """``np.linalg.svd(w, full_matrices=False, compute_uv=compute_uv)`` of a checked ``w``."""
-    a = _widened(w, "F")
+def _svd(matrix, compute_uv: bool):
+    """``np.linalg.svd(matrix, full_matrices=False, compute_uv=compute_uv)``, of a checked copy.
+
+    The copy is column-major, for LAPACK to overwrite, and is a local of this
+    function alone, so that it is freed before the factors are copied out.
+    """
+    a = _finite_copy(matrix, "matrix", "F")
+    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
+        raise ValidationError(f"expected a non-empty 2-D matrix, got shape {a.shape}")
+    if _dgesdd is None:
+        try:
+            return np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"SVD did not converge: {exc}") from exc
     if not compute_uv:
         return _dgesdd_of(a)
     if _takes_qr_route(a):
@@ -321,18 +327,6 @@ def _gesdd(w: np.ndarray, compute_uv: bool):
     del a  # the overwritten copy, freed before the factors are copied out
     u = u.copy(order="C")  # drops the column-major U before Vt is copied
     return u, sigma, vt.copy(order="C")
-
-
-def _svd(matrix: np.ndarray, compute_uv: bool):
-    w = as_finite_array(matrix, "matrix")  # widened to float64 in the SVD's one copy
-    if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 1:
-        raise ValidationError(f"expected a non-empty 2-D matrix, got shape {w.shape}")
-    if _dgesdd is not None:
-        return _gesdd(w, compute_uv)
-    try:
-        return np.linalg.svd(_widened(w, "F"), full_matrices=False, compute_uv=compute_uv)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"SVD did not converge: {exc}") from exc
 
 
 def decompose(weight: np.ndarray) -> SvdFactors:
@@ -376,11 +370,7 @@ def project_residual(factors: SvdFactors, residual: np.ndarray) -> np.ndarray:
     The absolute value makes the result invariant to the per-component sign
     freedom of the decomposition.
     """
-    r = as_real_array(residual, "residual")
-    viewed = r.dtype == np.float64
-    if not viewed:
-        r = _widened(r, "K")  # read once, into the copy, before the copy is scanned
-    as_finite_array(r, "residual")
+    r = _finite_copy(residual, "residual", "K")
     if r.shape != (factors.m, factors.n):
         raise ValidationError(
             f"residual shape {r.shape} does not match factors ({factors.m}, {factors.n})"
@@ -391,6 +381,4 @@ def project_residual(factors: SvdFactors, residual: np.ndarray) -> np.ndarray:
     # operand's rows mapped, about m x 3 KiB for a tall residual @ V, and a
     # worker's next layer would carry those pages into its SVD peak.
     ur = factors.u.T @ r
-    if viewed:
-        _release_pages(residual)  # read for the last time
     return np.abs(np.einsum("in,in->i", ur, factors.vt))

@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from rankadapt import spectral
 from rankadapt.adapter import forward
@@ -89,9 +91,8 @@ def test_sign_rule_exact_ties_first_occurrence_wins(monkeypatch):
     h = np.kron(_HADAMARD_2, _HADAMARD_2) / 2.0
     signs = np.array([1.0, -1.0, 1.0, -1.0])
     factors = (h * signs, np.array([4.0, 3.0, 2.0, 1.0]), np.eye(4))
-    # on both routes, LAPACK's dgesdd and numpy.linalg.svd
-    monkeypatch.setattr(spectral, "_gesdd", lambda *a: tuple(x.copy() for x in factors))
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: tuple(x.copy() for x in factors))
+    # at the one entry of both routes, LAPACK's dgesdd and numpy.linalg.svd
+    monkeypatch.setattr(spectral, "_svd", lambda *a, **k: tuple(x.copy() for x in factors))
     f = decompose(np.eye(4))
     assert np.array_equal(f.u, h)
     assert np.array_equal(f.vt, np.diag(signs))
@@ -420,6 +421,45 @@ def test_dgesdd_matches_numpy_svd_bit_for_bit(case, monkeypatch, tmp_path):
         assert got.flags.c_contiguous and got.flags.owndata and got.flags.writeable
 
 
+@st.composite
+def _svd_inputs(draw):
+    """Matrices up to 4n x n, or their transposes, at a scale of 1 or one that dgesdd rescales.
+
+    Each is of full rank, rank-deficient or with repeated columns; m is drawn
+    around dgesdd's MNTHR too, and the scaling guard refuses the rescaled ones
+    from the QR route.
+    """
+    n = draw(st.integers(1, 40))
+    mnthr = int(n * 11 / 6)
+    m = draw(st.integers(1, 4 * n) | st.sampled_from([max(1, mnthr + d) for d in (-1, 0, 1)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["full", "rank_deficient", "repeated_columns"]))
+    if kind == "full":
+        a = rng.standard_normal((m, n))
+    elif kind == "rank_deficient":
+        r = draw(st.integers(0, min(m, n) - 1))
+        a = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+    else:
+        cols = rng.standard_normal((m, draw(st.integers(1, n))))
+        a = cols[:, rng.integers(0, cols.shape[1], n)]
+    if draw(st.booleans()):
+        a = a.T
+    return a * draw(st.sampled_from([1.0, 1e140, 1e-140, 1e160, 1e-160]))
+
+
+@needs_dgesdd
+@seed(2025)
+@settings(max_examples=300, deadline=None)
+@given(a=_svd_inputs())
+def test_svd_matches_numpy_svd_bit_for_bit(a):
+    for compute_uv in (False, True):
+        got = spectral._svd(a, compute_uv)
+        want = np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
+        if not compute_uv:
+            got, want = (got,), (want,)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
 def _mapped(path, stored, mode):
     stored.tofile(path)
     return np.memmap(path, dtype=stored.dtype, mode=mode, shape=stored.shape)
@@ -450,19 +490,41 @@ def test_read_only_map_gives_the_results_of_its_copy(dtype, tmp_path, monkeypatc
     paths = tmp_path / "w.bin", tmp_path / "r.bin"
     w = _mapped(paths[0], rand_matrix(73, 40, 24).astype(dtype), "r")
     r = _mapped(paths[1], rand_matrix(74, 40, 24).astype(dtype), "r")
-    released, release = [], spectral._release_pages
+    released, read_only_map = [], spectral._read_only_map
 
     def spy(array):
-        released.extend(name for name, m in (("w", w), ("r", r)) if np.may_share_memory(array, m))
-        release(array)
+        found = read_only_map(array)
+        if found is not None:
+            released.extend(name for name, m in (("w", w), ("r", r))
+                            if np.may_share_memory(array, m))
+        return found
 
-    monkeypatch.setattr(spectral, "_release_pages", spy)
+    monkeypatch.setattr(spectral, "_read_only_map", spy)
     assert _same_results(w, r, np.array(w), np.array(r))
-    # each SVD releases its copied input, and the projection its residual,
-    # which it copies or only views
+    # each SVD and the projection copy their input, of either dtype, and
+    # release its map
     assert released == ["w", "w", "r"]
     # the released maps read back as their files
     assert w.tobytes() == paths[0].read_bytes() and r.tobytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_finite_check_reads_the_copy_never_the_map(dtype, tmp_path, monkeypatch):
+    stored = rand_matrix(85, 40, 24).astype(dtype)
+    mapped = _mapped(tmp_path / "m.bin", stored, "r")
+    f = decompose(stored)
+    shares, check = [], spectral.as_finite_array
+
+    def spy(x, *args, **kwargs):
+        shares.append(np.may_share_memory(x, mapped))
+        return check(x, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "as_finite_array", spy)
+    decompose(mapped)
+    singular_values(mapped)
+    project_residual(f, mapped)
+    # the map is read once, into its copy, and the check scans the copy
+    assert shares == [False, False, False]
 
 
 @pytest.fixture
@@ -499,18 +561,21 @@ def test_blocked_widening_releases_each_copied_page_once(shape, tmp_path, small_
     rand_matrix(77, *shape).astype(np.float32).tofile(path)
     with open(path, "rb") as fh:
         mm = _RecordingMap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    mm.spans = []
-    r = np.ndarray(shape, np.float32, buffer=mm)
     f = decompose(rand_matrix(78, *shape))
-    assert project_residual(f, r).tobytes() == project_residual(f, np.array(r)).tobytes()
-    *ranges, whole = mm.spans
-    # whole pages, in order, each once, up to r's last whole page; then the rest
-    ends = [0, *(start + length for start, length in ranges)]
-    assert [start for start, _ in ranges] == ends[:-1]
-    assert all(length > 0 and length % mmap.PAGESIZE == 0 for _, length in ranges)
-    assert ends[-1] == r.nbytes - r.nbytes % mmap.PAGESIZE
-    assert whole == ()
-    assert len(ranges) > 1 or r.nbytes < 2 * spectral._BLOCK_BYTES
+    # an array over the map, and one whose base chain ends in a memoryview of it
+    for wrap in (lambda mm: np.ndarray(shape, np.float32, buffer=mm),
+                 lambda mm: np.frombuffer(mm, np.float32).reshape(shape)):
+        mm.spans = []
+        r = wrap(mm)
+        assert project_residual(f, r).tobytes() == project_residual(f, np.array(r)).tobytes()
+        *ranges, whole = mm.spans
+        # whole pages, in order, each once, up to r's last whole page; then the rest
+        ends = [0, *(start + length for start, length in ranges)]
+        assert [start for start, _ in ranges] == ends[:-1]
+        assert all(length > 0 and length % mmap.PAGESIZE == 0 for _, length in ranges)
+        assert ends[-1] == r.nbytes - r.nbytes % mmap.PAGESIZE
+        assert whole == ()
+        assert len(ranges) > 1 or r.nbytes < 2 * spectral._BLOCK_BYTES
 
 
 def test_blocked_widening_keeps_a_copy_on_write_edit(tmp_path, small_blocks):
@@ -523,11 +588,15 @@ def test_blocked_widening_keeps_a_copy_on_write_edit(tmp_path, small_blocks):
 
 
 def test_blocked_widening_finds_a_nan_in_the_last_row(tmp_path, small_blocks):
-    stored = rand_matrix(81, 1000, 17).astype(np.float32)
+    stored = rand_matrix(81, 1000, 17)
     stored[-1, 5] = np.nan
-    r = _mapped(tmp_path / "r.bin", stored, "r")
-    with pytest.raises(ValidationError, match="^residual contains non-finite entries$"):
-        project_residual(decompose(rand_matrix(82, 1000, 17)), r)
+    f = decompose(rand_matrix(82, 1000, 17))
+    for dtype in (np.float32, np.float64):
+        m = _mapped(tmp_path / f"{np.dtype(dtype).name}.bin", stored.astype(dtype), "r")
+        for call, what in ((decompose, "matrix"), (singular_values, "matrix"),
+                           (lambda r: project_residual(f, r), "residual")):
+            with pytest.raises(ValidationError, match=f"^{what} contains non-finite entries$"):
+                call(m)
 
 
 @pytest.mark.parametrize("nan, message", [
