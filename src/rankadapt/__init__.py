@@ -25,8 +25,7 @@ _EXPORTS = {
         "adapter": ("forward", "merge", "trainable_param_count"),
         "depthloss": (
             "Camera", "DepthMap", "LossWeights", "Pose", "compose_sl", "compose_ssl", "gt_loss",
-            "pack_depth", "pack_image", "photometric_error", "pseudo_loss", "smooth_loss",
-            "ssim", "unpack_depth", "unpack_image", "warp",
+            "photometric_error", "pseudo_loss", "smooth_loss", "ssim", "warp",
         ),
         "eranks": ("entropy_rank", "stable_rank"),
         "errors": ("RankadaptError",),

@@ -282,53 +282,6 @@ def pseudo_loss(pred: DepthMap, pseudo: DepthMap) -> float:
     return float(np.mean(np.abs(normalize(pred.depth[mask]) - normalize(pseudo.depth[mask]))))
 
 
-def _pack(bundle: dict, entries: dict) -> None:
-    taken = sorted(bundle.keys() & entries.keys())
-    if taken:
-        raise ValidationError(f"duplicate entry name {taken[0]!r}")
-    bundle.update(entries)
-
-
-def pack_image(bundle: dict, name: str, image) -> None:
-    """Store an image in the ``{name: matrix}`` dict ``bundle``, one H x W entry per channel.
-
-    The entries are ``name.c0``, ``name.c1``, ...; the manifest stays the
-    single source of truth for shapes, and the channel count is recoverable
-    from the entry names. A name ``bundle`` already holds raises
-    ``ValidationError`` and adds no entry; entry names are checked when the
-    bundle is written.
-    """
-    image = _checked_image(image, name)
-    _pack(bundle, {f"{name}.c{c}": image[:, :, c] for c in range(image.shape[2])})
-
-
-def unpack_image(bundle: dict, name: str) -> np.ndarray:
-    """Reassemble, as float64, an image stored by :func:`pack_image`."""
-    channels = []
-    while f"{name}.c{len(channels)}" in bundle:
-        channels.append(bundle[f"{name}.c{len(channels)}"])
-    if not channels:
-        raise ValidationError(f"bundle has no image channels named {name}.c*")
-    return np.stack(channels, axis=2).astype(np.float64, copy=False)
-
-
-def pack_depth(bundle: dict, name: str, depth: DepthMap) -> None:
-    """Store a depth map in ``bundle`` as ``name.depth`` plus a 0/1 ``name.mask`` entry.
-
-    A name ``bundle`` already holds raises ``ValidationError`` and adds no entry.
-    """
-    _pack(bundle, {f"{name}.depth": depth.depth,
-                   f"{name}.mask": depth.valid_mask.astype(np.float64)})
-
-
-def unpack_depth(bundle: dict, name: str) -> DepthMap:
-    """The depth map stored by :func:`pack_depth`; a missing entry raises ``ValidationError``."""
-    missing = [key for key in (f"{name}.depth", f"{name}.mask") if key not in bundle]
-    if missing:
-        raise ValidationError(f"bundle has no depth map entries {missing}")
-    return DepthMap(bundle[f"{name}.depth"], bundle[f"{name}.mask"] != 0.0)
-
-
 def compose_ssl(pe: float, smooth: float, reg: float, w: LossWeights) -> float:
     """Self-supervised objective: photometric + weighted smoothness + regularizer."""
     return float(pe + w.smooth_weight * smooth + w.reg_weight * reg)

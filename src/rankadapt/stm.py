@@ -146,7 +146,8 @@ def make_plan(factors: SvdFactors, selected) -> StmPlan:
     sel = tuple(int(i) + 1 for i in as_component_indices(selected, factors.k))
     st = stable_rank(factors.sigma)
     cutoff = min(math.ceil(round(st, _SNAP_DIGITS)), factors.k)
-    protected = tuple(i for i in range(1, cutoff + 1) if i not in set(sel))
+    taken = set(sel)
+    protected = tuple(i for i in range(1, cutoff + 1) if i not in taken)
     return StmPlan(
         r=len(sel),
         selected=sel,

@@ -13,7 +13,6 @@ from rankadapt.depthloss import (
     pseudo_loss,
     smooth_loss,
     ssim,
-    unpack_depth,
     warp,
 )
 from rankadapt.errors import ValidationError
@@ -234,65 +233,6 @@ class TestSupervisionLosses:
             pseudo_loss(flat, varied)
 
 
-class TestBundlePacking:
-    def test_image_round_trip(self, tmp_path):
-        from rankadapt.tensorio import read_bundle, write_bundle
-        from rankadapt.depthloss import pack_image, unpack_image
-
-        img = rand_image(20, h=7, w=9, c=3)
-        bundle = {}
-        pack_image(bundle, "frame", img)
-        write_bundle(tmp_path, bundle)
-        back = unpack_image(read_bundle(tmp_path), "frame")
-        assert np.array_equal(back, img)
-
-    def test_f32_image_unpacks_as_float64(self):
-        from rankadapt.depthloss import unpack_image
-
-        img = rand_image(22, h=4, w=5, c=2).astype(np.float32)
-        bundle = {f"frame.c{c}": img[:, :, c] for c in range(2)}
-        back = unpack_image(bundle, "frame")
-        assert back.dtype == np.float64
-        assert np.array_equal(back, img)
-
-    def test_depth_round_trip(self, tmp_path):
-        from rankadapt.tensorio import read_bundle, write_bundle
-        from rankadapt.depthloss import pack_depth
-
-        rng = np.random.default_rng(21)
-        depth = DepthMap(rng.uniform(1.0, 5.0, (6, 8)),
-                         rng.uniform(size=(6, 8)) > 0.3)
-        bundle = {}
-        pack_depth(bundle, "lidar", depth)
-        write_bundle(tmp_path, bundle)
-        back = unpack_depth(read_bundle(tmp_path), "lidar")
-        assert np.array_equal(back.depth, depth.depth)
-        assert np.array_equal(back.valid_mask, depth.valid_mask)
-
-    def test_pack_twice_rejected(self):
-        from rankadapt.depthloss import pack_depth, pack_image
-
-        bundle = {}
-        pack_image(bundle, "frame", rand_image(23, h=3, w=4, c=1))
-        with pytest.raises(ValidationError, match="duplicate entry name 'frame.c0'"):
-            pack_image(bundle, "frame", rand_image(24, h=3, w=4, c=1))
-        # channel 0 is free, channel 1 is not: no channel of the image is added
-        held = np.ones((3, 4))
-        bundle = {"frame.c1": held}
-        with pytest.raises(ValidationError, match="duplicate entry name 'frame.c1'"):
-            pack_image(bundle, "frame", rand_image(24, h=3, w=4, c=2))
-        assert list(bundle) == ["frame.c1"] and bundle["frame.c1"] is held
-        pack_depth(bundle, "lidar", DepthMap(np.ones((3, 4))))
-        with pytest.raises(ValidationError, match="duplicate"):
-            pack_depth(bundle, "lidar", DepthMap(np.ones((3, 4))))
-
-    def test_unpack_missing_image(self):
-        from rankadapt.depthloss import unpack_image
-
-        with pytest.raises(ValidationError):
-            unpack_image({}, "ghost")
-
-
 class TestCompose:
     def test_ssl(self):
         w = LossWeights(smooth_weight=1.0, reg_weight=1.0)
@@ -341,13 +281,12 @@ NAN, INF = float("nan"), float("inf")
     lambda: Pose(np.diag([NAN, 1.0, 1.0]), np.zeros(3)),
     # malformed rather than non-finite input, rejected the same way
     lambda: Pose(np.eye(3), [1.0, 2.0]),
-    lambda: unpack_depth({}, "x"),
 ], ids=["depth_nan", "depth_inf", "camera_fx_nan", "camera_cx_inf",
         "ssim_weight_nan", "smooth_weight_nan", "gt_weight_nan", "pseudo_weight_nan",
         "reg_weight_nan", "reg_weight_inf", "pose_translation_nan", "pose_rotation_nan",
-        "pose_translation_size", "unpack_depth_missing"])
+        "pose_translation_size"])
 def test_non_finite_value_rejected(make):
-    with pytest.raises(ValidationError, match="finite|lie in|3 entries|no depth map entries"):
+    with pytest.raises(ValidationError, match="finite|lie in|3 entries"):
         make()
 
 

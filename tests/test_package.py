@@ -28,3 +28,7 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="'rankadapt' has no attribute 'no_such_name'"):
         rankadapt.no_such_name
     assert not hasattr(rankadapt, "MatrixBundle")
+    depthloss = importlib.import_module("rankadapt.depthloss")
+    for gone in ("pack_image", "unpack_image", "pack_depth", "unpack_depth"):
+        assert not hasattr(rankadapt, gone)
+        assert not hasattr(depthloss, gone)
