@@ -14,12 +14,13 @@ import numpy as np
 from rankadapt import (
     StmConfig,
     decompose,
-    initialize_adapter,
     maintaining_penalty,
     merge,
     project_residual,
     select_directions,
     select_rank,
+    split_factors,
+    split_weight,
     trainable_param_count,
 )
 
@@ -44,7 +45,7 @@ selected = select_directions(factors, residual, r)
 print("projection magnitudes:", np.array2string(d, precision=3))
 print(f"selected directions (1-based): {selected}")
 
-layer = initialize_adapter(weight, factors, selected)
+layer = split_weight(weight, split_factors(factors, selected))
 exact = np.linalg.norm(merge(layer) - weight) / np.linalg.norm(weight)
 print(f"\n||W0 + BA - W|| / ||W|| = {exact:.2e}  (exact split)")
 print(f"plan: r={layer.plan.r}, protected={layer.plan.protected}, "

@@ -37,9 +37,9 @@ _EXPORTS = {
         "spectral": ("SvdFactors", "decompose", "project_residual", "reconstruct",
                      "singular_values"),
         "stm": (
-            "AdaptedLayer", "AdapterSplit", "StmConfig", "StmPlan", "adapt_layer",
-            "initialize_adapter", "maintaining_penalty", "maintaining_penalty_grad",
-            "select_directions", "select_rank", "split_factors", "split_weight",
+            "AdaptedLayer", "AdapterSplit", "StmConfig", "StmPlan", "maintaining_penalty",
+            "maintaining_penalty_grad", "select_directions", "select_rank", "split_factors",
+            "split_weight",
         ),
         "tensorio": (
             "BundleEntry", "Report", "read_bundle", "read_entries", "staged_bundle",

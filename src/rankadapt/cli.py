@@ -97,7 +97,7 @@ def _layer_entries(weights_dir, residuals_dir) -> dict:
 
 
 def _check_output(output, layers: dict, *bundle_dirs) -> None:
-    """Reject an ``output`` that is one of the input bundles or one of their files.
+    """Reject an ``output`` that is one of the input bundles or one of their files, or holds one.
 
     ``layers`` are the bundles' validated entries from :func:`_layer_entries`;
     a ``bundle_dirs`` item may be None, for a bundle not given. Writing to
@@ -117,6 +117,8 @@ def _check_output(output, layers: dict, *bundle_dirs) -> None:
                         (files, "a file of the weight or residual bundle")):
         if any(os.path.samestat(target, os.stat(p)) for p in paths):
             raise ValidationError(f"--output must not be {what}")
+    if any(Path(output).resolve() in Path(p).resolve().parents for p in files):
+        raise ValidationError("--output must not hold a file of the weight or residual bundle")
 
 
 def _map_layers(job, layers: dict, *args) -> list:
@@ -320,7 +322,7 @@ def _verify_layers(seed: int) -> list[tuple]:
     from . import harness
     from .adapter import merge
     from .spectral import decompose
-    from .stm import initialize_adapter, maintaining_penalty, maintaining_penalty_grad
+    from .stm import maintaining_penalty, maintaining_penalty_grad, split_factors, split_weight
 
     counts = {"init_exactness": 100, "zero_penalty_at_init": 100, "penalty_gradient": 25}
     failures = {}  # the detail of each property's first failure
@@ -332,7 +334,7 @@ def _verify_layers(seed: int) -> list[tuple]:
         w = rng.standard_normal((m, n))
         r = int(rng.integers(1, max(2, k // 2)))
         selected = sorted(int(i) + 1 for i in rng.choice(k, size=r, replace=False))
-        layer = initialize_adapter(w, decompose(w), selected)
+        layer = split_weight(w, split_factors(decompose(w), selected))
         err = np.linalg.norm(merge(layer) - w) / np.linalg.norm(w)
         if err > 1e-10:
             failures.setdefault("init_exactness", f"trial {t} (seed {seed}): residual {err:.3e}")

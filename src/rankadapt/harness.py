@@ -23,10 +23,12 @@ from .spectral import (as_component_indices, as_finite_array, as_real_array, dec
 from .stm import (
     AdaptedLayer,
     StmConfig,
-    adapt_layer,
-    initialize_adapter,
     maintaining_penalty_grad,
     protected_terms,
+    select_directions,
+    select_rank,
+    split_factors,
+    split_weight,
 )
 from .tensorio import Report
 
@@ -281,9 +283,9 @@ def _baseline_adapters(model: SyntheticModel, factors, ranks, method: str,
     for w, f, r in zip(model.layers, factors, ranks):
         if method == "random_subset_lora":
             selected = tuple(sorted(int(i) + 1 for i in rng.choice(f.k, size=r, replace=False)))
-            layers.append(initialize_adapter(w, f, selected))
+            layers.append(split_weight(w, split_factors(f, selected)))
         else:  # zero_init_lora: B = 0, A random, base left untouched
-            layer = initialize_adapter(w, f, ())
+            layer = split_weight(w, split_factors(f, ()))
             layers.append(replace(layer, b=np.zeros((w.shape[0], r)),
                                   a=_kaiming_uniform(rng, r, w.shape[1])))
     return layers
@@ -350,8 +352,10 @@ def run_stm_experiment(model: SyntheticModel, task: ProxyTask, stm_cfg: StmConfi
         raise ValidationError("reg_weight must be non-negative and finite")
     residuals = full_finetune_proxy(model, task, train_cfg)
     factors = [decompose(w) for w in model.layers]
-    stm_layers = [adapt_layer(w, f, dw, stm_cfg)
-                  for w, f, dw in zip(model.layers, factors, residuals)]
+    stm_layers = [
+        split_weight(w, split_factors(f, select_directions(f, dw, select_rank(f.sigma, stm_cfg))))
+        for w, f, dw in zip(model.layers, factors, residuals)
+    ]
     ranks = [l.plan.r for l in stm_layers]
 
     records = []

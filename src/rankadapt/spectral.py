@@ -353,15 +353,9 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
     return _svd(matrix, compute_uv=False)
 
 
-def reconstruct(factors: SvdFactors, indices=None) -> np.ndarray:
-    """Sum of components ``u_i sigma_i v_i^T``; all of them when ``indices`` is None.
-
-    The result is always a new array, which the caller may overwrite.
-    """
-    if indices is None:
-        return (factors.u * factors.sigma) @ factors.vt
-    idx = as_component_indices(indices, factors.k)
-    return (factors.u[:, idx] * factors.sigma[idx]) @ factors.vt[idx, :]
+def reconstruct(factors: SvdFactors) -> np.ndarray:
+    """Sum of all components ``u_i sigma_i v_i^T``, as a new array the caller may overwrite."""
+    return (factors.u * factors.sigma) @ factors.vt
 
 
 def project_residual(factors: SvdFactors, residual: np.ndarray) -> np.ndarray:

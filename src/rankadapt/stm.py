@@ -8,10 +8,10 @@ those directions out of the frozen base into an exactly-initialized adapter
 ``W = W0 + B @ A``, and scores a penalty that keeps training away from the
 leading directions, up to the ceiling of the stable rank, that were not selected.
 Every step consumes the factors of ``W`` from one decomposition that the
-caller makes; :func:`adapt_layer` runs the whole per-layer chain on them,
+caller makes: :func:`select_rank`, :func:`select_directions`, then the split,
+:func:`split_factors` and :func:`split_weight`. The split is two steps so
+that a caller can drop the factors before the one m x n array, ``W0``, exists,
 and the adapted layer keeps only the protected components the penalty reads.
-The split is two steps, :func:`split_factors` and :func:`split_weight`, so
-that a caller can drop the factors before the one m x n array, ``W0``, exists.
 
 Component indices are 1-based, consistent with :mod:`rankadapt.spectral`.
 """
@@ -178,80 +178,43 @@ def _components(factors: SvdFactors, idx0: np.ndarray) -> SvdFactors:
     return SvdFactors(u=factors.u[:, idx0], sigma=factors.sigma[idx0], vt=factors.vt[idx0, :])
 
 
-def _split(factors: SvdFactors, selected) -> AdapterSplit:
-    """:func:`split_factors`; its warning names the caller of the public function calling this."""
+def split_factors(factors: SvdFactors, selected) -> AdapterSplit:
+    """Everything of the adapter but ``W0``, from ``factors`` alone.
+
+    ``B = U[:, sel] sqrt(S[sel])`` and ``A = sqrt(S[sel]) Vt[sel, :]``. It
+    makes no m x n array and keeps copies of the selected and protected
+    components, not ``factors`` itself, so the caller may drop ``factors``
+    before :func:`split_weight`. Selected components with a zero singular
+    value are legal but useless (their adapter column starts at zero) and
+    trigger a warning.
+    """
     plan = make_plan(factors, selected)
     sel = _components(factors, np.asarray(plan.selected, dtype=int) - 1)
     if np.any(sel.sigma == 0.0):
         warnings.warn("selected a direction with zero singular value; its adapter "
-                      "column is initialized to zero", stacklevel=3)
+                      "column is initialized to zero", stacklevel=2)
     sqrt_s = np.sqrt(sel.sigma)
     return AdapterSplit(b=sel.u * sqrt_s, a=sqrt_s[:, None] * sel.vt, plan=plan,
                         protected=_components(factors, np.asarray(plan.protected, dtype=int) - 1),
                         selected=sel)
 
 
-def _as_weight(weight, factors: SvdFactors) -> np.ndarray:
-    weight = as_real_array(weight, "weight")
-    if weight.shape != (factors.m, factors.n):
-        raise ValidationError(
-            f"weight shape {weight.shape} does not match factors ({factors.m}, {factors.n})"
-        )
-    return weight
-
-
-def split_factors(factors: SvdFactors, selected) -> AdapterSplit:
-    """The first step of :func:`initialize_adapter`: everything but ``W0``, from ``factors`` alone.
-
-    It makes no m x n array and keeps copies of the selected and protected
-    components, not ``factors`` itself, so the caller may drop ``factors``
-    before :func:`split_weight`. Selected components with a zero singular
-    value are legal but useless (their adapter column starts at zero) and
-    trigger a warning.
-    """
-    return _split(factors, selected)
-
-
 def split_weight(weight: np.ndarray, split: AdapterSplit) -> AdaptedLayer:
-    """The second step of :func:`initialize_adapter`: ``W0`` from ``weight`` and ``split``.
+    """The adapted layer: ``W0 = W - U[:, sel] S[sel] Vt[sel, :]`` beside ``split``'s adapter.
 
-    ``split`` must come from the factors of ``weight``. ``W0`` is computed
-    into the array that :func:`reconstruct` returns for the selected
-    components, straight from ``weight``'s own dtype, so the step allocates
-    one m x n matrix, not two, also for a ``float32`` weight; ``weight``
-    itself is not modified.
+    ``split`` must come from the factors of ``weight``, so that ``W0 + B A
+    == W`` up to rounding. ``W0`` is computed into the array that
+    :func:`reconstruct` returns for the selected components, straight from
+    ``weight``'s own dtype, so the step allocates one m x n matrix, not two,
+    also for a ``float32`` weight; ``weight`` itself is not modified.
     """
-    weight = _as_weight(weight, split.selected)
-    w0 = reconstruct(split.selected)
+    weight = as_real_array(weight, "weight")
+    f = split.selected
+    if weight.shape != (f.m, f.n):
+        raise ValidationError(f"weight shape {weight.shape} does not match factors ({f.m}, {f.n})")
+    w0 = reconstruct(f)
     np.subtract(weight, w0, out=w0)  # widening float32 to float64 is exact
     return AdaptedLayer(w0=w0, b=split.b, a=split.a, plan=split.plan, protected=split.protected)
-
-
-def initialize_adapter(weight: np.ndarray, factors: SvdFactors, selected) -> AdaptedLayer:
-    """Split the selected components of ``factors`` out of ``weight`` into an exact adapter.
-
-    ``factors`` must be the decomposition of ``weight``.
-    ``B = U[:, sel] sqrt(S[sel])`` and ``A = sqrt(S[sel]) Vt[sel, :]``, with
-    ``W0 = W - U[:, sel] S[sel] Vt[sel, :]`` so that ``W0 + B A == W`` up to
-    rounding. This is :func:`split_factors` then :func:`split_weight`, which
-    allocates the one m x n matrix, ``W0``; a caller that can drop
-    ``factors`` in between, as ``stm-init``'s layer job does, holds ``W0``
-    without ``U`` and ``Vt``, so a layer's peak is its SVD. The layer keeps
-    copies of the protected components of ``factors``, not ``factors``
-    itself. Selected components with a zero singular value trigger a warning.
-    """
-    weight = _as_weight(weight, factors)
-    return split_weight(weight, _split(factors, selected))
-
-
-def adapt_layer(weight: np.ndarray, factors: SvdFactors, residual: np.ndarray,
-                cfg: StmConfig) -> AdaptedLayer:
-    """Select the rank and directions of one layer and split it, all from ``factors``.
-
-    ``factors`` must be the decomposition of ``weight``.
-    """
-    selected = select_directions(factors, residual, select_rank(factors.sigma, cfg))
-    return initialize_adapter(weight, factors, selected)
 
 
 def protected_terms(layer: AdaptedLayer) -> np.ndarray:
@@ -270,7 +233,7 @@ def maintaining_penalty(layers: list[AdaptedLayer]) -> float:
     """Mean over layers of ``sum_{i protected} |sigma_i u_i^T (B A) v_i|``.
 
     The factors are those of the original pretrained weights, so right after
-    :func:`initialize_adapter` the penalty is zero: ``B A`` spans only the
+    :func:`split_weight` the penalty is zero: ``B A`` spans only the
     selected directions, which are orthogonal to every protected one.
     """
     if not layers:

@@ -26,10 +26,11 @@ from rankadapt.harness import (
 from rankadapt.spectral import decompose, project_residual
 from rankadapt.stm import (
     StmConfig,
-    initialize_adapter,
     maintaining_penalty,
     maintaining_penalty_grad,
     select_directions,
+    split_factors,
+    split_weight,
 )
 from rankadapt.depthloss import (
     Camera,
@@ -89,7 +90,7 @@ def _hundred_random_layers():
     layers = []
     for _ in range(100):
         w, selected = _random_layer_and_selection(rng, shapes)
-        layers.append((w, initialize_adapter(w, decompose(w), selected)))
+        layers.append((w, split_weight(w, split_factors(decompose(w), selected))))
     return layers
 
 
@@ -104,7 +105,7 @@ def test_criterion_04_zero_penalty_at_init():
     for _, layer in _hundred_random_layers():
         assert maintaining_penalty([layer]) <= 1e-9
     w = np.diag([3.0, 2.0, 1.0])
-    layer = initialize_adapter(w, decompose(w), {3})
+    layer = split_weight(w, split_factors(decompose(w), {3}))
     layer.b = np.diag([0.1, 0.2, 0.5])
     layer.a = np.eye(3)
     assert abs(maintaining_penalty([layer]) - 0.7) <= 1e-12
@@ -117,7 +118,7 @@ def test_criterion_05_gradient_fidelity():
     shapes = [(10, 7), (8, 9), (12, 6)]
     for _ in range(100):
         w, selected = _random_layer_and_selection(rng, shapes)
-        layer = initialize_adapter(w, decompose(w), selected)
+        layer = split_weight(w, split_factors(decompose(w), selected))
         layer.b = layer.b + 0.25 * rng.standard_normal(layer.b.shape)
         layer.a = layer.a + 0.25 * rng.standard_normal(layer.a.shape)
         grad_b, grad_a = maintaining_penalty_grad(layer)

@@ -4,14 +4,14 @@ import pytest
 from rankadapt.adapter import forward, merge, trainable_param_count
 from rankadapt.errors import ValidationError
 from rankadapt.spectral import decompose
-from rankadapt.stm import initialize_adapter
+from rankadapt.stm import split_factors, split_weight
 
 from conftest import rand_matrix
 
 
 def make_layer(seed, m=10, n=8, selected=(1, 3)):
     w = rand_matrix(seed, m, n)
-    return initialize_adapter(w, decompose(w), selected)
+    return split_weight(w, split_factors(decompose(w), selected))
 
 
 def test_forward_zero_input():
@@ -21,7 +21,7 @@ def test_forward_zero_input():
 
 def test_forward_at_init_equals_original():
     w = rand_matrix(1, 10, 8)
-    layer = initialize_adapter(w, decompose(w), (2, 4))
+    layer = split_weight(w, split_factors(decompose(w), (2, 4)))
     x = rand_matrix(2, 8, 5)
     assert np.allclose(forward(layer, x), w @ x, atol=1e-10)
 
@@ -41,7 +41,7 @@ def test_forward_matches_merge():
 
 def test_merge_at_init_and_zeroed():
     w = rand_matrix(5, 9, 9)
-    layer = initialize_adapter(w, decompose(w), (1,))
+    layer = split_weight(w, split_factors(decompose(w), (1,)))
     assert np.linalg.norm(merge(layer) - w) <= 1e-10 * np.linalg.norm(w)
     layer.b = np.zeros_like(layer.b)
     assert np.array_equal(merge(layer), layer.w0)

@@ -21,12 +21,13 @@ import rankadapt.stm as stm
 import rankadapt.tensorio as tensorio
 from rankadapt.cli import _map_layers, main, spectra_layer, stm_init_layer
 from rankadapt.harness import make_synthetic_model
-from rankadapt.stm import StmConfig, StmPlan, adapt_layer
+from rankadapt.stm import StmConfig, StmPlan
 from rankadapt.tensorio import (
     BundleEntry,
     read_bundle,
     read_entries,
     write_bundle,
+    write_entry,
     write_manifest,
 )
 
@@ -46,7 +47,9 @@ def read_csv(path):
 
 
 def dir_bytes(path):
-    return {p.name: p.read_bytes() for p in sorted(Path(path).iterdir())}
+    """Every file under ``path``, by its path relative to ``path``."""
+    return {p.relative_to(path).as_posix(): p.read_bytes()
+            for p in sorted(Path(path).rglob("*")) if p.is_file()}
 
 
 class TestSpectra:
@@ -298,8 +301,10 @@ class TestStmInit:
             record = json.loads((out / f"{name}.plan.json").read_text())
             assert record["config"] == flags
             w = np.asarray(stored_weights[name], dtype=np.float64)
-            expected = adapt_layer(w, spectral.decompose(w), stored_residuals[name],
-                                   StmConfig(**flags)).plan
+            f = spectral.decompose(w)
+            r = stm.select_rank(f.sigma, StmConfig(**flags))
+            selected = stm.select_directions(f, stored_residuals[name], r)
+            expected = stm.split_factors(f, selected).plan
             assert StmPlan.from_dict(record) == expected
             assert 1 <= expected.r <= min(shape) // 2
 
@@ -774,6 +779,40 @@ class TestRejectedBeforeWorkers:
         captured = capsys.readouterr()
         assert captured.err == (
             "error: --output must not be a file of the weight or residual bundle\n")
+        assert {name: dir_bytes(tmp_path / name) for name in ("w", "r")} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r", "w"]
+
+    @pytest.mark.parametrize("command", [["stm-init", "--alpha", "0.5"], ["spectra"]],
+                             ids=lambda c: c[0])
+    def test_output_holding_the_input_bundles_exits_2(self, tmp_path, capsys, command):
+        rng = np.random.default_rng(16)
+        out = tmp_path / "out"
+        write_bundle(out, {"old": np.eye(2)})
+        wdir, rdir = out / "W", out / "dW"
+        write_bundle(wdir, {"a": rng.standard_normal((6, 4))})
+        write_bundle(rdir, {"a": 0.1 * rng.standard_normal((6, 4))})
+        before = dir_bytes(out)
+        assert main([command[0], "--weights", str(wdir), "--residuals", str(rdir), *command[1:],
+                     "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --output must not hold a file of the weight or residual bundle\n")
+        assert dir_bytes(out) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+    @pytest.mark.parametrize("command", [["stm-init", "--alpha", "0.5"], ["spectra"]],
+                             ids=lambda c: c[0])
+    def test_output_holding_a_payload_exits_2(self, tmp_path, capsys, command):
+        rng = np.random.default_rng(17)
+        wdir, rdir = write_pair(tmp_path, {}, {"l": 0.1 * rng.standard_normal((6, 4))})
+        sub_dir = Path(wdir) / "sub"
+        write_bundle(sub_dir, {"x": np.eye(2)})  # a bundle, so stm-init would replace it
+        record = write_entry(sub_dir, "l", rng.standard_normal((6, 4)))
+        write_manifest(wdir, [{**record, "data": "sub/l.bin"}])
+        before = {name: dir_bytes(tmp_path / name) for name in ("w", "r")}
+        assert main([command[0], "--weights", wdir, "--residuals", rdir, *command[1:],
+                     "--output", str(sub_dir)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --output must not hold a file of the weight or residual bundle\n")
         assert {name: dir_bytes(tmp_path / name) for name in ("w", "r")} == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["r", "w"]
 

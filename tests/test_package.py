@@ -1,5 +1,6 @@
 import importlib
 
+import numpy as np
 import pytest
 
 import rankadapt
@@ -32,3 +33,10 @@ def test_unknown_attribute_raises_attribute_error():
     for gone in ("pack_image", "unpack_image", "pack_depth", "unpack_depth"):
         assert not hasattr(rankadapt, gone)
         assert not hasattr(depthloss, gone)
+    stm = importlib.import_module("rankadapt.stm")
+    for gone in ("initialize_adapter", "adapt_layer"):
+        assert not hasattr(rankadapt, gone)
+        assert not hasattr(stm, gone)
+    f = rankadapt.decompose(np.eye(2))
+    with pytest.raises(TypeError):
+        rankadapt.reconstruct(f, {1})  # no partial reconstruction

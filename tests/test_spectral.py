@@ -14,7 +14,7 @@ from rankadapt.eranks import stable_rank
 from rankadapt.errors import NumericError, ValidationError
 from rankadapt.harness import finite_difference_check
 from rankadapt.spectral import decompose, project_residual, reconstruct, singular_values
-from rankadapt.stm import initialize_adapter
+from rankadapt.stm import split_factors, split_weight
 
 from conftest import rand_matrix
 
@@ -139,11 +139,11 @@ _NOT_REAL = {
     "decompose_objects": lambda: decompose(_W.astype(object)),
     "singular_values": lambda: singular_values(_W + 1j),
     "project_residual": lambda: project_residual(_F, _W + 1j),
-    "forward": lambda: forward(initialize_adapter(_W, _F, (1,)), np.ones(4) + 1j),
+    "forward": lambda: forward(split_weight(_W, split_factors(_F, (1,))), np.ones(4) + 1j),
     "finite_difference_check": lambda: finite_difference_check(
         lambda p: 0.0, np.ones(2) + 1j, np.ones(2)),
     "stable_rank": lambda: stable_rank([1 + 1j, 0.5]),
-    "initialize_adapter": lambda: initialize_adapter(_W + 1j, _F, (1,)),
+    "split_weight": lambda: split_weight(_W + 1j, split_factors(_F, (1,))),
 }
 
 
@@ -161,29 +161,20 @@ def test_decomposition_deterministic():
     assert np.array_equal(f1.vt, f2.vt)
 
 
-def test_reconstruct_partial():
-    f = decompose(np.diag([3.0, 2.0, 1.0]))
-    assert np.allclose(reconstruct(f, {1}), np.diag([3.0, 0.0, 0.0]))
-    assert np.array_equal(reconstruct(f, set()), np.zeros((3, 3)))
-    full = reconstruct(f, {1, 2, 3})
-    assert np.linalg.norm(full - np.diag([3.0, 2.0, 1.0])) <= 1e-10 * np.linalg.norm(full)
-    with pytest.raises(ValidationError):
-        reconstruct(f, {4})
-    with pytest.raises(ValidationError):
-        reconstruct(f, {0})
-    with pytest.raises(ValidationError):  # not truncated to component 1
-        reconstruct(f, {1.5})
+@pytest.mark.parametrize("selected, match", [
+    ({4}, "outside 1..3"),
+    ({0}, "outside 1..3"),
+    ({1.5}, "must be integers"),  # not truncated to component 1
+], ids=["above_k", "zero", "fraction"])
+def test_component_index_rejected(selected, match):
+    with pytest.raises(ValidationError, match=match):
+        split_factors(decompose(np.diag([3.0, 2.0, 1.0])), selected)
 
 
-@pytest.mark.parametrize("use", [
-    lambda w, f: reconstruct(f, [True]),
-    lambda w, f: initialize_adapter(w, f, [True]),
-], ids=["reconstruct", "initialize_adapter"])
-def test_bool_index_rejected(use):
+def test_bool_index_rejected():
     # True is not taken for component 1
-    w = rand_matrix(18, 6, 5)
     with pytest.raises(ValidationError, match="a bool is no index"):
-        use(w, decompose(w))
+        split_factors(decompose(rand_matrix(18, 6, 5)), [True])
 
 
 def test_project_residual_zero():

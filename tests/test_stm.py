@@ -15,8 +15,6 @@ from rankadapt.spectral import decompose
 from rankadapt.stm import (
     StmConfig,
     StmPlan,
-    adapt_layer,
-    initialize_adapter,
     maintaining_penalty,
     maintaining_penalty_grad,
     max_rank,
@@ -32,6 +30,12 @@ from conftest import JSON, rand_matrix
 
 def cfg(alpha=1.0):
     return StmConfig(alpha=alpha)
+
+
+def adapt(w, dw, c):
+    """The whole Initialize chain of one layer, over one decomposition of ``w``."""
+    f = decompose(w)
+    return split_weight(w, split_factors(f, select_directions(f, dw, select_rank(f.sigma, c))))
 
 
 PLAN_RECORD = {"r": 1, "selected": [1], "protected": [], "protect_cutoff": 0,
@@ -141,7 +145,7 @@ class TestSelectDirections:
 class TestInitializeAdapter:
     def test_diagonal_worked_example(self):
         w = np.diag([3.0, 2.0, 1.0])
-        layer = initialize_adapter(w, decompose(w), {2, 3})
+        layer = split_weight(w, split_factors(decompose(w), {2, 3}))
         assert np.allclose(layer.w0, np.diag([3.0, 0.0, 0.0]), atol=1e-12)
         expected_b = np.array([[0.0, 0.0], [np.sqrt(2.0), 0.0], [0.0, 1.0]])
         expected_a = np.array([[0.0, np.sqrt(2.0), 0.0], [0.0, 0.0, 1.0]])
@@ -151,14 +155,14 @@ class TestInitializeAdapter:
 
     def test_empty_selection(self):
         w = rand_matrix(1, 6, 5)
-        layer = initialize_adapter(w, decompose(w), ())
+        layer = split_weight(w, split_factors(decompose(w), ()))
         assert layer.b.shape == (6, 0) and layer.a.shape == (0, 5)
         assert np.array_equal(layer.w0, w)
         assert layer.plan.r == 0
 
     def test_random_exactness(self):
         w = rand_matrix(2, 32, 16)
-        layer = initialize_adapter(w, decompose(w), (1, 2, 3, 4))
+        layer = split_weight(w, split_factors(decompose(w), (1, 2, 3, 4)))
         err = np.linalg.norm(layer.w0 + layer.b @ layer.a - w)
         assert err <= 1e-10 * np.linalg.norm(w)
 
@@ -170,7 +174,7 @@ class TestInitializeAdapter:
             k = min(m, n)
             r = int(rng.integers(1, k + 1))
             selected = sorted(int(i) + 1 for i in rng.choice(k, size=r, replace=False))
-            layer = initialize_adapter(w, decompose(w), selected)
+            layer = split_weight(w, split_factors(decompose(w), selected))
             err = np.linalg.norm(layer.w0 + layer.b @ layer.a - w)
             assert err <= 1e-10 * np.linalg.norm(w)
             assert not set(layer.plan.selected) & set(layer.plan.protected)
@@ -181,7 +185,7 @@ class TestInitializeAdapter:
     def test_zero_singular_value_warns(self):
         w = np.diag([2.0, 0.0])
         with pytest.warns(UserWarning):
-            initialize_adapter(w, decompose(w), {2})
+            split_weight(w, split_factors(decompose(w), {2}))
 
     @pytest.mark.parametrize("shape, dtype", float64_then_float32(
         "shape", [(600, 200), (200, 600), (300, 300)]))
@@ -191,13 +195,13 @@ class TestInitializeAdapter:
         selected = range(1, f.k + 1, 10)
         tracemalloc.start()
         try:
-            layer = initialize_adapter(w, f, selected)
+            layer = split_weight(w, split_factors(f, selected))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * owned_nbytes(layer)
         # W0 comes out as if the weight had been widened first
-        widened = initialize_adapter(w.astype(np.float64), f, selected)
+        widened = split_weight(w.astype(np.float64), split_factors(f, selected))
         assert layer.w0.tobytes() == widened.w0.tobytes()
 
     @pytest.mark.parametrize("selected, dtype", float64_then_float32(
@@ -205,10 +209,10 @@ class TestInitializeAdapter:
     def test_weight_not_modified(self, selected, dtype):
         w = rand_matrix(6, 9, 7).astype(dtype)
         before = w.tobytes()
-        layer = initialize_adapter(w, decompose(w), selected)
+        layer = split_weight(w, split_factors(decompose(w), selected))
         assert w.tobytes() == before
         assert layer.w0.flags.c_contiguous and not np.shares_memory(layer.w0, w)
-        layer = adapt_layer(w, decompose(w), 0.1 * rand_matrix(7, 9, 7), cfg(0.5))
+        layer = adapt(w, 0.1 * rand_matrix(7, 9, 7), cfg(0.5))
         assert w.tobytes() == before
         assert layer.w0.flags.c_contiguous and not np.shares_memory(layer.w0, w)
 
@@ -216,19 +220,21 @@ class TestInitializeAdapter:
     def test_factors_of_another_shape_rejected(self, other):
         w = rand_matrix(3, 5, 6)
         with pytest.raises(ValidationError, match="does not match factors"):
-            initialize_adapter(w, decompose(rand_matrix(4, *other)), (1,))
+            split_weight(w, split_factors(decompose(rand_matrix(4, *other)), (1,)))
 
     def test_non_integral_index_rejected(self):
         # 2.7 is not truncated to component 2
         w = rand_matrix(8, 6, 5)
         with pytest.raises(ValidationError, match="must be integers"):
-            initialize_adapter(w, decompose(w), (2.7,))
+            split_weight(w, split_factors(decompose(w), (2.7,)))
 
     @pytest.mark.parametrize("shape", [(14, 9), (9, 14)])
     def test_layer_holds_only_the_protected_components(self, shape):
         w = rand_matrix(45, *shape)
         f = decompose(w)
-        layer = adapt_layer(w, f, 0.1 * rand_matrix(46, *shape), cfg(0.5))
+        r = select_rank(f.sigma, cfg(0.5))
+        selected = select_directions(f, 0.1 * rand_matrix(46, *shape), r)
+        layer = split_weight(w, split_factors(f, selected))
         p = len(layer.plan.protected)
         assert p > 0
         assert layer.protected.u.shape == (shape[0], p)
@@ -244,25 +250,7 @@ class TestInitializeAdapter:
 
 
 class TestSplitSteps:
-    """split_factors then split_weight against initialize_adapter."""
-
-    @pytest.mark.parametrize("shape, dtype", float64_then_float32(
-        "shape", [(14, 9), (9, 14)]))
-    def test_equal_initialize_adapter_bit_for_bit(self, shape, dtype):
-        w = rand_matrix(47, *shape).astype(dtype)
-        f = decompose(w)
-        selected = (2, 3, 5)
-        ref = initialize_adapter(w, f, selected)
-        split = split_factors(f, selected)
-        del f  # the second step needs only the weight and the split
-        layer = split_weight(w, split)
-        assert layer.plan == ref.plan and len(layer.plan.protected) > 0
-        for attr in ("w0", "b", "a"):
-            got, want = getattr(layer, attr), getattr(ref, attr)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), attr
-        for attr in ("u", "sigma", "vt"):
-            got, want = getattr(layer.protected, attr), getattr(ref.protected, attr)
-            assert got.tobytes() == want.tobytes(), attr
+    """What each of split_factors and split_weight holds, warns and checks."""
 
     def test_split_holds_copies_of_the_selected_components(self):
         w = rand_matrix(48, 12, 10)
@@ -276,15 +264,11 @@ class TestSplitSteps:
                 for full in (f.u, f.sigma, f.vt):
                     assert not np.shares_memory(held, full)
 
-    @pytest.mark.parametrize("path", ["initialize_adapter", "two_steps"])
-    def test_zero_singular_value_warns_once_at_the_caller(self, path):
+    def test_zero_singular_value_warns_once_at_the_caller(self):
         w = np.diag([2.0, 0.0])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            if path == "initialize_adapter":
-                initialize_adapter(w, decompose(w), {2})
-            else:
-                split_weight(w, split_factors(decompose(w), {2}))
+            split_weight(w, split_factors(decompose(w), {2}))
         assert [(c.category, c.filename) for c in caught] == [(UserWarning, __file__)]
         assert "zero singular value" in str(caught[0].message)
 
@@ -295,42 +279,10 @@ class TestSplitSteps:
             split_weight(w.T, split)
 
 
-class TestAdaptLayer:
-    """adapt_layer against the public chain of steps over one decomposition."""
-
-    SHAPES = {
-        "tall": (14, 9, np.float64),
-        "wide": (9, 14, np.float64),
-        "square": (11, 11, np.float64),
-        "f32": (12, 10, np.float32),
-    }
-    # 1.3 reaches the rank cap on every shape
-    ALPHAS = {"default": 0.5, "large": 1.3, "small": 0.2}
-
-    @pytest.mark.parametrize("alpha", ALPHAS)
-    @pytest.mark.parametrize("shape", SHAPES)
-    def test_matches_step_by_step_bit_for_bit(self, shape, alpha):
-        m, n, dtype = self.SHAPES[shape]
-        w = rand_matrix(41, m, n).astype(dtype)
-        dw = (0.1 * rand_matrix(42, m, n)).astype(dtype)
-        c = cfg(self.ALPHAS[alpha])
-
-        fast = adapt_layer(w, decompose(w), dw, c)
-        f = decompose(w)
-        ref = initialize_adapter(w, f, select_directions(f, dw, select_rank(f.sigma, c)))
-
-        assert fast.plan == ref.plan
-        for attr in ("w0", "b", "a"):
-            assert np.array_equal(getattr(fast, attr), getattr(ref, attr)), attr
-        for attr in ("u", "sigma", "vt"):
-            assert np.array_equal(getattr(fast.protected, attr),
-                                  getattr(ref.protected, attr)), attr
-
-
 class TestStmPlanRecord:
     def test_round_trip_through_json(self):
         w = rand_matrix(43, 12, 9)
-        plan = adapt_layer(w, decompose(w), 0.1 * rand_matrix(44, 12, 9), cfg(0.5)).plan
+        plan = adapt(w, 0.1 * rand_matrix(44, 12, 9), cfg(0.5)).plan
         record = plan.to_dict()
         assert list(record) == ["r", "selected", "protected", "protect_cutoff",
                                 "entropy_rank", "stable_rank"]
@@ -415,12 +367,12 @@ class TestMaintainingPenalty:
     def test_zero_at_init(self):
         for seed_ in range(20):
             w = rand_matrix(seed_, 12, 9)
-            layer = initialize_adapter(w, decompose(w), (1, 4))
+            layer = split_weight(w, split_factors(decompose(w), (1, 4)))
             assert maintaining_penalty([layer]) <= 1e-9
 
     def test_hand_computed_example(self):
         w = np.diag([3.0, 2.0, 1.0])
-        layer = initialize_adapter(w, decompose(w), {3})
+        layer = split_weight(w, split_factors(decompose(w), {3}))
         assert layer.plan.protect_cutoff == 2
         assert layer.plan.protected == (1, 2)
         layer.b = np.diag([0.1, 0.2, 0.5])
@@ -436,7 +388,7 @@ class TestMaintainingPenalty:
     def test_nothing_protected(self):
         # stable rank 14/9 gives cutoff 2, and both leading directions are selected
         w = np.diag([3.0, 2.0, 1.0])
-        layer = initialize_adapter(w, decompose(w), {1, 2})
+        layer = split_weight(w, split_factors(decompose(w), {1, 2}))
         assert layer.plan.protect_cutoff == 2 and layer.plan.protected == ()
         rng = np.random.default_rng(0)
         layer.b = layer.b + rng.standard_normal(layer.b.shape)
@@ -453,7 +405,7 @@ class TestMaintainingPenaltyGrad:
     def _perturbed_layer(self, seed_):
         rng = np.random.default_rng(seed_)
         w = rng.standard_normal((10, 7))
-        layer = initialize_adapter(w, decompose(w), (2, 6))
+        layer = split_weight(w, split_factors(decompose(w), (2, 6)))
         layer.b = layer.b + 0.25 * rng.standard_normal(layer.b.shape)
         layer.a = layer.a + 0.25 * rng.standard_normal(layer.a.shape)
         return layer
@@ -462,7 +414,7 @@ class TestMaintainingPenaltyGrad:
     def test_matches_full_factor_reference_bit_for_bit(self, shape):
         rng = np.random.default_rng(12)
         w = rng.standard_normal(shape)
-        layer = initialize_adapter(w, decompose(w), (2, 6))
+        layer = split_weight(w, split_factors(decompose(w), (2, 6)))
         layer.b = layer.b + 0.25 * rng.standard_normal(layer.b.shape)
         layer.a = layer.a + 0.25 * rng.standard_normal(layer.a.shape)
         # the terms and gradient over the protected columns of the full factors
@@ -480,7 +432,7 @@ class TestMaintainingPenaltyGrad:
 
     def test_zero_gradient_at_init(self):
         w = rand_matrix(4, 9, 6)
-        layer = initialize_adapter(w, decompose(w), (3,))
+        layer = split_weight(w, split_factors(decompose(w), (3,)))
         grad_b, grad_a = maintaining_penalty_grad(layer)
         assert np.max(np.abs(grad_b)) <= 1e-12
         assert np.max(np.abs(grad_a)) <= 1e-12
