@@ -15,7 +15,9 @@ hands its mapped matrices to the library as stored. Workers start with
 ``_WORKER_ENV``, which also pins glibc's mmap threshold, so that one layer's
 large arrays go back to the system before the next layer starts.
 ``stm-init`` and ``train-toy`` take one STM option, ``--alpha``; a layer with
-rank cap ``floor(K/2) = 0`` ends ``stm-init`` before any worker starts.
+rank cap ``floor(K/2) = 0`` ends ``stm-init`` before any worker starts. A
+report ``--output`` that is a directory, or whose directory is missing, ends
+``spectra`` and ``train-toy`` before any layer or training step runs.
 
 Exit codes are a stable contract: 0 on success, else the ``exit_code`` of
 the error that ended the command, from the one table in
@@ -232,6 +234,7 @@ def cmd_spectra(args) -> int:
 
     layers = _layer_entries(args.weights, args.residuals)
     _check_output(args.output, layers, args.weights, args.residuals)
+    Report.check_path(args.output)
     per_layer = _map_layers(spectra_layer, layers)
     records = [rec for layer_records in per_layer for rec in layer_records]
     Report(kind="spectra", records=records).write(args.output)
@@ -393,6 +396,9 @@ def cmd_verify(args) -> int:
 def cmd_train_toy(args) -> int:
     from . import harness
     from .stm import StmConfig
+    from .tensorio import Report
+
+    Report.check_path(args.output)
 
     # a sharp shallow layer and a flat deep layer, each with two planted task
     # directions well above the noise

@@ -21,23 +21,24 @@ the factors are bit-identical to ``np.linalg.svd``'s at less memory.
 LAPACK overwrites the column-major float64 copy of the input (see below).
 The workspaces and the column-major factors are arrays over anonymous
 memory maps, each unmapped when its array's last reference goes. The copy
-and each workspace are dropped as soon as their last LAPACK or BLAS call
-returns, and ``U``'s map once its row-major copy exists, before ``Vt`` is
-copied. ``np.linalg.svd`` would add a second copy of the input and keep
-its workspace and column-major factors in one block until it returns.
-Where numpy's LAPACK lacks one of the four symbols used here (another
-build of numpy), the SVD is ``np.linalg.svd`` itself, of the same copy.
+and each workspace are dropped as soon as their last use returns, and
+``U``'s map once its row-major copy exists, before ``Vt`` is copied.
+``np.linalg.svd`` would add a second copy of the input and keep its
+workspace and column-major factors in one block until it returns. Where
+numpy's LAPACK lacks one of the three LAPACKE symbols used here (another
+build of numpy, such as a numpy < 2 wheel, whose OpenBLAS symbols lack the
+``scipy_`` prefix), the SVD is ``np.linalg.svd`` itself, of the same copy.
 
 For a tall matrix (``m >= floor(11 n / 6)``, dgesdd's own threshold),
 dgesdd computes the ``Q R`` of the copy, the SVD of the n x n ``R``, and
 ``U = Q U_R`` with one GEMM. With vectors, this module makes those LAPACK
-and BLAS calls itself, one at a time, so the SVD's workspace (about 3 n^2
-floats) and ``R`` are freed before ``U`` is formed, where the one-shot
-call holds them beside it. It does so only where dgesdd would scale
-neither the matrix nor ``R``. Wide and square matrices and singular values
-alone take the one-shot call; a wide layer, such as a ViT ``mlp.fc2``,
-could take dgesdd's LQ steps the same way, but no benchmark workload has
-one.
+calls itself, one at a time, and ``np.matmul`` makes the same ``dgemm``
+call into a column-major ``U``. So the SVD's workspace (about 3 n^2 floats)
+and ``R`` are freed before ``U`` is formed, where the one-shot call holds
+them beside it. It does so only where dgesdd would scale neither the matrix
+nor ``R``. Wide and square matrices and singular values alone take the
+one-shot call; a wide layer, such as a ViT ``mlp.fc2``, could take dgesdd's
+LQ steps the same way, but no benchmark workload has one.
 
 Every matrix, for the SVD or the residual projection, is read once, into
 one float64 copy, and checked on the copy: real before it is copied, finite
@@ -124,20 +125,18 @@ def as_finite_array(x, what: str, dtype=None) -> np.ndarray:
 
 
 def _find_lapack():
-    """LAPACKE ``dgesdd_work``, ``dgeqrf_work`` and ``dorgqr_work`` and CBLAS ``dgemm``.
+    """LAPACKE ``dgesdd_work``, ``dgeqrf_work`` and ``dorgqr_work``.
 
-    They are numpy's bundled OpenBLAS's, with 64-bit integers. Either all four
-    are found or all four are None, so the tall route of :func:`_svd`
+    They are numpy's bundled OpenBLAS's, with 64-bit integers. Either all three
+    are found or all three are None, so the tall route of :func:`_svd`
     exists exactly when ``dgesdd_work`` does.
     """
-    i64, ptr, dbl, enum = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double, ctypes.c_int
+    i64, ptr, enum = ctypes.c_int64, ctypes.c_void_p, ctypes.c_int
     signatures = {
-        "scipy_LAPACKE_dgesdd_work64_": (i64, (enum, ctypes.c_char, i64, i64, ptr, i64, ptr,
-                                               ptr, i64, ptr, i64, ptr, i64, ptr)),
-        "scipy_LAPACKE_dgeqrf_work64_": (i64, (enum, i64, i64, ptr, i64, ptr, ptr, i64)),
-        "scipy_LAPACKE_dorgqr_work64_": (i64, (enum, i64, i64, i64, ptr, i64, ptr, ptr, i64)),
-        "scipy_cblas_dgemm64_": (None, (enum, enum, enum, i64, i64, i64, dbl, ptr, i64,
-                                        ptr, i64, dbl, ptr, i64)),
+        "scipy_LAPACKE_dgesdd_work64_": (enum, ctypes.c_char, i64, i64, ptr, i64, ptr,
+                                         ptr, i64, ptr, i64, ptr, i64, ptr),
+        "scipy_LAPACKE_dgeqrf_work64_": (enum, i64, i64, ptr, i64, ptr, ptr, i64),
+        "scipy_LAPACKE_dorgqr_work64_": (enum, i64, i64, i64, ptr, i64, ptr, ptr, i64),
     }
     try:
         from numpy.linalg import _umath_linalg
@@ -146,14 +145,14 @@ def _find_lapack():
         lib = ctypes.CDLL(_umath_linalg.__file__)
         fns = [getattr(lib, name) for name in signatures]
     except (ImportError, OSError, AttributeError):
-        return None, None, None, None
-    for fn, (restype, argtypes) in zip(fns, signatures.values()):
-        fn.restype, fn.argtypes = restype, argtypes
+        return None, None, None
+    for fn, argtypes in zip(fns, signatures.values()):
+        fn.restype, fn.argtypes = i64, argtypes
     return tuple(fns)
 
 
-_dgesdd, _dgeqrf, _dorgqr, _dgemm = _find_lapack()
-_COL_MAJOR, _NO_TRANS = 102, 111  # LAPACKE's LAPACK_COL_MAJOR, CBLAS's CblasNoTrans
+_dgesdd, _dgeqrf, _dorgqr = _find_lapack()
+_COL_MAJOR = 102  # LAPACKE's LAPACK_COL_MAJOR
 # dgesdd scales a matrix whose largest magnitude lies outside [_SMLNUM, 1 / _SMLNUM]
 _SMLNUM = math.sqrt(sys.float_info.min) / sys.float_info.epsilon
 _BLOCK_BYTES = 1 << 20  # of a mapped input, copied between two releases of its pages
@@ -282,10 +281,10 @@ def _takes_qr_route(a: np.ndarray) -> bool:
 def _qr_gesdd(a: np.ndarray):
     """Column-major ``U``, sigma and ``Vt`` of tall ``a``: ``Q R``, the SVD of ``R``, ``Q U_R``.
 
-    These are the calls that ``dgesdd`` makes for an ``a`` that
-    :func:`_takes_qr_route`, with the same workspace queries, so the factors
-    are its bits. Made one at a time, they free the SVD's workspace and
-    ``R`` before ``U`` is formed. ``a`` is overwritten with ``Q``.
+    These are the calls ``dgesdd`` makes for an ``a`` that :func:`_takes_qr_route`,
+    with the same workspace queries and, through ``np.matmul``, the same
+    ``dgemm``, so the factors are its bits. Made one at a time, they free the
+    SVD's workspace and ``R`` before ``U`` is formed. ``a`` becomes ``Q``.
     """
     m, n = a.shape
     tau = np.empty(n)
@@ -297,8 +296,7 @@ def _qr_gesdd(a: np.ndarray):
     sigma = _dgesdd_of(r, u_r, vt)
     del r
     u = _mapped(m, n)
-    _dgemm(_COL_MAJOR, _NO_TRANS, _NO_TRANS, m, n, n, 1.0, a.ctypes.data, m,
-           u_r.ctypes.data, n, 0.0, u.ctypes.data, m)
+    np.matmul(a, u_r, out=u)  # written in place, no temporary
     return u, sigma, vt
 
 

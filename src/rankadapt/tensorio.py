@@ -28,6 +28,7 @@ A report file, too, replaces the old one by rename only once it is complete.
 """
 
 import csv
+import errno
 import json
 import math
 import os
@@ -279,6 +280,19 @@ class Report:
             raise ValidationError("all report records must share the same keys")
         return [{k: v.item() if isinstance(v, np.generic) else v for k, v in rec.items()}
                 for rec in self.records]
+
+    @staticmethod
+    def check_path(path) -> None:
+        """Raise if :meth:`write` could not replace ``path``, so a caller can check before work.
+
+        A directory at ``path`` raises ``ValidationError``, so it is never
+        replaced, and a missing parent directory raises ``FileNotFoundError``.
+        """
+        if os.path.isdir(path):
+            raise ValidationError(f"{Path(path).resolve()} is a directory; not replacing it")
+        head = os.path.dirname(path) or "."
+        if not os.path.isdir(head):
+            raise FileNotFoundError(errno.ENOENT, "No such directory", head)
 
     def write(self, path) -> None:
         """Write the report to ``path``: JSON if it is named ``*.json``, else CSV."""

@@ -827,6 +827,31 @@ class TestRejectedBeforeWorkers:
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["r", "w"]
 
+    def test_directory_as_report_exits_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(18)
+        wdir, rdir = write_pair(tmp_path, {"a": rng.standard_normal((6, 4))},
+                                {"a": 0.1 * rng.standard_normal((6, 4))})
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.csv").write_text("keep\n")
+        assert main(["spectra", "--weights", wdir, "--residuals", rdir,
+                     "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out.resolve()} is a directory; not replacing it\n")
+        assert dir_bytes(out) == {"keep.csv": b"keep\n"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "r", "w"]
+
+    def test_report_in_missing_directory_exits_1(self, tmp_path, capsys):
+        rng = np.random.default_rng(19)
+        wdir, rdir = write_pair(tmp_path, {"a": rng.standard_normal((6, 4))},
+                                {"a": 0.1 * rng.standard_normal((6, 4))})
+        out = tmp_path / "missing" / "s.csv"
+        assert main(["spectra", "--weights", wdir, "--residuals", rdir,
+                     "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such directory: '{out.parent}'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r", "w"]
+
     def test_infeasible_rank_cap_exits_2(self, tmp_path, capsys):
         rng = np.random.default_rng(12)
         # a 1 x N bias has rank cap floor(1/2) = 0, so no budget of at least 1
@@ -963,6 +988,31 @@ class TestVerify:
 
 
 class TestTrainToy:
+    @pytest.fixture
+    def no_training(self, monkeypatch):
+        def train(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(harness, "run_stm_experiment", train)
+
+    def test_directory_output_exits_2_before_training(self, tmp_path, capsys, no_training):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.csv").write_text("keep\n")
+        assert main(["train-toy", "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {out.resolve()} is a directory; not replacing it\n"
+        assert captured.out == ""
+        assert dir_bytes(out) == {"keep.csv": b"keep\n"}
+
+    def test_missing_output_directory_exits_1_before_training(self, tmp_path, capsys,
+                                                             no_training):
+        out = tmp_path / "missing" / "m.csv"
+        assert main(["train-toy", "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such directory: '{out.parent}'\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_default_schema(self, tmp_path):
         out = tmp_path / "metrics.csv"
         assert main(["train-toy", "--seed", "7", "--output", str(out)]) == 0

@@ -291,11 +291,12 @@ def test_svd_failure_maps_to_numeric_error(monkeypatch):
 
 
 needs_dgesdd = pytest.mark.skipif(spectral._dgesdd is None,
-                                  reason="numpy's LAPACK lacks a LAPACKE or CBLAS symbol")
+                                  reason="numpy's LAPACK lacks a LAPACKE symbol")
 
 
 @needs_dgesdd
-@pytest.mark.parametrize("missing", ["scipy_LAPACKE_dgesdd_work64_", "scipy_cblas_dgemm64_"])
+@pytest.mark.parametrize("missing", [f"scipy_LAPACKE_{routine}_work64_"
+                                     for routine in ("dgesdd", "dgeqrf", "dorgqr")])
 def test_lapack_symbols_are_found_all_or_none(monkeypatch, missing):
     assert None not in spectral._find_lapack()
     library = ctypes.CDLL
@@ -313,7 +314,7 @@ def test_lapack_symbols_are_found_all_or_none(monkeypatch, missing):
 
     monkeypatch.setattr(ctypes, "CDLL", Renamed)
     # without any one symbol the SVD is np.linalg.svd's, never half the LAPACK route
-    assert spectral._find_lapack() == (None, None, None, None)
+    assert spectral._find_lapack() == (None, None, None)
 
 
 @needs_dgesdd
@@ -373,11 +374,19 @@ def _f32_memmap(path, m, n):
     return np.memmap(path, dtype=np.float32, mode="r", shape=(m, n))
 
 
+@pytest.fixture
+def qr_routes(monkeypatch):
+    """The shape of each matrix that takes the tall route, in order."""
+    routes, qr_gesdd = [], spectral._qr_gesdd
+    monkeypatch.setattr(spectral, "_qr_gesdd", lambda a: routes.append(a.shape) or qr_gesdd(a))
+    return routes
+
+
 @needs_dgesdd
 @pytest.mark.parametrize("case", ["tall", "wide", "square", "row", "column", "zero",
                                   "f32_memmap", "strided_view", "mnthr", "below_mnthr",
                                   "tall_zero", "tall_f32_memmap", "tiny", "huge", "huge_tall"])
-def test_dgesdd_matches_numpy_svd_bit_for_bit(case, monkeypatch, tmp_path):
+def test_dgesdd_matches_numpy_svd_bit_for_bit(case, monkeypatch, tmp_path, qr_routes):
     # each case, and whether dgesdd's QR route (m >= floor(11 n / 6)) takes it,
     # which the scaling guard refuses where dgesdd would scale R, not the matrix
     make, qr_route = {
@@ -398,10 +407,8 @@ def test_dgesdd_matches_numpy_svd_bit_for_bit(case, monkeypatch, tmp_path):
         "huge_tall": (lambda: rand_matrix(71, 400, 12) * 1e137, False),
     }[case]
     w = make()
-    routes, qr_gesdd = [], spectral._qr_gesdd
-    monkeypatch.setattr(spectral, "_qr_gesdd", lambda a: routes.append(a.shape) or qr_gesdd(a))
     direct, direct_sigma = decompose(w), singular_values(w)
-    assert routes == ([w.shape] if qr_route else [])
+    assert qr_routes == ([w.shape] if qr_route else [])
     monkeypatch.setattr(spectral, "_dgesdd", None)  # the numpy.linalg.svd route
     fallback, fallback_sigma = decompose(w), singular_values(w)
     for got, want in ((direct.u, fallback.u), (direct.sigma, fallback.sigma),
@@ -438,17 +445,38 @@ def _svd_inputs(draw):
     return a * draw(st.sampled_from([1.0, 1e140, 1e-140, 1e160, 1e-160]))
 
 
+def _assert_svd_is_numpys(a, like):
+    """``spectral._svd(a)`` is ``np.linalg.svd(like)`` byte for byte, with vectors or without."""
+    for compute_uv in (False, True):
+        got = spectral._svd(a, compute_uv)
+        want = np.linalg.svd(like, full_matrices=False, compute_uv=compute_uv)
+        if not compute_uv:
+            got, want = (got,), (want,)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
 @needs_dgesdd
 @seed(2025)
 @settings(max_examples=300, deadline=None)
 @given(a=_svd_inputs())
 def test_svd_matches_numpy_svd_bit_for_bit(a):
-    for compute_uv in (False, True):
-        got = spectral._svd(a, compute_uv)
-        want = np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
-        if not compute_uv:
-            got, want = (got,), (want,)
-        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+    _assert_svd_is_numpys(a, a)
+
+
+@needs_dgesdd
+@pytest.mark.parametrize("case", ["tall", "tall_f32_memmap", "square", "wide"])
+def test_svd_matches_numpy_svd_at_cli_sizes(case, tmp_path, qr_routes):
+    # at the widths of real layers, where LAPACK's QR and BLAS's GEMM run
+    # blocked; each case, and whether it takes the QR route
+    make, qr_route = {
+        "tall": (lambda: rand_matrix(76, 1536, 384), True),
+        "tall_f32_memmap": (lambda: _f32_memmap(tmp_path / "w.bin", 1536, 384), True),
+        "square": (lambda: rand_matrix(77, 384, 384), False),
+        "wide": (lambda: rand_matrix(78, 384, 1536), False),
+    }[case]
+    w = make()
+    _assert_svd_is_numpys(w, np.array(w, dtype=np.float64))
+    assert qr_routes == ([w.shape] if qr_route else [])
 
 
 def _mapped(path, stored, mode):
