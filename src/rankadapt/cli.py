@@ -15,13 +15,19 @@ hands its mapped matrices to the library as stored. Workers start with
 ``_WORKER_ENV``, which also pins glibc's mmap threshold, so that one layer's
 large arrays go back to the system before the next layer starts.
 ``stm-init`` and ``train-toy`` take one STM option, ``--alpha``; a layer with
-rank cap ``floor(K/2) = 0`` ends ``stm-init`` before any worker starts. A
-report ``--output`` that is a directory, or whose directory is missing, ends
-``spectra`` and ``train-toy`` before any layer or training step runs.
+rank cap ``floor(K/2) = 0`` ends ``stm-init`` before any worker starts, and
+so does an ``--output`` that is, or holds, a file of an input bundle, read as
+the path it resolves to. A report ``--output`` that is a directory, or whose
+directory is missing, ends ``spectra`` and ``train-toy`` before any layer or
+training step runs; an empty ``--output`` is an argument error.
 
 Exit codes are a stable contract: 0 on success, else the ``exit_code`` of
 the error that ended the command, from the one table in
-:mod:`rankadapt.errors`.
+:mod:`rankadapt.errors`. Ctrl-C, or SIGTERM while a command runs, unwinds
+the command like an error: pending layers are cancelled, running ones
+finish, the staging directory goes, and the CLI exits with
+``EXIT_INTERRUPTED`` after one ``error: interrupted`` line. Workers ignore
+Ctrl-C.
 
 At module level this file imports only the standard library and
 :mod:`rankadapt.errors`; each command, worker job and ``verify`` sweep
@@ -41,6 +47,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import (
+    EXIT_INTERRUPTED,
     EXIT_IO,
     EXIT_PROPERTY,
     EXIT_VALIDATION,
@@ -99,28 +106,26 @@ def _layer_entries(weights_dir, residuals_dir) -> dict:
 
 
 def _check_output(output, layers: dict, *bundle_dirs) -> None:
-    """Reject an ``output`` that is one of the input bundles or one of their files, or holds one.
+    """Reject an ``output`` that is, or holds, a file of the input bundles.
 
     ``layers`` are the bundles' validated entries from :func:`_layer_entries`;
-    a ``bundle_dirs`` item may be None, for a bundle not given. Writing to
-    such an ``output`` would replace a bundle directory, its manifest or a
-    payload the layers are about to read.
+    a ``bundle_dirs`` item may be None, for a bundle not given. ``output`` is
+    read as ``Path(output).resolve()``, the path a bundle swap replaces; it
+    must not be the same file as an input manifest or payload, or as a
+    directory above one's resolved path, which takes in each bundle directory.
     """
     from .tensorio import MANIFEST_NAME
 
     try:
-        target = os.stat(output)
-    except OSError:  # nothing there, so nothing an input would lose
+        target = os.stat(Path(output).resolve())
+    except (OSError, RuntimeError):  # nothing there, or a symlink loop before Python 3.13
         return
-    dirs = [Path(d) for d in bundle_dirs if d is not None]
-    files = [d / MANIFEST_NAME for d in dirs]
+    files = [Path(d) / MANIFEST_NAME for d in bundle_dirs if d is not None]
     files += [entry.path for pair in layers.values() for entry in pair if entry is not None]
-    for paths, what in ((dirs, "the weight or residual bundle"),
-                        (files, "a file of the weight or residual bundle")):
-        if any(os.path.samestat(target, os.stat(p)) for p in paths):
-            raise ValidationError(f"--output must not be {what}")
-    if any(Path(output).resolve() in Path(p).resolve().parents for p in files):
-        raise ValidationError("--output must not hold a file of the weight or residual bundle")
+    held = {p for f in files for p in (f.resolve(), *f.resolve().parents)}
+    if any(os.path.samestat(target, os.stat(p)) for p in held):
+        raise ValidationError(
+            "--output must not be or hold a file of the weight or residual bundle")
 
 
 def _map_layers(job, layers: dict, *args) -> list:
@@ -135,6 +140,7 @@ def _map_layers(job, layers: dict, *args) -> list:
     message, once pending jobs are cancelled and every worker has exited.
     """
     import multiprocessing
+    import signal
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
@@ -145,8 +151,11 @@ def _map_layers(job, layers: dict, *args) -> list:
     # a thin SVD of an m x n weight costs about m * n * min(m, n)
     shapes = {name: weight.shape for name, (weight, _) in layers.items()}
     by_cost = sorted(shapes, key=lambda n: -math.prod(shapes[n]) * min(shapes[n]))
+    # a worker ignores Ctrl-C, so the CLI process alone decides how the run ends
     pool = ProcessPoolExecutor(min(cores, len(layers)),
-                               mp_context=multiprocessing.get_context("spawn"))
+                               mp_context=multiprocessing.get_context("spawn"),
+                               initializer=signal.signal,
+                               initargs=(signal.SIGINT, signal.SIG_IGN))
     try:
         saved = {var: os.environ.get(var) for var in _WORKER_ENV}
         os.environ.update(_WORKER_ENV)
@@ -181,6 +190,13 @@ def _seed(text: str) -> int:
     if seed < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
     return seed
+
+
+def _output(text: str) -> str:
+    """An ``--output`` value: an empty one, most often an unset shell variable, is refused."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
 
 
 def _config(cls, args):
@@ -427,13 +443,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectra", help="singular spectra, effective ranks, projections")
     p.add_argument("--weights", required=True, help="bundle directory of weight matrices")
     p.add_argument("--residuals", help="optional bundle of residuals with matching names")
-    p.add_argument("--output", required=True, help=_REPORT_HELP)
+    p.add_argument("--output", type=_output, required=True, help=_REPORT_HELP)
     p.set_defaults(func=cmd_spectra)
 
     p = sub.add_parser("stm-init", help="initialize adapters from weight and residual bundles")
     p.add_argument("--weights", required=True)
     p.add_argument("--residuals", required=True)
-    p.add_argument("--output", required=True, help="output bundle directory")
+    p.add_argument("--output", type=_output, required=True, help="output bundle directory")
     p.add_argument("--alpha", type=float, required=True, help=_ALPHA_HELP)
     p.set_defaults(func=cmd_stm_init)
 
@@ -446,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=150)
     p.add_argument("--learning-rate", type=float, default=0.5)
     p.add_argument("--reg-weight", type=float, default=0.0)
-    p.add_argument("--output", required=True, help=_REPORT_HELP)
+    p.add_argument("--output", type=_output, required=True, help=_REPORT_HELP)
     p.add_argument("--alpha", type=float, default=0.4, help=_ALPHA_HELP)
     p.set_defaults(func=cmd_train_toy)
     return parser
@@ -458,11 +474,21 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_VALIDATION
+    import signal  # after parsing, so --help and an argument error skip it
+
+    # SIGTERM unwinds like Ctrl-C, through the blocks that cancel pending
+    # layers and remove a staging directory
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         return args.func(args)
     except (RankadaptError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", EXIT_IO)
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -5,15 +5,18 @@ exit code as ``exit_code``; this module is the one table of them. The CLI
 exits 0 on success, and with the ``exit_code`` of the error that ended a
 command: ``EXIT_IO`` (1) for I/O problems (a plain ``OSError`` too),
 ``EXIT_VALIDATION`` (2) for validation problems, ``EXIT_PROPERTY`` (3) for
-numerical and property-sweep failures and ``EXIT_DIVERGED`` (4) for training
-divergence. Each error also keeps the builtin base it always had, so code
-that catches ``ValueError`` or ``FileNotFoundError`` still catches it.
+numerical and property-sweep failures, ``EXIT_DIVERGED`` (4) for training
+divergence and ``EXIT_INTERRUPTED`` (130), which no error carries, for a run
+stopped by Ctrl-C or SIGTERM. Each error also keeps the builtin base it
+always had, so code that catches ``ValueError`` or ``FileNotFoundError``
+still catches it.
 """
 
 EXIT_IO = 1
 EXIT_VALIDATION = 2
 EXIT_PROPERTY = 3
 EXIT_DIVERGED = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a Ctrl-C
 
 
 class RankadaptError(Exception):

@@ -4,8 +4,10 @@ import json
 import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -262,7 +264,7 @@ class TestStmInit:
         assert main(["stm-init", "--weights", wdir, "--residuals", rdir, "--alpha", "0.5",
                      "--output", str(tmp_path / "r" / ".." / bundle)]) == 2
         assert capsys.readouterr().err == (
-            "error: --output must not be the weight or residual bundle\n")
+            "error: --output must not be or hold a file of the weight or residual bundle\n")
         assert dir_bytes(tmp_path / bundle) == before
 
     def test_residual_removed_after_validation_exits_1(self, tmp_path, monkeypatch, capsys):
@@ -778,7 +780,7 @@ class TestRejectedBeforeWorkers:
                      "--output", str(tmp_path / bundle / file)]) == 2
         captured = capsys.readouterr()
         assert captured.err == (
-            "error: --output must not be a file of the weight or residual bundle\n")
+            "error: --output must not be or hold a file of the weight or residual bundle\n")
         assert {name: dir_bytes(tmp_path / name) for name in ("w", "r")} == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["r", "w"]
 
@@ -795,7 +797,7 @@ class TestRejectedBeforeWorkers:
         assert main([command[0], "--weights", str(wdir), "--residuals", str(rdir), *command[1:],
                      "--output", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "error: --output must not hold a file of the weight or residual bundle\n")
+            "error: --output must not be or hold a file of the weight or residual bundle\n")
         assert dir_bytes(out) == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
@@ -812,7 +814,26 @@ class TestRejectedBeforeWorkers:
         assert main([command[0], "--weights", wdir, "--residuals", rdir, *command[1:],
                      "--output", str(sub_dir)]) == 2
         assert capsys.readouterr().err == (
-            "error: --output must not hold a file of the weight or residual bundle\n")
+            "error: --output must not be or hold a file of the weight or residual bundle\n")
+        assert {name: dir_bytes(tmp_path / name) for name in ("w", "r")} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r", "w"]
+
+    @pytest.mark.parametrize("command, target", [
+        pytest.param(["stm-init", "--alpha", "0.5"], "", id="stm-init"),
+        pytest.param(["spectra"], "/manifest.json", id="spectra"),
+    ])
+    @pytest.mark.parametrize("bundle", ["w", "r"])
+    def test_output_through_a_missing_directory_exits_2(self, tmp_path, capsys, command, target,
+                                                        bundle):
+        # the kernel cannot stat missing/.., but the swap would replace what it resolves to
+        rng = np.random.default_rng(20)
+        wdir, rdir = write_pair(tmp_path, {"a": rng.standard_normal((6, 4))},
+                                {"a": 0.1 * rng.standard_normal((6, 4))})
+        before = {name: dir_bytes(tmp_path / name) for name in ("w", "r")}
+        assert main([command[0], "--weights", wdir, "--residuals", rdir, *command[1:],
+                     "--output", f"{tmp_path / 'missing' / '..' / bundle}{target}"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --output must not be or hold a file of the weight or residual bundle\n")
         assert {name: dir_bytes(tmp_path / name) for name in ("w", "r")} == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["r", "w"]
 
@@ -877,6 +898,30 @@ def test_negative_seed_exits_2(tmp_path, capsys, command):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["stm-init", "--weights", ".", "--residuals", "../r", "--alpha", "0.5"],
+    ["spectra", "--weights", ".", "--residuals", "../r"],
+    ["train-toy"],
+], ids=lambda argv: argv[0])
+def test_empty_output_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    # an unset shell variable; run from inside the weight bundle, where an
+    # empty path would name the bundle itself
+    def start_work(*args, **kwargs):
+        raise AssertionError("a layer or training step started")
+
+    monkeypatch.setattr(cli, "_map_layers", start_work)
+    monkeypatch.setattr(harness, "run_stm_experiment", start_work)
+    write_pair(tmp_path, {"a": np.eye(3)}, {"a": np.ones((3, 3))})
+    before = dir_bytes(tmp_path)
+    monkeypatch.chdir(tmp_path / "w")
+    assert main([*argv, "--output", ""]) == 2
+    captured = capsys.readouterr()
+    assert "argument --output: must not be empty" in captured.err
+    assert captured.out == ""
+    assert dir_bytes(tmp_path) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r", "w"]
+
+
 # the exit-code contract, by error class; every class in rankadapt.errors is listed
 EXIT_CODES = {
     "RankadaptError": 1,
@@ -919,6 +964,104 @@ def test_key_error_is_not_exit_2(monkeypatch):
     monkeypatch.setattr(cli, "cmd_verify", broken_command)
     with pytest.raises(KeyError):
         main(["verify"])
+
+
+def test_interruption_exits_130(monkeypatch, capsys):
+    before = signal.getsignal(signal.SIGTERM)
+
+    def interrupted_command(args):
+        assert signal.getsignal(signal.SIGTERM) is signal.default_int_handler
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_verify", interrupted_command)
+    assert main(["verify"]) == errors.EXIT_INTERRUPTED == 130
+    captured = capsys.readouterr()
+    assert captured.err == "error: interrupted\n"
+    assert captured.out == ""
+    assert signal.getsignal(signal.SIGTERM) is before
+
+
+def _proc_stat(pid: int) -> list[str] | None:
+    """The fields of ``/proc/<pid>/stat`` from the state on, or None if ``pid`` is gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    return stat[stat.rindex(")") + 2:].split()  # the command name may hold spaces
+
+
+def _children(pid: int) -> dict[int, str]:
+    """The start time of each child of ``pid``, by child pid."""
+    kids = {}
+    for entry in Path("/proc").iterdir():
+        stat = _proc_stat(int(entry.name)) if entry.name.isdigit() else None
+        if stat is not None and int(stat[1]) == pid:
+            kids[int(entry.name)] = stat[19]
+    return kids
+
+
+def _running(pid: int, start: str) -> bool:
+    """Whether the process ``pid`` that started at ``start`` still runs (is no zombie)."""
+    stat = _proc_stat(pid)
+    return stat is not None and stat[19] == start and stat[0] not in "ZX"
+
+
+def _ignores_sigint(pid: int) -> bool:
+    status = Path(f"/proc/{pid}/status").read_text()
+    mask = next(ln for ln in status.splitlines() if ln.startswith("SigIgn:")).split()[1]
+    return bool(int(mask, 16) & 1 << (signal.SIGINT - 1))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads worker processes from /proc")
+@pytest.mark.parametrize("stop", ["sigterm", "ctrl-c"])
+def test_stopped_stm_init_cleans_up(tmp_path, stop):
+    # SIGTERM as kill and batch schedulers send it, to the CLI process alone;
+    # Ctrl-C as a terminal sends it, to the whole process group
+    rng = np.random.default_rng(24)
+    names = [f"block{i}.mlp" for i in range(8)]  # some seconds of work on two cores
+    shape = (1536, 768)
+    write_pair(tmp_path, {n: rng.standard_normal(shape).astype(np.float32) for n in names},
+               {n: (0.1 * rng.standard_normal(shape)).astype(np.float32) for n in names})
+    workers = min(len(os.sched_getaffinity(0)), len(names))
+    with open(tmp_path / "stdout", "wb") as out, open(tmp_path / "stderr", "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rankadapt.cli", "stm-init", "--weights", "w",
+             "--residuals", "r", "--alpha", "0.5", "--output", "out"],
+            cwd=tmp_path, env=cli_env(), stdout=out, stderr=err, start_new_session=True)
+    kids = {}
+    try:
+        staging = tmp_path / f".out.staging-{proc.pid}"
+        deadline = time.monotonic() + 60
+        # signal once every worker is up and ignores SIGINT: a Ctrl-C that
+        # reaches a worker before its initializer runs ends it with a traceback
+        while True:
+            assert proc.poll() is None and time.monotonic() < deadline, "no workers seen"
+            kids = _children(proc.pid)
+            pool = [pid for pid in kids
+                    if b"spawn_main" in Path(f"/proc/{pid}/cmdline").read_bytes()]
+            if staging.is_dir() and len(pool) == workers and all(map(_ignores_sigint, pool)):
+                break
+            time.sleep(0.01)
+        if stop == "sigterm":
+            proc.send_signal(signal.SIGTERM)
+        else:
+            os.killpg(proc.pid, signal.SIGINT)
+        assert proc.wait(timeout=60) == 130
+        assert (tmp_path / "stderr").read_bytes() == b"error: interrupted\n"
+        assert (tmp_path / "stdout").read_bytes() == b""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r", "stderr", "stdout", "w"]
+        # the workers and multiprocessing's resource tracker
+        deadline = time.monotonic() + 10
+        while any(_running(*kid) for kid in kids.items()) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert [pid for pid, start in kids.items() if _running(pid, start)] == []
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        for pid, start in kids.items():
+            if _running(pid, start):
+                os.kill(pid, signal.SIGKILL)
 
 
 @pytest.mark.parametrize("code", [
