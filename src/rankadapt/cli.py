@@ -15,11 +15,10 @@ hands its mapped matrices to the library as stored. Workers start with
 ``_WORKER_ENV``, which also pins glibc's mmap threshold, so that one layer's
 large arrays go back to the system before the next layer starts.
 ``stm-init`` and ``train-toy`` take one STM option, ``--alpha``; a layer with
-rank cap ``floor(K/2) = 0`` ends ``stm-init`` before any worker starts, and
-so does an ``--output`` that is, or holds, a file of an input bundle, read as
-the path it resolves to. A report ``--output`` that is a directory, or whose
-directory is missing, ends ``spectra`` and ``train-toy`` before any layer or
-training step runs; an empty ``--output`` is an argument error.
+rank cap ``floor(K/2) = 0`` ends ``stm-init`` before any worker starts. Each
+command enters :func:`~rankadapt.tensorio.staged_output` for its ``--output``
+before any layer or training step runs, so an ``--output`` that it refuses
+ends the command first; an empty ``--output`` is an argument error.
 
 Exit codes are a stable contract: 0 on success, else the ``exit_code`` of
 the error that ended the command, from the one table in
@@ -105,27 +104,16 @@ def _layer_entries(weights_dir, residuals_dir) -> dict:
     return layers
 
 
-def _check_output(output, layers: dict, *bundle_dirs) -> None:
-    """Reject an ``output`` that is, or holds, a file of the input bundles.
+def _input_files(layers: dict, *bundle_dirs) -> list[Path]:
+    """Each given bundle's manifest and every layer's payload, which no output may replace.
 
     ``layers`` are the bundles' validated entries from :func:`_layer_entries`;
-    a ``bundle_dirs`` item may be None, for a bundle not given. ``output`` is
-    read as ``Path(output).resolve()``, the path a bundle swap replaces; it
-    must not be the same file as an input manifest or payload, or as a
-    directory above one's resolved path, which takes in each bundle directory.
+    a ``bundle_dirs`` item may be None, for a bundle not given.
     """
     from .tensorio import MANIFEST_NAME
 
-    try:
-        target = os.stat(Path(output).resolve())
-    except (OSError, RuntimeError):  # nothing there, or a symlink loop before Python 3.13
-        return
     files = [Path(d) / MANIFEST_NAME for d in bundle_dirs if d is not None]
-    files += [entry.path for pair in layers.values() for entry in pair if entry is not None]
-    held = {p for f in files for p in (f.resolve(), *f.resolve().parents)}
-    if any(os.path.samestat(target, os.stat(p)) for p in held):
-        raise ValidationError(
-            "--output must not be or hold a file of the weight or residual bundle")
+    return files + [entry.path for pair in layers.values() for entry in pair if entry is not None]
 
 
 def _map_layers(job, layers: dict, *args) -> list:
@@ -246,14 +234,14 @@ def spectra_layer(name: str, weight: BundleEntry, residual: BundleEntry | None) 
 
 
 def cmd_spectra(args) -> int:
-    from .tensorio import Report
+    from .tensorio import Report, staged_output
 
     layers = _layer_entries(args.weights, args.residuals)
-    _check_output(args.output, layers, args.weights, args.residuals)
-    Report.check_path(args.output)
-    per_layer = _map_layers(spectra_layer, layers)
-    records = [rec for layer_records in per_layer for rec in layer_records]
-    Report(kind="spectra", records=records).write(args.output)
+    inputs = _input_files(layers, args.weights, args.residuals)
+    with staged_output(args.output, bundle=False, inputs=inputs) as staging:
+        per_layer = _map_layers(spectra_layer, layers)
+        records = [rec for layer_records in per_layer for rec in layer_records]
+        Report(kind="spectra", records=records).write(args.output, staging)
     return EXIT_OK
 
 
@@ -298,8 +286,7 @@ def cmd_stm_init(args) -> int:
             max_rank(min(weight.shape))
         except ValidationError as exc:
             raise ValidationError(f"{name}: {exc}") from exc
-    _check_output(args.output, layers, args.weights, args.residuals)
-    with staged_bundle(args.output) as out:
+    with staged_bundle(args.output, _input_files(layers, args.weights, args.residuals)) as out:
         results = _map_layers(stm_init_layer, layers, cfg, out)
         write_manifest(out, [record for records, _ in results for record in records])
     print(f"trainable parameters: {sum(count for _, count in results)}")
@@ -412,9 +399,7 @@ def cmd_verify(args) -> int:
 def cmd_train_toy(args) -> int:
     from . import harness
     from .stm import StmConfig
-    from .tensorio import Report
-
-    Report.check_path(args.output)
+    from .tensorio import staged_output
 
     # a sharp shallow layer and a flat deep layer, each with two planted task
     # directions well above the noise
@@ -425,10 +410,11 @@ def cmd_train_toy(args) -> int:
     ]
     task = harness.make_proxy_task(model, planted, n_samples=_TOY_SAMPLES,
                                    noise=_TOY_NOISE, seed=args.seed + 1)
-    report = harness.run_stm_experiment(model, task, _config(StmConfig, args),
-                                        _config(harness.TrainConfig, args),
-                                        reg_weight=args.reg_weight)
-    report.write(args.output)
+    with staged_output(args.output, bundle=False) as staging:
+        report = harness.run_stm_experiment(model, task, _config(StmConfig, args),
+                                            _config(harness.TrainConfig, args),
+                                            reg_weight=args.reg_weight)
+        report.write(args.output, staging)
     print(f"wrote {args.output}")
     return EXIT_OK
 

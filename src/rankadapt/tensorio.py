@@ -13,18 +13,21 @@ library's ``float64`` compute precision happens in the numerical functions
 that receive a matrix, so a caller that reads an entry decides when its
 widened copy exists.
 
-A bundle is written whole into the fresh directory of :func:`staged_bundle`,
-which then replaces the old bundle by rename, so the old one stays intact
-until the new one is complete and none of its files outlive it. There,
-:func:`write_entry` writes one payload and returns its manifest record, and
-:func:`write_manifest` writes the manifest that makes the payloads a
-bundle. :func:`write_bundle` chains them; a writer that produces entries
-elsewhere, such as one worker process per layer, calls them itself.
+Every output, bundle or report, is replaced through :func:`staged_output`,
+the one place that decides whether and where: it reads the path as it
+resolves, refuses a target that is, or holds, an input file or is of the
+wrong kind, and then swaps a complete staged copy in by rename, so the old
+output stays intact until the new one is complete and none of its files
+outlive it. A bundle is written whole into the fresh directory of
+:func:`staged_bundle`, its bundle form. There, :func:`write_entry` writes
+one payload and returns its manifest record, and :func:`write_manifest`
+writes the manifest that makes the payloads a bundle. :func:`write_bundle`
+chains them; a writer that produces entries elsewhere, such as one worker
+process per layer, calls them itself.
 
 Reports are flat tables of records that serialize to CSV (header row
 mandatory, ``.`` decimal separator) or JSON with identical numeric content;
 a file named ``*.json`` gets JSON, any other gets CSV.
-A report file, too, replaces the old one by rename only once it is complete.
 """
 
 import csv
@@ -34,7 +37,8 @@ import math
 import os
 import re
 import shutil
-from contextlib import contextmanager
+import stat
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -94,28 +98,51 @@ def write_manifest(path, records: list[dict]) -> None:
 
 
 @contextmanager
-def staged_bundle(path):
-    """Yield a fresh directory that replaces the bundle at ``path`` on a clean exit.
+def staged_output(path, *, bundle: bool, inputs=()):
+    """Yield a staging path that replaces the output at ``path`` by rename on a clean exit.
 
-    It is the sibling ``.<name>.staging-<pid>``, so the swap is a rename on
-    one filesystem: ``path``, if present, is renamed aside to
-    ``.<name>.old-<pid>`` and removed once the staging directory has taken
-    its place. A block that raises or a swap that fails leaves ``path`` as
-    it was, and no staging directory. A ``path`` that is not a directory, or
-    a non-empty one without a manifest, raises ``ValidationError`` at once,
-    so no user file is replaced.
+    ``path`` is read once, as ``Path(path).resolve()``: an output reached
+    through a symlink replaces the link's target, and a symlink loop raises
+    ``ValidationError``, as does a target that is, or holds, an ``inputs``
+    file. A bundle (``bundle=True``) replaces nothing, an empty directory or
+    a bundle, and is staged in a fresh directory. A report replaces anything
+    but a directory, in a directory that exists (else ``FileNotFoundError``),
+    and is staged in a file the block writes. The staging path is the sibling
+    ``.<name>.staging-<pid>``; an old bundle is renamed aside to
+    ``.<name>.old-<pid>`` and removed after the swap. The staging path goes
+    however the block ends; a block that raises, or a failed swap, leaves
+    ``path`` as it was.
     """
-    root = Path(path).resolve()
-    if root.exists() and not root.is_dir():
-        raise ValidationError(f"{root} is not a directory; not replacing it")
-    if root.exists() and not (root / MANIFEST_NAME).is_file() and any(root.iterdir()):
-        raise ValidationError(f"{root} is not empty and holds no bundle; not replacing it")
+    try:  # a symlink loop raises RuntimeError in resolve() before Python 3.13, ELOOP after
+        root = Path(path).resolve()
+        target = os.stat(root) if os.path.lexists(root) else None
+    except (OSError, RuntimeError) as exc:
+        if isinstance(exc, OSError) and exc.errno != errno.ELOOP:
+            raise
+        raise ValidationError(f"{path} leads into a symlink loop; not replacing it") from exc
+    if target is not None:
+        files = [Path(f).resolve() for f in inputs]
+        held = {p for f in files for p in (f, *f.parents)}
+        if any(os.path.samestat(target, os.stat(p)) for p in held):
+            raise ValidationError(
+                "--output must not be or hold a file of the weight or residual bundle")
+    is_dir = target is not None and stat.S_ISDIR(target.st_mode)
+    if bundle:
+        if target is not None and not is_dir:
+            raise ValidationError(f"{root} is not a directory; not replacing it")
+        if is_dir and not (root / MANIFEST_NAME).is_file() and any(root.iterdir()):
+            raise ValidationError(f"{root} is not empty and holds no bundle; not replacing it")
+    elif is_dir:
+        raise ValidationError(f"{root} is a directory; not replacing it")
+    elif not root.parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, "No such directory", str(root.parent))
     staging = root.with_name(f".{root.name}.staging-{os.getpid()}")
     old = root.with_name(f".{root.name}.old-{os.getpid()}")
-    staging.mkdir(parents=True)
+    if bundle:
+        staging.mkdir(parents=True)
     try:
         yield staging
-        replacing = root.exists()
+        replacing = bundle and root.exists()  # a report's rename replaces the old file itself
         if replacing:
             os.rename(root, old)
         try:
@@ -126,7 +153,15 @@ def staged_bundle(path):
             raise
         shutil.rmtree(old, ignore_errors=True)
     finally:
-        shutil.rmtree(staging, ignore_errors=True)
+        if bundle:
+            shutil.rmtree(staging, ignore_errors=True)
+        else:
+            staging.unlink(missing_ok=True)
+
+
+def staged_bundle(path, inputs=()):
+    """:func:`staged_output` of a bundle: a fresh directory that replaces ``path``."""
+    return staged_output(path, bundle=True, inputs=inputs)
 
 
 def write_bundle(path, matrices) -> None:
@@ -240,23 +275,6 @@ def read_bundle(path) -> dict[str, np.memmap]:
     return {name: entry.load() for name, entry in read_entries(path).items()}
 
 
-@contextmanager
-def _replaced_file(path):
-    """Yield a text file that replaces ``path`` by rename on a clean exit.
-
-    It is the sibling ``.<name>.tmp-<pid>``, removed however the block ends.
-    """
-    head, name = os.path.split(path)
-    tmp = os.path.join(head, f".{name}.tmp-{os.getpid()}")
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        if os.path.lexists(tmp):
-            os.remove(tmp)
-
-
 REPORT_KINDS = ("spectra", "metrics")
 
 
@@ -281,23 +299,15 @@ class Report:
         return [{k: v.item() if isinstance(v, np.generic) else v for k, v in rec.items()}
                 for rec in self.records]
 
-    @staticmethod
-    def check_path(path) -> None:
-        """Raise if :meth:`write` could not replace ``path``, so a caller can check before work.
+    def write(self, path, staging=None) -> None:
+        """Write the report to ``path``: JSON if it is named ``*.json``, else CSV.
 
-        A directory at ``path`` raises ``ValidationError``, so it is never
-        replaced, and a missing parent directory raises ``FileNotFoundError``.
+        It goes through :func:`staged_output`, unless the caller has entered
+        one for ``path`` already and passes its staging file as ``staging``.
         """
-        if os.path.isdir(path):
-            raise ValidationError(f"{Path(path).resolve()} is a directory; not replacing it")
-        head = os.path.dirname(path) or "."
-        if not os.path.isdir(head):
-            raise FileNotFoundError(errno.ENOENT, "No such directory", head)
-
-    def write(self, path) -> None:
-        """Write the report to ``path``: JSON if it is named ``*.json``, else CSV."""
         records = self._records()
-        with _replaced_file(path) as fh:
+        staged = staged_output(path, bundle=False) if staging is None else nullcontext(staging)
+        with staged as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
             if Path(path).suffix != ".json":  # CSV, each float as its shortest exact repr
                 writer = csv.writer(fh)
                 writer.writerow(records[0].keys())
