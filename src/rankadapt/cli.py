@@ -25,8 +25,9 @@ the error that ended the command, from the one table in
 :mod:`rankadapt.errors`. Ctrl-C, or SIGTERM while a command runs, unwinds
 the command like an error: pending layers are cancelled, running ones
 finish, the staging directory goes, and the CLI exits with
-``EXIT_INTERRUPTED`` after one ``error: interrupted`` line. Workers ignore
-Ctrl-C.
+``EXIT_INTERRUPTED`` after one ``error: interrupted`` line. Workers are
+born with Ctrl-C (SIGINT) blocked, and a worker whose CLI process is gone,
+as after a SIGKILL, ends itself within about a second.
 
 At module level this file imports only the standard library and
 :mod:`rankadapt.errors`; each command, worker job and ``verify`` sweep
@@ -116,16 +117,34 @@ def _input_files(layers: dict, *bundle_dirs) -> list[Path]:
     return files + [entry.path for pair in layers.values() for entry in pair if entry is not None]
 
 
+def _exit_with_parent(parent: int) -> None:
+    """A worker's initializer: a daemon thread ends the worker once process ``parent`` is gone.
+
+    A parent ended by SIGKILL cannot shut its pool down, so the thread polls
+    ``os.getppid()`` about once a second and exits once it changes.
+    """
+    import threading
+    import time
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(1.0)
+        os._exit(EXIT_INTERRUPTED)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def _map_layers(job, layers: dict, *args) -> list:
     """``[job(name, *layers[name], *args) for name in layers]``, one worker per usable core.
 
     Workers are spawned with ``_WORKER_ENV``, so each has one BLAS thread:
     cores are not oversubscribed and results do not depend on the caller's
-    BLAS thread settings. The caller's environment is restored after. Layers
-    start largest first, so no worker is left alone with a large layer at
-    the end. Results are read in ``layers`` order: the
-    first layer in that order to fail raises, with its name prefixed to the
-    message, once pending jobs are cancelled and every worker has exited.
+    BLAS thread settings. The caller's environment is restored after. Workers
+    block SIGINT and end themselves once the caller is gone. Layers start
+    largest first, so no worker is left alone with a large layer at the end.
+    Results are read in ``layers`` order: the first layer in that order to
+    fail raises, with its name prefixed to the message, once pending jobs
+    are cancelled and every worker has exited.
     """
     import multiprocessing
     import signal
@@ -139,16 +158,22 @@ def _map_layers(job, layers: dict, *args) -> list:
     # a thin SVD of an m x n weight costs about m * n * min(m, n)
     shapes = {name: weight.shape for name, (weight, _) in layers.items()}
     by_cost = sorted(shapes, key=lambda n: -math.prod(shapes[n]) * min(shapes[n]))
-    # a worker ignores Ctrl-C, so the CLI process alone decides how the run ends
     pool = ProcessPoolExecutor(min(cores, len(layers)),
                                mp_context=multiprocessing.get_context("spawn"),
-                               initializer=signal.signal,
-                               initargs=(signal.SIGINT, signal.SIG_IGN))
+                               initializer=_exit_with_parent, initargs=(os.getpid(),))
     try:
         saved = {var: os.environ.get(var) for var in _WORKER_ENV}
         os.environ.update(_WORKER_ENV)
+        # a worker is born with SIGINT blocked, so the CLI process alone decides
+        # how the run ends. The mask does not hold a Ctrl-C or SIGTERM back from
+        # numpy's BLAS threads, so the handlers hold it instead: raised within
+        # submit(), it would cut a worker's start-up short.
+        held = []
+        handlers = {sig: signal.signal(sig, lambda sig, _: held.append(sig))
+                    for sig in (signal.SIGINT, signal.SIGTERM)}
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
         try:
-            # workers start inside submit(), so every one sees the variables
+            # workers start inside submit(), so every one inherits the variables and the mask
             futures = {name: pool.submit(job, name, *layers[name], *args) for name in by_cost}
         finally:
             for var, value in saved.items():
@@ -156,6 +181,11 @@ def _map_layers(job, layers: dict, *args) -> list:
                     os.environ.pop(var, None)
                 else:
                     os.environ[var] = value
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            for sig, handler in handlers.items():
+                signal.signal(sig, handler)
+            for sig in held[:1]:  # sent again, to the handler it was meant for
+                signal.raise_signal(sig)
         results = []
         for name in layers:
             try:

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +134,19 @@ class TestSpectra:
         assert loaded["kind"] == "spectra"
         assert len(loaded["records"]) == 2
 
+    def test_report_through_a_symlink_replaces_its_target(self, tmp_path):
+        wdir, _ = write_pair(tmp_path, {"eye": np.eye(3)})
+        (tmp_path / "runs").mkdir()
+        link = tmp_path / "latest.csv"
+        link.symlink_to(Path("runs") / "report.csv")
+        direct = tmp_path / "direct.csv"
+        assert main(["spectra", "--weights", wdir, "--output", str(direct)]) == 0
+        for _ in range(2):  # a new target, then the old one replaced
+            assert main(["spectra", "--weights", wdir, "--output", str(link)]) == 0
+            assert os.readlink(link) == str(Path("runs") / "report.csv")
+            assert (tmp_path / "runs" / "report.csv").read_bytes() == direct.read_bytes()
+        assert [p.name for p in (tmp_path / "runs").iterdir()] == ["report.csv"]
+
 
 class TestStmInit:
     def test_worked_example_plan(self, tmp_path):
@@ -247,6 +261,18 @@ class TestStmInit:
         assert capsys.readouterr().err == f"error: {out} is not a directory; not replacing it\n"
         assert out.read_text() == "keep me\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["notes.txt", "r", "w"]
+
+    def test_bundle_through_a_symlink_replaces_its_target(self, tmp_path):
+        wdir, rdir = write_pair(tmp_path, {"w": np.eye(3)}, {"w": np.ones((3, 3))})
+        link = tmp_path / "latest"
+        link.symlink_to("run")
+        args = ["stm-init", "--weights", wdir, "--residuals", rdir, "--alpha", "0.5"]
+        assert main(args + ["--output", str(tmp_path / "direct")]) == 0
+        for _ in range(2):  # a new target, then the old one replaced
+            assert main(args + ["--output", str(link)]) == 0
+            assert os.readlink(link) == "run"
+            assert dir_bytes(tmp_path / "run") == dir_bytes(tmp_path / "direct")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["direct", "latest", "r", "run", "w"]
 
     def test_overflowing_alpha_takes_the_cap(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -447,6 +473,17 @@ def glibc_mallinfo2():
     return fn
 
 
+def sigint_worker(name, weight, residual):
+    """A layer job that reports whether its worker blocks SIGINT."""
+    return signal.SIGINT in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+
+
+def sleeping_worker(name, weight, residual, pid_dir):
+    """A layer job that records its worker's pid in ``pid_dir``, then sleeps."""
+    (Path(pid_dir) / str(os.getpid())).touch()
+    time.sleep(60)
+
+
 def mmap_threshold_worker(name, weight, residual):
     """Whether a 512 KiB block malloc'd after a 1 MiB one is freed gets a map of its own.
 
@@ -591,6 +628,32 @@ class TestLayerWorkers:
         assert dict(os.environ) == caller
         assert os.environ["OMP_NUM_THREADS"] == "3"
         assert "MALLOC_MMAP_THRESHOLD_" not in os.environ
+
+    def test_workers_are_born_blocking_sigint(self):
+        entry = BundleEntry(Path("unread.bin"), np.dtype("<f8"), (1, 1))
+        layers = {f"l{i}": (entry, None) for i in range(2)}
+        assert _map_layers(sigint_worker, layers) == [True, True]
+        # the caller's own mask is restored
+        assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+
+    def test_stop_signals_wait_until_every_worker_has_started(self, monkeypatch):
+        entry = BundleEntry(Path("unread.bin"), np.dtype("<f8"), (1, 1))
+        layers = {f"l{i}": (entry, None) for i in range(2)}
+        handlers = {sig: signal.getsignal(sig) for sig in (signal.SIGINT, signal.SIGTERM)}
+        submitted = []
+        submit = ProcessPoolExecutor.submit
+
+        def interrupted_submit(pool, *args):
+            submitted.append(submit(pool, *args))
+            os.kill(os.getpid(), signal.SIGINT)  # a Ctrl-C as each worker starts
+            return submitted[-1]
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", interrupted_submit)
+        with pytest.raises(KeyboardInterrupt):
+            _map_layers(sigint_worker, layers)
+        assert len(submitted) == 2
+        assert {sig: signal.getsignal(sig) for sig in handlers} == handlers
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif(glibc_mallinfo2() is None, reason="glibc's malloc statistics")
     def test_workers_keep_the_initial_mmap_threshold(self):
@@ -873,6 +936,22 @@ class TestRejectedBeforeWorkers:
             f"error: [Errno 2] No such directory: '{out.parent}'\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["r", "w"]
 
+    @pytest.mark.parametrize("command", [["stm-init", "--alpha", "0.5"], ["spectra"]],
+                             ids=lambda c: c[0])
+    def test_symlink_loop_output_exits_2(self, tmp_path, capsys, command):
+        rng = np.random.default_rng(21)
+        wdir, rdir = write_pair(tmp_path, {"a": rng.standard_normal((6, 4))},
+                                {"a": 0.1 * rng.standard_normal((6, 4))})
+        loop = tmp_path / "loop"
+        loop.symlink_to("loop")
+        assert main([command[0], "--weights", wdir, "--residuals", rdir, *command[1:],
+                     "--output", str(loop)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {loop} leads into a symlink loop; not replacing it\n"
+        assert captured.out == ""
+        assert os.readlink(loop) == "loop"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["loop", "r", "w"]
+
     def test_infeasible_rank_cap_exits_2(self, tmp_path, capsys):
         rng = np.random.default_rng(12)
         # a 1 x N bias has rank cap floor(1/2) = 0, so no budget of at least 1
@@ -1006,9 +1085,9 @@ def _running(pid: int, start: str) -> bool:
     return stat is not None and stat[19] == start and stat[0] not in "ZX"
 
 
-def _ignores_sigint(pid: int) -> bool:
+def _blocks_sigint(pid: int) -> bool:
     status = Path(f"/proc/{pid}/status").read_text()
-    mask = next(ln for ln in status.splitlines() if ln.startswith("SigIgn:")).split()[1]
+    mask = next(ln for ln in status.splitlines() if ln.startswith("SigBlk:")).split()[1]
     return bool(int(mask, 16) & 1 << (signal.SIGINT - 1))
 
 
@@ -1032,14 +1111,13 @@ def test_stopped_stm_init_cleans_up(tmp_path, stop):
     try:
         staging = tmp_path / f".out.staging-{proc.pid}"
         deadline = time.monotonic() + 60
-        # signal once every worker is up and ignores SIGINT: a Ctrl-C that
-        # reaches a worker before its initializer runs ends it with a traceback
+        # signal once every worker is up, with SIGINT blocked from its start
         while True:
             assert proc.poll() is None and time.monotonic() < deadline, "no workers seen"
             kids = _children(proc.pid)
             pool = [pid for pid in kids
                     if b"spawn_main" in Path(f"/proc/{pid}/cmdline").read_bytes()]
-            if staging.is_dir() and len(pool) == workers and all(map(_ignores_sigint, pool)):
+            if staging.is_dir() and len(pool) == workers and all(map(_blocks_sigint, pool)):
                 break
             time.sleep(0.01)
         if stop == "sigterm":
@@ -1052,6 +1130,38 @@ def test_stopped_stm_init_cleans_up(tmp_path, stop):
         assert sorted(p.name for p in tmp_path.iterdir()) == ["r", "stderr", "stdout", "w"]
         # the workers and multiprocessing's resource tracker
         deadline = time.monotonic() + 10
+        while any(_running(*kid) for kid in kids.items()) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert [pid for pid, start in kids.items() if _running(pid, start)] == []
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        for pid, start in kids.items():
+            if _running(pid, start):
+                os.kill(pid, signal.SIGKILL)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads worker processes from /proc")
+def test_sigkilled_caller_ends_its_workers(tmp_path):
+    entry = BundleEntry(Path("unread.bin"), np.dtype("<f8"), (1, 1))
+    layers = {f"l{i}": (entry, None) for i in range(2)}
+    workers = min(len(os.sched_getaffinity(0)), len(layers))
+    script = ("import pickle, sys; from rankadapt.cli import _map_layers; "
+              "_map_layers(*pickle.load(sys.stdin.buffer))")
+    proc = subprocess.Popen([sys.executable, "-c", script], stdin=subprocess.PIPE, env=cli_env())
+    proc.stdin.write(pickle.dumps((sleeping_worker, layers, str(tmp_path))))
+    proc.stdin.close()
+    kids = {}
+    try:
+        deadline = time.monotonic() + 60
+        while len(list(tmp_path.iterdir())) < workers:
+            assert proc.poll() is None and time.monotonic() < deadline, "no workers seen"
+            time.sleep(0.01)
+        kids = {int(p.name): _proc_stat(int(p.name))[19] for p in tmp_path.iterdir()}
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 5
         while any(_running(*kid) for kid in kids.items()) and time.monotonic() < deadline:
             time.sleep(0.05)
         assert [pid for pid, start in kids.items() if _running(pid, start)] == []
@@ -1147,6 +1257,15 @@ class TestTrainToy:
         assert captured.err == f"error: {out.resolve()} is a directory; not replacing it\n"
         assert captured.out == ""
         assert dir_bytes(out) == {"keep.csv": b"keep\n"}
+
+    def test_symlink_loop_output_exits_2_before_training(self, tmp_path, capsys, no_training):
+        loop = tmp_path / "loop.csv"
+        loop.symlink_to("loop.csv")
+        assert main(["train-toy", "--output", str(loop)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {loop} leads into a symlink loop; not replacing it\n"
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["loop.csv"]
 
     def test_missing_output_directory_exits_1_before_training(self, tmp_path, capsys,
                                                              no_training):

@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,9 @@ from rankadapt.tensorio import (
     Report,
     read_bundle,
     read_entries,
+    staged_output,
     write_bundle,
+    write_manifest,
 )
 
 from conftest import COMMIT_FAILURES, JSON, break_commit
@@ -202,6 +206,89 @@ def test_non_bundle_directory_is_not_replaced(tmp_path):
         write_bundle(tmp_path, {"a": np.ones((2, 2))})
     assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
     assert not list(tmp_path.parent.glob(f".{tmp_path.name}.*"))
+
+
+KINDS = pytest.mark.parametrize("bundle", [True, False], ids=["bundle", "report"])
+
+
+def stage_text(path, bundle, text, **kwargs):
+    """Replace the output at ``path`` with ``text``: a bundle's note file or a report."""
+    with staged_output(path, bundle=bundle, **kwargs) as staging:
+        assert staging.parent == Path(path).resolve().parent
+        assert staging.name == f".{Path(path).resolve().name}.staging-{os.getpid()}"
+        assert staging.is_dir() is bundle and not staging.is_file()
+        if bundle:
+            write_manifest(staging, [])
+        (staging / "note.txt" if bundle else staging).write_text(text)
+
+
+def staged_text(path, bundle):
+    return (Path(path) / "note.txt" if bundle else Path(path)).read_text()
+
+
+@KINDS
+def test_staged_output_replaces_on_a_clean_exit_only(tmp_path, bundle):
+    out = tmp_path / "out"
+    stage_text(out, bundle, "old")
+    with pytest.raises(KeyError):
+        with staged_output(out, bundle=bundle) as staging:
+            (staging / "note.txt" if bundle else staging).write_text("lost")
+            raise KeyError("lost")
+    assert staged_text(out, bundle) == "old"
+    stage_text(out, bundle, "new")
+    assert staged_text(out, bundle) == "new"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]  # no staging or old copy is left
+
+
+@KINDS
+def test_staged_output_replaces_a_symlinks_target(tmp_path, bundle):
+    link = tmp_path / "latest"
+    link.symlink_to("run")
+    for text in ("old", "new"):  # a new target, then the old one replaced
+        stage_text(link, bundle, text)
+        assert os.readlink(link) == "run"
+        assert staged_text(tmp_path / "run", bundle) == text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["latest", "run"]
+
+
+@KINDS
+@pytest.mark.parametrize("name", ["loop", "loop/out"])
+def test_staged_output_symlink_loop_is_a_validation_error(tmp_path, bundle, name):
+    (tmp_path / "loop").symlink_to("loop")
+    with pytest.raises(ValidationError, match="leads into a symlink loop; not replacing it"):
+        stage_text(tmp_path / name, bundle, "never")
+    assert [p.name for p in tmp_path.iterdir()] == ["loop"]
+
+
+@KINDS
+@pytest.mark.parametrize("target", ["w", "w/manifest.json", "w/a.bin", ".", "missing/../w"])
+def test_staged_output_refuses_an_input(tmp_path, bundle, target):
+    write_bundle(tmp_path / "w", {"a": np.ones((2, 2))})
+    inputs = [tmp_path / "w" / "manifest.json", tmp_path / "w" / "a.bin"]
+    before = {p: p.read_bytes() for p in inputs}
+    with pytest.raises(ValidationError, match="must not be or hold a file"):
+        stage_text(f"{tmp_path}/{target}", bundle, "never", inputs=inputs)
+    assert {p: p.read_bytes() for p in inputs} == before
+    assert [p.name for p in tmp_path.iterdir()] == ["w"]
+
+
+@pytest.mark.parametrize("bundle, kind, error, match", [
+    (True, "file", ValidationError, "is not a directory; not replacing it"),
+    (True, "notes", ValidationError, "is not empty and holds no bundle; not replacing it"),
+    (False, "notes", ValidationError, "is a directory; not replacing it"),
+    (False, "empty", ValidationError, "is a directory; not replacing it"),
+    (False, "missing/out", FileNotFoundError, "No such directory"),
+], ids=["bundle-file", "bundle-notes", "report-notes", "report-empty", "report-missing"])
+def test_staged_output_refuses_a_wrong_kind(tmp_path, bundle, kind, error, match):
+    (tmp_path / "file").write_text("keep")
+    (tmp_path / "notes").mkdir()
+    (tmp_path / "notes" / "todo.txt").write_text("keep")
+    (tmp_path / "empty").mkdir()
+    with pytest.raises(error, match=match):
+        stage_text(tmp_path / kind, bundle, "never")
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "empty", "file", "notes", "notes/todo.txt"]
+    assert (tmp_path / "file").read_text() == (tmp_path / "notes" / "todo.txt").read_text()
 
 
 def test_entry_load_maps_one_entry(tmp_path):
