@@ -43,7 +43,7 @@ _EXPORTS = {
         ),
         "tensorio": (
             "BundleEntry", "Report", "read_bundle", "read_entries", "staged_bundle",
-            "write_bundle", "write_entry", "write_manifest",
+            "staged_output", "write_bundle", "write_entry", "write_manifest",
         ),
     }.items()
     for name in names

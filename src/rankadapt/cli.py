@@ -165,9 +165,10 @@ def _map_layers(job, layers: dict, *args) -> list:
         saved = {var: os.environ.get(var) for var in _WORKER_ENV}
         os.environ.update(_WORKER_ENV)
         # a worker is born with SIGINT blocked, so the CLI process alone decides
-        # how the run ends. The mask does not hold a Ctrl-C or SIGTERM back from
-        # numpy's BLAS threads, so the handlers hold it instead: raised within
-        # submit(), it would cut a worker's start-up short.
+        # how the run ends. The mask covers this thread only: a signal that one
+        # of numpy's BLAS threads takes would still raise in here and cut a
+        # worker's start-up short. So the handlers hold a Ctrl-C or SIGTERM
+        # until every worker has started, and it is sent again after.
         held = []
         handlers = {sig: signal.signal(sig, lambda sig, _: held.append(sig))
                     for sig in (signal.SIGINT, signal.SIGTERM)}
@@ -184,7 +185,7 @@ def _map_layers(job, layers: dict, *args) -> list:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             for sig, handler in handlers.items():
                 signal.signal(sig, handler)
-            for sig in held[:1]:  # sent again, to the handler it was meant for
+            for sig in held[:1]:
                 signal.raise_signal(sig)
         results = []
         for name in layers:
