@@ -42,8 +42,8 @@ _EXPORTS = {
             "split_weight",
         ),
         "tensorio": (
-            "BundleEntry", "Report", "read_bundle", "read_entries", "staged_bundle",
-            "staged_output", "write_bundle", "write_entry", "write_manifest",
+            "BundleEntry", "Report", "read_bundle", "read_entries", "staged_output",
+            "write_bundle", "write_entry", "write_manifest",
         ),
     }.items()
     for name in names

@@ -8,7 +8,7 @@ analyze the layers in worker processes, one per usable core, each with one
 BLAS thread; their outputs do not depend on the BLAS thread settings. A
 worker gets its layer's validated bundle entries, maps only that layer and,
 for ``stm-init``, writes that layer's adapter payloads and plan file itself
-into a :func:`~rankadapt.tensorio.staged_bundle` directory, so no process
+into a :func:`~rankadapt.tensorio.staged_output` directory, so no process
 holds more than one layer. The CLI process adds the manifest there; that
 directory replaces the output only once every layer has succeeded. A job
 hands its mapped matrices to the library as stored. Workers start with
@@ -27,7 +27,7 @@ the command like an error: pending layers are cancelled, running ones
 finish, the staging directory goes, and the CLI exits with
 ``EXIT_INTERRUPTED`` after one ``error: interrupted`` line. Workers are
 born with Ctrl-C (SIGINT) blocked, and a worker whose CLI process is gone,
-as after a SIGKILL, ends itself within about a second.
+as after a SIGKILL, ends itself at once.
 
 At module level this file imports only the standard library and
 :mod:`rankadapt.errors`; each command, worker job and ``verify`` sweep
@@ -79,13 +79,14 @@ _WORKER_ENV = {
 }
 
 
-def _layer_entries(weights_dir, residuals_dir) -> dict:
-    """Each layer's validated (weight, residual or None) entries, by sorted name.
+def _layer_entries(weights_dir, residuals_dir) -> tuple[dict, list[Path]]:
+    """Each layer's validated (weight, residual or None) entries, by sorted name; and the inputs.
 
     The weight bundle must not be empty, and a residual bundle, if given,
-    must hold the same names and shapes.
+    must hold the same names and shapes. The inputs, the files that no
+    output may replace, are each given bundle's manifest and every payload.
     """
-    from .tensorio import read_entries
+    from .tensorio import MANIFEST_NAME, read_entries
 
     weights = read_entries(weights_dir)
     if not weights:
@@ -102,33 +103,23 @@ def _layer_entries(weights_dir, residuals_dir) -> dict:
         if residual is not None and residual.shape != weight.shape:
             raise ValidationError(f"{name}: residual shape {residual.shape} does not match "
                                   f"factors {weight.shape}")
-    return layers
+    files = [Path(d) / MANIFEST_NAME for d in (weights_dir, residuals_dir) if d is not None]
+    files += [entry.path for pair in layers.values() for entry in pair if entry is not None]
+    return layers, files
 
 
-def _input_files(layers: dict, *bundle_dirs) -> list[Path]:
-    """Each given bundle's manifest and every layer's payload, which no output may replace.
+def _exit_with_parent() -> None:
+    """A worker's initializer: a daemon thread ends the worker once the CLI process is gone.
 
-    ``layers`` are the bundles' validated entries from :func:`_layer_entries`;
-    a ``bundle_dirs`` item may be None, for a bundle not given.
-    """
-    from .tensorio import MANIFEST_NAME
-
-    files = [Path(d) / MANIFEST_NAME for d in bundle_dirs if d is not None]
-    return files + [entry.path for pair in layers.values() for entry in pair if entry is not None]
-
-
-def _exit_with_parent(parent: int) -> None:
-    """A worker's initializer: a daemon thread ends the worker once process ``parent`` is gone.
-
-    A parent ended by SIGKILL cannot shut its pool down, so the thread polls
-    ``os.getppid()`` about once a second and exits once it changes.
+    A parent ended by SIGKILL cannot shut its pool down, so the thread waits
+    on the sentinel that multiprocessing gives each spawned process, which
+    becomes ready the moment the parent ends.
     """
     import threading
-    import time
+    from multiprocessing import connection, parent_process
 
     def watch():
-        while os.getppid() == parent:
-            time.sleep(1.0)
+        connection.wait([parent_process().sentinel])
         os._exit(EXIT_INTERRUPTED)
 
     threading.Thread(target=watch, daemon=True).start()
@@ -160,7 +151,7 @@ def _map_layers(job, layers: dict, *args) -> list:
     by_cost = sorted(shapes, key=lambda n: -math.prod(shapes[n]) * min(shapes[n]))
     pool = ProcessPoolExecutor(min(cores, len(layers)),
                                mp_context=multiprocessing.get_context("spawn"),
-                               initializer=_exit_with_parent, initargs=(os.getpid(),))
+                               initializer=_exit_with_parent)
     try:
         saved = {var: os.environ.get(var) for var in _WORKER_ENV}
         os.environ.update(_WORKER_ENV)
@@ -267,8 +258,7 @@ def spectra_layer(name: str, weight: BundleEntry, residual: BundleEntry | None) 
 def cmd_spectra(args) -> int:
     from .tensorio import Report, staged_output
 
-    layers = _layer_entries(args.weights, args.residuals)
-    inputs = _input_files(layers, args.weights, args.residuals)
+    layers, inputs = _layer_entries(args.weights, args.residuals)
     with staged_output(args.output, bundle=False, inputs=inputs) as staging:
         per_layer = _map_layers(spectra_layer, layers)
         records = [rec for layer_records in per_layer for rec in layer_records]
@@ -308,16 +298,16 @@ def stm_init_layer(name: str, weight: BundleEntry, residual: BundleEntry, cfg: S
 
 def cmd_stm_init(args) -> int:
     from .stm import StmConfig, max_rank
-    from .tensorio import staged_bundle, write_manifest
+    from .tensorio import staged_output, write_manifest
 
-    layers = _layer_entries(args.weights, args.residuals)
+    layers, inputs = _layer_entries(args.weights, args.residuals)
     cfg = _config(StmConfig, args)
     for name, (weight, _) in layers.items():
         try:
             max_rank(min(weight.shape))
         except ValidationError as exc:
             raise ValidationError(f"{name}: {exc}") from exc
-    with staged_bundle(args.output, _input_files(layers, args.weights, args.residuals)) as out:
+    with staged_output(args.output, bundle=True, inputs=inputs) as out:
         results = _map_layers(stm_init_layer, layers, cfg, out)
         write_manifest(out, [record for records, _ in results for record in records])
     print(f"trainable parameters: {sum(count for _, count in results)}")

@@ -18,12 +18,12 @@ the one place that decides whether and where: it reads the path as it
 resolves, refuses a target that is, or holds, an input file or is of the
 wrong kind, and then swaps a complete staged copy in by rename, so the old
 output stays intact until the new one is complete and none of its files
-outlive it. A bundle is written whole into the fresh directory of
-:func:`staged_bundle`, its bundle form. There, :func:`write_entry` writes
-one payload and returns its manifest record, and :func:`write_manifest`
-writes the manifest that makes the payloads a bundle. :func:`write_bundle`
-chains them; a writer that produces entries elsewhere, such as one worker
-process per layer, calls them itself.
+outlive it. A bundle is written whole into the fresh directory that
+``staged_output(path, bundle=True)`` yields. There, :func:`write_entry`
+writes one payload and returns its manifest record, and
+:func:`write_manifest` writes the manifest that makes the payloads a
+bundle. :func:`write_bundle` chains them; a writer that produces entries
+elsewhere, such as one worker process per layer, calls them itself.
 
 Reports are flat tables of records that serialize to CSV (header row
 mandatory, ``.`` decimal separator) or JSON with identical numeric content;
@@ -68,9 +68,9 @@ def write_entry(path, name: str, matrix: np.ndarray) -> dict:
     """Write ``matrix`` as the payload of entry ``name`` in directory ``path``.
 
     Returns the entry's manifest record, for :func:`write_manifest`. The
-    payload must not exist yet, as in a directory from :func:`staged_bundle`.
-    The entry is not readable until a manifest lists it. A non-real matrix
-    raises ``ValidationError``.
+    payload must not exist yet, as in the directory of a bundle's
+    :func:`staged_output`. The entry is not readable until a manifest lists
+    it. A non-real matrix raises ``ValidationError``.
     """
     from .spectral import as_real_array  # here, so that reading a bundle loads no LAPACK
 
@@ -101,7 +101,7 @@ def write_manifest(path, records: list[dict]) -> None:
 def staged_output(path, *, bundle: bool, inputs=()):
     """Yield a staging path that replaces the output at ``path`` by rename on a clean exit.
 
-    ``path`` is read once, as ``Path(path).resolve()``: an output reached
+    ``path`` is read once, as ``os.path.realpath(path)``: an output reached
     through a symlink replaces the link's target, and a symlink loop raises
     ``ValidationError``, as does a target that is, or holds, an ``inputs``
     file. A bundle (``bundle=True``) replaces nothing, an empty directory or
@@ -113,15 +113,17 @@ def staged_output(path, *, bundle: bool, inputs=()):
     however the block ends; a block that raises, or a failed swap, leaves
     ``path`` as it was.
     """
-    try:  # a symlink loop raises RuntimeError in resolve() before Python 3.13, ELOOP after
-        root = Path(path).resolve()
-        target = os.stat(root) if os.path.lexists(root) else None
-    except (OSError, RuntimeError) as exc:
-        if isinstance(exc, OSError) and exc.errno != errno.ELOOP:
+    root = Path(os.path.realpath(path))  # a symlink loop is left in the path, for stat to meet
+    try:
+        target = os.stat(root)
+    except (FileNotFoundError, NotADirectoryError):
+        target = None
+    except OSError as exc:
+        if exc.errno != errno.ELOOP:
             raise
         raise ValidationError(f"{path} leads into a symlink loop; not replacing it") from exc
     if target is not None:
-        files = [Path(f).resolve() for f in inputs]
+        files = [Path(os.path.realpath(f)) for f in inputs]
         held = {p for f in files for p in (f, *f.parents)}
         if any(os.path.samestat(target, os.stat(p)) for p in held):
             raise ValidationError(
@@ -159,20 +161,15 @@ def staged_output(path, *, bundle: bool, inputs=()):
             staging.unlink(missing_ok=True)
 
 
-def staged_bundle(path, inputs=()):
-    """:func:`staged_output` of a bundle: a fresh directory that replaces ``path``."""
-    return staged_output(path, bundle=True, inputs=inputs)
-
-
 def write_bundle(path, matrices) -> None:
     """Write the mapping ``matrices`` of name to matrix to directory ``path``.
 
-    Entries are written in the mapping's order through :func:`staged_bundle`
+    Entries are written in the mapping's order through :func:`staged_output`
     and :func:`write_entry`, so a bad name or matrix raises before anything
     replaces ``path``. A write that fails leaves the old bundle, if any, as
     it was; open :func:`read_bundle` results keep their values either way.
     """
-    with staged_bundle(path) as root:
+    with staged_output(path, bundle=True) as root:
         write_manifest(root, [write_entry(root, name, arr) for name, arr in matrices.items()])
 
 
@@ -248,9 +245,11 @@ def read_entries(path) -> dict[str, BundleEntry]:
             raise BundleCorruptionError(f"entry {name!r}: data {data_name!r} is not a file name")
         entry = BundleEntry(root / data_name, _DTYPE_CODES[code], (rows, cols))
         try:
-            inside = entry.path.resolve().is_relative_to(root.resolve())
-            entry.path.is_file()  # raises on a name the system cannot look up
-        except (OSError, ValueError, RuntimeError) as exc:  # too long, NUL, symlink loop
+            inside = Path(os.path.realpath(entry.path)).is_relative_to(os.path.realpath(root))
+            os.stat(entry.path)  # raises on a name the system cannot look up
+        except (FileNotFoundError, NotADirectoryError):
+            pass  # a missing payload is reported below
+        except (OSError, ValueError) as exc:  # too long, NUL, symlink loop
             raise BundleCorruptionError(
                 f"entry {name!r}: unusable data file name {data_name!r}: {exc}") from exc
         if not inside:

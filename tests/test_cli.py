@@ -300,9 +300,9 @@ class TestStmInit:
         layer_entries = cli._layer_entries
 
         def remove_after_validation(*args):
-            layers = layer_entries(*args)
+            layers, inputs = layer_entries(*args)
             layers["b"][1].path.unlink()
-            return layers
+            return layers, inputs
 
         monkeypatch.setattr(cli, "_layer_entries", remove_after_validation)
         out = tmp_path / "o"

@@ -28,7 +28,10 @@ def test_dir_lists_every_public_name():
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="'rankadapt' has no attribute 'no_such_name'"):
         rankadapt.no_such_name
-    assert not hasattr(rankadapt, "MatrixBundle")
+    tensorio = importlib.import_module("rankadapt.tensorio")
+    for gone in ("MatrixBundle", "staged_bundle"):
+        assert not hasattr(rankadapt, gone)
+        assert not hasattr(tensorio, gone)
     depthloss = importlib.import_module("rankadapt.depthloss")
     for gone in ("pack_image", "unpack_image", "pack_depth", "unpack_depth"):
         assert not hasattr(rankadapt, gone)

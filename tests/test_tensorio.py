@@ -260,6 +260,20 @@ def test_staged_output_symlink_loop_is_a_validation_error(tmp_path, bundle, name
     assert [p.name for p in tmp_path.iterdir()] == ["loop"]
 
 
+@pytest.fixture
+def resolve_as_in_python_3_13(monkeypatch):
+    """``Path.resolve`` as Python 3.13 has it: a symlink loop stays in the path, nothing raises."""
+    monkeypatch.setattr(Path, "resolve",
+                        lambda self, strict=False: Path(os.path.realpath(self, strict=strict)))
+
+
+@KINDS
+@pytest.mark.parametrize("name", ["loop", "loop/out"])
+def test_staged_output_symlink_loop_when_resolve_does_not_raise(tmp_path, bundle, name,
+                                                                resolve_as_in_python_3_13):
+    test_staged_output_symlink_loop_is_a_validation_error(tmp_path, bundle, name)
+
+
 @KINDS
 @pytest.mark.parametrize("target", ["w", "w/manifest.json", "w/a.bin", ".", "missing/../w"])
 def test_staged_output_refuses_an_input(tmp_path, bundle, target):
@@ -316,6 +330,10 @@ def test_data_symlink_loop_is_corruption(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(BundleCorruptionError, match="unusable data file name"):
         read_entries(tmp_path)
+
+
+def test_data_symlink_loop_when_resolve_does_not_raise(tmp_path, resolve_as_in_python_3_13):
+    test_data_symlink_loop_is_corruption(tmp_path)
 
 
 def test_manifest_not_utf8_is_corruption(tmp_path):
