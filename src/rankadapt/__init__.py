@@ -23,6 +23,7 @@ _EXPORTS = {
     name: module
     for module, names in {
         "adapter": ("forward", "merge", "trainable_param_count"),
+        "config": ("StmConfig",),
         "depthloss": (
             "Camera", "DepthMap", "LossWeights", "Pose", "compose_sl", "compose_ssl", "gt_loss",
             "photometric_error", "pseudo_loss", "smooth_loss", "ssim", "warp",
@@ -37,7 +38,7 @@ _EXPORTS = {
         "spectral": ("SvdFactors", "decompose", "project_residual", "reconstruct",
                      "singular_values"),
         "stm": (
-            "AdaptedLayer", "AdapterSplit", "StmConfig", "StmPlan", "maintaining_penalty",
+            "AdaptedLayer", "AdapterSplit", "StmPlan", "maintaining_penalty",
             "maintaining_penalty_grad", "select_directions", "select_rank", "split_factors",
             "split_weight",
         ),

@@ -33,6 +33,9 @@ At module level this file imports only the standard library and
 :mod:`rankadapt.errors`; each command, worker job and ``verify`` sweep
 imports the library names it uses, so ``--help``, an argument error and a
 worker process each skip the numpy and package imports they do not need.
+The CLI process of ``spectra`` and ``stm-init`` imports no numpy at all:
+only the workers compute. So it runs no BLAS thread, and blocking Ctrl-C and
+SIGTERM in its one thread is enough to hold them while the workers start.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from .errors import (
 )
 
 if TYPE_CHECKING:  # names the annotations use
-    from .stm import StmConfig
+    from .config import StmConfig
     from .tensorio import BundleEntry
 
 EXIT_OK = 0
@@ -109,14 +112,19 @@ def _layer_entries(weights_dir, residuals_dir) -> tuple[dict, list[Path]]:
 
 
 def _exit_with_parent() -> None:
-    """A worker's initializer: a daemon thread ends the worker once the CLI process is gone.
+    """A worker's initializer: it unblocks SIGTERM and exits once the CLI process is gone.
 
-    A parent ended by SIGKILL cannot shut its pool down, so the thread waits
-    on the sentinel that multiprocessing gives each spawned process, which
-    becomes ready the moment the parent ends.
+    A worker is born with SIGINT and SIGTERM blocked. It keeps SIGINT
+    blocked, but the pool stops a broken worker with SIGTERM. A parent ended
+    by SIGKILL cannot shut its pool down, so the thread waits on the
+    sentinel that multiprocessing gives each spawned process, which becomes
+    ready the moment the parent ends.
     """
+    import signal
     import threading
     from multiprocessing import connection, parent_process
+
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, [signal.SIGTERM])
 
     def watch():
         connection.wait([parent_process().sentinel])
@@ -130,12 +138,17 @@ def _map_layers(job, layers: dict, *args) -> list:
 
     Workers are spawned with ``_WORKER_ENV``, so each has one BLAS thread:
     cores are not oversubscribed and results do not depend on the caller's
-    BLAS thread settings. The caller's environment is restored after. Workers
-    block SIGINT and end themselves once the caller is gone. Layers start
-    largest first, so no worker is left alone with a large layer at the end.
-    Results are read in ``layers`` order: the first layer in that order to
-    fail raises, with its name prefixed to the message, once pending jobs
-    are cancelled and every worker has exited.
+    BLAS thread settings. The caller's environment is restored after. Layers
+    start largest first, so no worker is left alone with a large layer at
+    the end. Results are read in ``layers`` order: the first layer in that
+    order to fail raises, with its name prefixed to the message, once
+    pending jobs are cancelled and every worker has exited.
+
+    Workers block SIGINT and end themselves once the caller is gone. While
+    they start, the calling thread blocks SIGINT and SIGTERM, so a stop
+    signal waits until every worker has started and is delivered after.
+    The mask holds it only in a process with no other thread to take it,
+    such as one of numpy's BLAS threads; the CLI process imports no numpy.
     """
     import multiprocessing
     import signal
@@ -156,14 +169,10 @@ def _map_layers(job, layers: dict, *args) -> list:
         saved = {var: os.environ.get(var) for var in _WORKER_ENV}
         os.environ.update(_WORKER_ENV)
         # a worker is born with SIGINT blocked, so the CLI process alone decides
-        # how the run ends. The mask covers this thread only: a signal that one
-        # of numpy's BLAS threads takes would still raise in here and cut a
-        # worker's start-up short. So the handlers hold a Ctrl-C or SIGTERM
-        # until every worker has started, and it is sent again after.
-        held = []
-        handlers = {sig: signal.signal(sig, lambda sig, _: held.append(sig))
-                    for sig in (signal.SIGINT, signal.SIGTERM)}
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+        # how the run ends; a signal that cut a worker's start-up short would
+        # leave it to fail. The mask is set after the pool exists, since
+        # starting multiprocessing's resource tracker unblocks both signals.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT, signal.SIGTERM])
         try:
             # workers start inside submit(), so every one inherits the variables and the mask
             futures = {name: pool.submit(job, name, *layers[name], *args) for name in by_cost}
@@ -173,11 +182,7 @@ def _map_layers(job, layers: dict, *args) -> list:
                     os.environ.pop(var, None)
                 else:
                     os.environ[var] = value
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            for sig, handler in handlers.items():
-                signal.signal(sig, handler)
-            for sig in held[:1]:
-                signal.raise_signal(sig)
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # a held signal is delivered here
         results = []
         for name in layers:
             try:
@@ -297,7 +302,7 @@ def stm_init_layer(name: str, weight: BundleEntry, residual: BundleEntry, cfg: S
 
 
 def cmd_stm_init(args) -> int:
-    from .stm import StmConfig, max_rank
+    from .config import StmConfig, max_rank
     from .tensorio import staged_output, write_manifest
 
     layers, inputs = _layer_entries(args.weights, args.residuals)

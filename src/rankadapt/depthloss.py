@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import is_real
 from .errors import ValidationError
-from .spectral import as_finite_array, as_real_array, is_real
+from .spectral import as_finite_array, as_real_array
 
 _SSIM_C1 = 0.01 ** 2
 _SSIM_C2 = 0.03 ** 2

@@ -16,10 +16,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .adapter import merge
+from .config import is_real
 from .eranks import check_spectrum
 from .errors import NumericError, TrainingDivergedError, ValidationError
 from .spectral import (as_component_indices, as_finite_array, as_real_array, decompose,
-                       is_real, singular_values)
+                       singular_values)
 from .stm import (
     AdaptedLayer,
     StmConfig,

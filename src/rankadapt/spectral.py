@@ -54,7 +54,6 @@ copy-on-write map stays as it is.
 import ctypes
 import math
 import mmap
-import numbers
 import operator
 import sys
 from dataclasses import dataclass
@@ -98,14 +97,6 @@ def as_component_indices(indices, k: int) -> np.ndarray:
         bad = idx[0] if idx[0] < 1 else idx[-1]
         raise ValidationError(f"component index {bad} outside 1..{k}")
     return idx - 1
-
-
-def is_real(x) -> bool:
-    """Whether ``x`` is a finite real number, never a bool, a string or an array.
-
-    An int is compared exactly, so one beyond the range of floats fails, not overflows.
-    """
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def as_real_array(x, what: str, dtype=None) -> np.ndarray:

@@ -22,32 +22,15 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .config import StmConfig, is_real, max_rank
 from .eranks import entropy_rank, stable_rank
 from .errors import ValidationError
-from .spectral import (SvdFactors, as_component_indices, as_real_array, is_real,
-                       project_residual, reconstruct)
+from .spectral import (SvdFactors, as_component_indices, as_real_array, project_residual,
+                       reconstruct)
 
 # Real-valued ranks are rounded to this many decimals before they become
 # integers, so float noise such as ceil(2 + 1e-16) does not add a direction.
 _SNAP_DIGITS = 12
-
-
-@dataclass(frozen=True)
-class StmConfig:
-    """The one STM knob: ``alpha`` scales the entropy rank into a rank budget."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not (is_real(self.alpha) and self.alpha > 0):
-            raise ValidationError(f"alpha must be a positive finite number, got {self.alpha!r}")
-
-
-def max_rank(k: int) -> int:
-    """The rank cap ``floor(k / 2)`` of a layer with ``k`` components; raises if it is 0."""
-    if k < 2:
-        raise ValidationError(f"rank cap floor(K/2) = 0 for K={k} leaves no rank budget")
-    return k // 2
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ manifest; each :class:`BundleEntry` it returns holds no open file, and its
 is a plain ``{name: matrix}`` dict. Widening of ``f32`` payloads to the
 library's ``float64`` compute precision happens in the numerical functions
 that receive a matrix, so a caller that reads an entry decides when its
-widened copy exists.
+widened copy exists. Only :func:`write_entry` and :meth:`BundleEntry.load`,
+which run in the worker processes of ``spectra`` and ``stm-init``, import
+numpy; the rest of this module, which the CLI process runs, does not.
 
 Every output, bundle or report, is replaced through :func:`staged_output`,
 the one place that decides whether and where: it reads the path as it
@@ -30,6 +32,8 @@ mandatory, ``.`` decimal separator) or JSON with identical numeric content;
 a file named ``*.json`` gets JSON, any other gets CSV.
 """
 
+from __future__ import annotations
+
 import csv
 import errno
 import json
@@ -38,11 +42,11 @@ import os
 import re
 import shutil
 import stat
+import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     BundleCorruptionError,
@@ -51,9 +55,13 @@ from .errors import (
     ValidationError,
 )
 
+if TYPE_CHECKING:  # names the annotations use
+    import numpy as np
+
 MANIFEST_NAME = "manifest.json"
 
-_DTYPE_CODES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
+# each manifest dtype code, as the numpy type string of its payloads
+_DTYPE_CODES = {"f32": "<f4", "f64": "<f8"}
 _NAME_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.\-]*$")
 
 
@@ -72,7 +80,9 @@ def write_entry(path, name: str, matrix: np.ndarray) -> dict:
     :func:`staged_output`. The entry is not readable until a manifest lists
     it. A non-real matrix raises ``ValidationError``.
     """
-    from .spectral import as_real_array  # here, so that reading a bundle loads no LAPACK
+    import numpy as np  # here, so that reading a bundle loads no numpy
+
+    from .spectral import as_real_array
 
     _check_name(name)
     arr = as_real_array(matrix, f"entry {name!r}")
@@ -106,8 +116,9 @@ def staged_output(path, *, bundle: bool, inputs=()):
     ``ValidationError``, as does a target that is, or holds, an ``inputs``
     file. A bundle (``bundle=True``) replaces nothing, an empty directory or
     a bundle, and is staged in a fresh directory. A report replaces anything
-    but a directory, in a directory that exists (else ``FileNotFoundError``),
-    and is staged in a file the block writes. The staging path is the sibling
+    but a directory, and is staged in a file the block writes. Either must
+    go in a directory that exists, else ``FileNotFoundError``, so a failed
+    write creates no directory. The staging path is the sibling
     ``.<name>.staging-<pid>``; an old bundle is renamed aside to
     ``.<name>.old-<pid>`` and removed after the swap. The staging path goes
     however the block ends; a block that raises, or a failed swap, leaves
@@ -136,12 +147,12 @@ def staged_output(path, *, bundle: bool, inputs=()):
             raise ValidationError(f"{root} is not empty and holds no bundle; not replacing it")
     elif is_dir:
         raise ValidationError(f"{root} is a directory; not replacing it")
-    elif not root.parent.is_dir():
+    if not root.parent.is_dir():
         raise FileNotFoundError(errno.ENOENT, "No such directory", str(root.parent))
     staging = root.with_name(f".{root.name}.staging-{os.getpid()}")
     old = root.with_name(f".{root.name}.old-{os.getpid()}")
     if bundle:
-        staging.mkdir(parents=True)
+        staging.mkdir()
     try:
         yield staging
         replacing = bundle and root.exists()  # a report's rename replaces the old file itself
@@ -194,14 +205,14 @@ class BundleEntry:
     """
 
     path: Path
-    dtype: np.dtype
+    dtype: str  # a value of _DTYPE_CODES, such as "<f4"
     shape: tuple[int, int]
 
     def _check_payload(self) -> None:
         if not self.path.is_file():
             raise BundleNotFoundError(f"missing data file {self.path}")
         size = self.path.stat().st_size
-        expected = math.prod(self.shape) * self.dtype.itemsize
+        expected = math.prod(self.shape) * int(self.dtype[2:])  # "<f4" takes 4 bytes
         if size != expected:
             raise BundleCorruptionError(
                 f"data file {self.path} holds {size} bytes, manifest implies {expected}"
@@ -214,6 +225,8 @@ class BundleEntry:
         after :func:`read_entries`. Nothing is widened or copied here: an
         ``f32`` entry stays float32 until numerical code widens it.
         """
+        import numpy as np
+
         self._check_payload()
         return np.memmap(self.path, dtype=self.dtype, mode="r", shape=self.shape)
 
@@ -295,7 +308,9 @@ class Report:
         columns = list(self.records[0])
         if any(list(rec) != columns for rec in self.records):
             raise ValidationError("all report records must share the same keys")
-        return [{k: v.item() if isinstance(v, np.generic) else v for k, v in rec.items()}
+        np = sys.modules.get("numpy")  # no record holds a numpy scalar before numpy is loaded
+        generic = () if np is None else np.generic
+        return [{k: v.item() if isinstance(v, generic) else v for k, v in rec.items()}
                 for rec in self.records]
 
     def write(self, path, staging=None) -> None:

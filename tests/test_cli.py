@@ -8,7 +8,6 @@ import signal
 import subprocess
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -473,9 +472,10 @@ def glibc_mallinfo2():
     return fn
 
 
-def sigint_worker(name, weight, residual):
-    """A layer job that reports whether its worker blocks SIGINT."""
-    return signal.SIGINT in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+def signal_mask_worker(name, weight, residual):
+    """A layer job that reports whether its worker blocks SIGINT and SIGTERM."""
+    blocked = signal.pthread_sigmask(signal.SIG_BLOCK, [])
+    return signal.SIGINT in blocked, signal.SIGTERM in blocked
 
 
 def sleeping_worker(name, weight, residual, pid_dir):
@@ -612,7 +612,7 @@ class TestLayerWorkers:
         assert multiprocessing.active_children() == []
 
     def test_worker_death_is_an_os_error(self):
-        layers = {"l0": (BundleEntry(Path("unread.bin"), np.dtype("<f8"), (1, 1)), None)}
+        layers = {"l0": (BundleEntry(Path("unread.bin"), "<f8", (1, 1)), None)}
         with pytest.raises(OSError, match="worker process ended abruptly"):
             _map_layers(exit_worker, layers)
         assert multiprocessing.active_children() == []
@@ -621,7 +621,7 @@ class TestLayerWorkers:
         monkeypatch.setenv("OMP_NUM_THREADS", "3")
         monkeypatch.delenv("MALLOC_MMAP_THRESHOLD_", raising=False)
         caller = dict(os.environ)
-        layers = {"l0": (BundleEntry(Path("unread.bin"), np.dtype("<f8"), (1, 1)), None)}
+        layers = {"l0": (BundleEntry(Path("unread.bin"), "<f8", (1, 1)), None)}
         assert _map_layers(env_worker, layers) == [cli._WORKER_ENV]
         # the caller's environment is restored: a set variable to its value,
         # an unset one to unset
@@ -630,34 +630,58 @@ class TestLayerWorkers:
         assert "MALLOC_MMAP_THRESHOLD_" not in os.environ
 
     def test_workers_are_born_blocking_sigint(self):
-        entry = BundleEntry(Path("unread.bin"), np.dtype("<f8"), (1, 1))
+        entry = BundleEntry(Path("unread.bin"), "<f8", (1, 1))
         layers = {f"l{i}": (entry, None) for i in range(2)}
-        assert _map_layers(sigint_worker, layers) == [True, True]
+        # a running job keeps SIGINT blocked; SIGTERM, with which the pool
+        # stops a broken worker, is not
+        assert _map_layers(signal_mask_worker, layers) == [(True, False), (True, False)]
         # the caller's own mask is restored
-        assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+        assert not {signal.SIGINT, signal.SIGTERM} & signal.pthread_sigmask(signal.SIG_BLOCK, [])
 
-    def test_stop_signals_wait_until_every_worker_has_started(self, monkeypatch):
-        entry = BundleEntry(Path("unread.bin"), np.dtype("<f8"), (1, 1))
-        layers = {f"l{i}": (entry, None) for i in range(2)}
-        handlers = {sig: signal.getsignal(sig) for sig in (signal.SIGINT, signal.SIGTERM)}
-        submitted = []
-        submit = ProcessPoolExecutor.submit
-
-        def interrupted_submit(pool, *args):
-            submitted.append(submit(pool, *args))
-            os.kill(os.getpid(), signal.SIGINT)  # a Ctrl-C as each worker starts
-            return submitted[-1]
-
-        monkeypatch.setattr(ProcessPoolExecutor, "submit", interrupted_submit)
-        with pytest.raises(KeyboardInterrupt):
-            _map_layers(sigint_worker, layers)
-        assert len(submitted) == 2
-        assert {sig: signal.getsignal(sig) for sig in handlers} == handlers
-        assert multiprocessing.active_children() == []
+    def test_stop_signals_wait_until_every_worker_has_started(self, tmp_path):
+        # in a child process that, like the CLI process, imports no numpy, so
+        # no BLAS thread is there to take the signal while the mask holds it
+        rng = np.random.default_rng(26)
+        write_pair(tmp_path, {f"l{i}": rng.standard_normal((6, 4)) for i in range(2)})
+        workers = min(len(os.sched_getaffinity(0)), 2)
+        script = (
+            "import json, multiprocessing, os, signal, sys\n"
+            "from concurrent.futures import ProcessPoolExecutor\n"
+            "from rankadapt.cli import _layer_entries, _map_layers, spectra_layer\n"
+            "stop = signal.Signals[sys.argv[1]]\n"
+            "layers, _ = _layer_entries('w', None)\n"
+            "submitted, seen = [], []\n"
+            "submit = ProcessPoolExecutor.submit\n"
+            "def stopping_submit(pool, *args):\n"
+            "    submitted.append(submit(pool, *args))\n"
+            "    os.kill(os.getpid(), stop)  # to the whole process, as each worker starts\n"
+            "    return submitted[-1]\n"
+            "def stopped(sig, frame):\n"
+            "    seen.append([len(submitted), len(multiprocessing.active_children())])\n"
+            "    raise KeyboardInterrupt\n"
+            "signal.signal(signal.SIGINT, stopped)\n"
+            "signal.signal(signal.SIGTERM, stopped)\n"
+            "ProcessPoolExecutor.submit = stopping_submit\n"
+            "try:\n"
+            "    _map_layers(spectra_layer, layers)\n"
+            "except KeyboardInterrupt:\n"
+            "    seen.append('interrupted')\n"
+            "print(json.dumps({'seen': seen, 'left': len(multiprocessing.active_children()),\n"
+            "                  'masked': len(signal.pthread_sigmask(signal.SIG_BLOCK, [])),\n"
+            "                  'numpy': 'numpy' in sys.modules}))\n")
+        for stop in ("SIGINT", "SIGTERM"):
+            proc = subprocess.run([sys.executable, "-c", script, stop], cwd=tmp_path,
+                                  env=cli_env(), capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            assert "Traceback" not in proc.stderr
+            # the signal arrives once, after both submits, with every worker
+            # started, and the pool is shut down before _map_layers ends
+            assert json.loads(proc.stdout) == {"seen": [[2, workers], "interrupted"],
+                                               "left": 0, "masked": 0, "numpy": False}, stop
 
     @pytest.mark.skipif(glibc_mallinfo2() is None, reason="glibc's malloc statistics")
     def test_workers_keep_the_initial_mmap_threshold(self):
-        layers = {"l0": (BundleEntry(Path("unread.bin"), np.dtype("<f8"), (1, 1)), None)}
+        layers = {"l0": (BundleEntry(Path("unread.bin"), "<f8", (1, 1)), None)}
         assert _map_layers(mmap_threshold_worker, layers) == [True]
 
     def test_worker_loads_only_its_modules(self, tmp_path):
@@ -749,6 +773,7 @@ class TestLayerWorkers:
             if threads is not None:
                 env.update(dict.fromkeys(THREAD_VARS, threads))
             run = tmp_path / f"threads-{threads}"
+            run.mkdir()  # an --output goes in a directory that exists
             for argv in (["stm-init", "--alpha", "0.5", "--output", str(run / "adapters")],
                          ["spectra", "--output", str(run / "spectra.csv")]):
                 proc = subprocess.run(
@@ -931,6 +956,17 @@ class TestRejectedBeforeWorkers:
                                 {"a": 0.1 * rng.standard_normal((6, 4))})
         out = tmp_path / "missing" / "s.csv"
         assert main(["spectra", "--weights", wdir, "--residuals", rdir,
+                     "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such directory: '{out.parent}'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r", "w"]
+
+    def test_bundle_in_missing_directory_exits_1(self, tmp_path, capsys):
+        rng = np.random.default_rng(22)
+        wdir, rdir = write_pair(tmp_path, {"a": rng.standard_normal((6, 4))},
+                                {"a": 0.1 * rng.standard_normal((6, 4))})
+        out = tmp_path / "x" / "y" / "out"
+        assert main(["stm-init", "--weights", wdir, "--residuals", rdir, "--alpha", "0.5",
                      "--output", str(out)]) == 1
         assert capsys.readouterr().err == (
             f"error: [Errno 2] No such directory: '{out.parent}'\n")
@@ -1144,7 +1180,7 @@ def test_stopped_stm_init_cleans_up(tmp_path, stop):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads worker processes from /proc")
 def test_sigkilled_caller_ends_its_workers(tmp_path):
-    entry = BundleEntry(Path("unread.bin"), np.dtype("<f8"), (1, 1))
+    entry = BundleEntry(Path("unread.bin"), "<f8", (1, 1))
     layers = {f"l{i}": (entry, None) for i in range(2)}
     workers = min(len(os.sched_getaffinity(0)), len(layers))
     script = ("import pickle, sys; from rankadapt.cli import _map_layers; "
@@ -1188,6 +1224,37 @@ def test_start_up_loads_no_numpy(code):
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.splitlines()[-1].split())
     assert loaded <= {"rankadapt", "rankadapt.cli", "rankadapt.errors"}
+
+
+def test_cli_process_loads_no_numpy(tmp_path):
+    # only the workers of spectra and stm-init compute; the CLI process, which
+    # validates and hands out layers, loads no numpy, also on the exit-2 paths
+    rng = np.random.default_rng(27)
+    shapes = {"a": (6, 4), "b": (4, 6)}
+    write_pair(tmp_path, {k: rng.standard_normal(s) for k, s in shapes.items()},
+               {k: 0.1 * rng.standard_normal(s) for k, s in shapes.items()})
+    write_bundle(tmp_path / "bias", {"bias": rng.standard_normal((1, 4))})
+    write_bundle(tmp_path / "rt", {"a": np.zeros((4, 6)), "b": np.zeros((4, 6))})
+    stm_init = ["stm-init", "--weights", "w", "--residuals", "r", "--output", "out"]
+    runs = [
+        (["spectra", "--weights", "w", "--residuals", "r", "--output", "s.csv"], 0),
+        (["spectra", "--weights", "w", "--output", "p.csv"], 0),
+        ([*stm_init, "--alpha", "0.5"], 0),
+        ([*stm_init, "--alpha", "0"], 2),
+        (["stm-init", "--weights", "bias", "--residuals", "bias", "--alpha", "0.5",
+          "--output", "cap"], 2),
+        (["stm-init", "--weights", "w", "--residuals", "rt", "--alpha", "0.5",
+          "--output", "shape"], 2),
+        (["spectra", "--weights", "w", "--residuals", "rt", "--output", "shape.csv"], 2),
+    ]
+    script = ("import json, sys; from rankadapt.cli import main; "
+              "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+              "print(json.dumps([codes, 'numpy' in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps([a for a, _ in runs])],
+                          cwd=tmp_path, env=cli_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[code for _, code in runs], False]
 
 
 def _scaled_gradients(mse_and_grads):

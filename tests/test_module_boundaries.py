@@ -5,7 +5,8 @@ it (``from .stm import _helper``) or reaches it through the module
 (``harness._helper``) would break silently. Shared helpers are public.
 
 The rules for a real scalar, a real array and a finite array live in
-``spectral``, as ``is_real``, ``as_real_array`` and ``as_finite_array``.
+``config`` as ``is_real``, which needs no numpy, and in ``spectral`` as
+``as_real_array`` and ``as_finite_array``.
 Elsewhere, ``import numbers``, an ``np.asarray``/``np.array`` that widens to
 ``float64`` or ``bool``, or ``np.isfinite`` is a second copy of one of them;
 such copies drifted apart before and let a string, a bool or a complex number
@@ -78,7 +79,7 @@ def test_scan_ignores_own_and_public_names():
     assert private_uses(source) == []
 
 
-RULE_HOME = PACKAGE / "spectral.py"
+RULE_HOMES = (PACKAGE / "config.py", PACKAGE / "spectral.py")
 WIDENED_DTYPES = ("np.float64", "float", "bool")
 
 
@@ -100,7 +101,8 @@ def input_rule_copies(source: str) -> list[str]:
     return found
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p != RULE_HOME], ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [p for p in MODULES if p not in RULE_HOMES],
+                         ids=lambda p: p.name)
 def test_input_rules_have_one_home(path):
     assert input_rule_copies(path.read_text(encoding="utf-8")) == []
 

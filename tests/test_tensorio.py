@@ -305,6 +305,12 @@ def test_staged_output_refuses_a_wrong_kind(tmp_path, bundle, kind, error, match
     assert (tmp_path / "file").read_text() == (tmp_path / "notes" / "todo.txt").read_text()
 
 
+def test_write_bundle_in_missing_directory_creates_none(tmp_path):
+    with pytest.raises(FileNotFoundError, match="No such directory"):
+        write_bundle(tmp_path / "x" / "y" / "out", {"a": np.ones((2, 2))})
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_entry_load_maps_one_entry(tmp_path):
     write_bundle(tmp_path, {"keep": np.arange(6, dtype=np.float32).reshape(2, 3),
                             "gone": np.ones((2, 2)), "cut": np.ones((2, 2))})
